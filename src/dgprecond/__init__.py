@@ -20,8 +20,6 @@ from .assembly import (
     IP1,
     MethodParams,
     assemble_dg,
-    assemble_ip0,
-    assemble_ip1,
     assemble_conforming,
     assemble_rhs,
     energy_norm,
@@ -55,8 +53,6 @@ from .precond import (
     DiagonalPrecond,
     DirectSolve,
     Smoother,
-    diag_precond,
-    smoother,
     conforming_prolongation,
     cr_from_conforming,
     cr_prolongation,
@@ -71,6 +67,8 @@ from .precond import (
 from .experiments import (
     ExperimentConfig,
     TableResult,
+    Problem,
+    build_problem,
     run_zz_table,
     run_two_level_table,
     run_bpx_table,

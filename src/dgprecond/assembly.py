@@ -150,18 +150,6 @@ def assemble_dg(mesh, coeff, weights, params):
     return drop_tiny(A)
 
 
-def assemble_ip0(mesh, coeff, weights, params):
-    if params.variant != IP0:
-        raise ValueError("assemble_ip0 requires variant IP0")
-    return assemble_dg(mesh, coeff, weights, params)
-
-
-def assemble_ip1(mesh, coeff, weights, params):
-    if params.variant != IP1:
-        raise ValueError("assemble_ip1 requires variant IP1")
-    return assemble_dg(mesh, coeff, weights, params)
-
-
 def assemble_conforming(mesh, coeff):
     """P1 conforming stiffness matrix on interior vertices (Dirichlet)."""
     grads = p1_gradients(mesh)
@@ -244,7 +232,7 @@ def symmetric_part(A):
     """(A + A^T) / 2."""
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    return drop_tiny(((A + A.T) * 0.5).tocsr())
+    return ((A + A.T) * 0.5).tocsr()
 
 
 def drop_tiny(A, rel=1e-14):

@@ -122,11 +122,9 @@ class BlockOperator:
     A_zz: sp.csr_matrix
     A_vz: sp.csr_matrix
     A_vv: sp.csr_matrix
-    theta: int
-    variant: str
 
 
-def extract_blocks(A_nodal, basis, theta, variant, zero_tol=1e-11):
+def extract_blocks(A_nodal, basis, zero_tol=1e-11):
     """Form T^t A T and partition into blocks, verifying the zero block.
 
     With trial functions indexing columns, the coupling of CR-trial with
@@ -147,8 +145,6 @@ def extract_blocks(A_nodal, basis, theta, variant, zero_tol=1e-11):
         A_zz=drop_tiny(S[:nz, :nz].tocsr()),
         A_vz=drop_tiny(S[nz:, :nz].tocsr()),
         A_vv=drop_tiny(S[nz:, nz:].tocsr()),
-        theta=theta,
-        variant=variant,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .mesh import build_hierarchy, assign_coefficient, edge_weights
+from .mesh import build_hierarchy
 from .assembly import (
     IP0,
     IP1,
@@ -24,32 +24,32 @@ from .assembly import (
     assemble_conforming,
     assemble_rhs,
     export_coordinate,
+    symmetric_part,
 )
-from .basis_split import build_transform, extract_blocks, split_matrix, from_split
+from .basis_split import extract_blocks, from_split
 from .precond import (
     SYM_GS,
     JACOBI,
     DirectSolve,
     cr_prolongation,
-    two_level,
-    bpx,
-    block_jacobi_dg,
     forward_substitution_solve,
 )
 from .krylov import pcg, stationary_iteration
 from .experiments import (
+    RUNNERS,
     ExperimentConfig,
-    run_zz_table,
-    run_two_level_table,
-    run_bpx_table,
-    run_sipg1_blockjacobi_table,
-    run_iipg_propagator_table,
+    block_jacobi_system,
+    build_problem,
     dump_spectrum,
     compare_to_golden,
     format_comparison,
 )
 
-TABLES = ("zz", "two-level", "bpx", "sipg1", "iipg-propagator")
+# unused here, but perfbench/pipeline.py wraps these names in this module
+from .mesh import assign_coefficient, edge_weights  # noqa: F401
+from .basis_split import build_transform  # noqa: F401
+
+TABLES = tuple(RUNNERS)
 
 
 def _parser():
@@ -69,7 +69,7 @@ def _parser():
         sp.add_argument("--theta", type=int, choices=(-1, 0, 1))
         sp.add_argument("--alpha", type=float)
         sp.add_argument("--variant", choices=(IP0, IP1))
-        sp.add_argument("--precond", choices=("two-level", "bpx", "diag"))
+        sp.add_argument("--precond", choices=("two-level", "bpx"))
         sp.add_argument("--ratio", type=int, choices=(1, 2, 4))
         sp.add_argument("--sweeps", type=int)
         sp.add_argument("--smoother", choices=(SYM_GS, JACOBI))
@@ -144,7 +144,6 @@ def _experiment_config(opts):
         theta=opts["theta"],
         alpha=opts["alpha"],
         variant=opts["variant"],
-        precond=opts["precond"],
         ratio=opts["ratio"],
         smoother_kind=opts["smoother"],
         sweeps=opts["sweeps"],
@@ -154,15 +153,8 @@ def _experiment_config(opts):
 
 
 def _problem(opts):
-    level = opts["level"]
-    hier = build_hierarchy(level)
-    mesh = hier.finest
-    eps = opts["eps"][0]
-    coeff = assign_coefficient(mesh, eps)
-    weights = edge_weights(mesh, coeff)
     params = MethodParams(opts["theta"], opts["alpha"], opts["variant"])
-    A = assemble_dg(mesh, coeff, weights, params)
-    return hier, mesh, coeff, weights, params, A
+    return build_problem(build_hierarchy(opts["level"]), opts["eps"][0], params)
 
 
 def cmd_mesh_info(opts):
@@ -179,9 +171,10 @@ def cmd_mesh_info(opts):
 
 
 def cmd_assemble(opts):
-    _, mesh, _, _, params, A = _problem(opts)
+    p = _problem(opts)
+    A, params = p.A, p.params
     os.makedirs(opts["out_dir"], exist_ok=True)
-    tag = f"{params.variant}_theta{params.theta}_L{mesh.level}_eps{opts['eps'][0]:g}"
+    tag = f"{params.variant}_theta{params.theta}_L{p.mesh.level}_eps{opts['eps'][0]:g}"
     path = os.path.join(opts["out_dir"], f"matrix_{tag}.txt")
     export_coordinate(A, path)
     print(f"wrote {path} ({A.shape[0]}x{A.shape[1]}, nnz={A.nnz})")
@@ -189,56 +182,33 @@ def cmd_assemble(opts):
 
 
 def cmd_solve(opts):
-    hier, mesh, coeff, weights, params, A = _problem(opts)
+    p = _problem(opts)
+    mesh, A = p.mesh, p.A
     b = assemble_rhs(mesh, lambda x, y: 1.0)
-    basis = build_transform(mesh, weights)
-    if params.variant == IP0:
-        blocks = extract_blocks(A, basis, params.theta, params.variant)
-        f_z, f_v = np.split(basis.transform.T @ b, [basis.n_z])
-        z, v = forward_substitution_solve(blocks, f_z, f_v)
-        u = from_split(z, v, basis)
-        rel = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
-        report = {"method": "block-forward-substitution", "rel_residual": rel,
-                  "dofs": mesh.n_dofs}
-    elif params.theta == -1:
-        S = split_matrix(A, basis)
-        nz = basis.n_z
-        P = cr_prolongation(hier, mesh.level)
-        B = block_jacobi_dg(S[:nz, :nz].tocsr(),
-                            two_level(S[nz:, nz:].tocsr(), P))
-        f = basis.transform.T @ b
-        x, rep = pcg(S, f, B, tol=opts["tol"], maxit=2000)
-        u = basis.transform @ x
-        rel = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
-        report = {"method": "pcg-block-jacobi", "rel_residual": rel,
-                  "iterations": rep.iterations, "converged": rep.converged,
-                  "dofs": mesh.n_dofs}
+    if p.params.variant == IP0:
+        blocks = extract_blocks(A, p.basis)
+        f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
+        u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.basis)
+        report = {"method": "block-forward-substitution"}
+    elif p.params.theta == -1:
+        S, B = block_jacobi_system(p)
+        x, rep = pcg(S, p.basis.transform.T @ b, B, tol=opts["tol"], maxit=2000)
+        u = p.basis.transform @ x
+        report = {"method": "pcg-block-jacobi", "iterations": rep.iterations,
+                  "converged": rep.converged}
     else:
-        A_S = ((A + A.T) * 0.5).tocsr()
-        u, rep = stationary_iteration(A, DirectSolve(A_S), b,
+        u, rep = stationary_iteration(A, DirectSolve(symmetric_part(A)), b,
                                       tol=opts["tol"], maxit=500)
-        rel = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
-        report = {"method": "stationary-symmetric-part", "rel_residual": rel,
-                  "iterations": rep.iterations, "converged": rep.converged,
-                  "dofs": mesh.n_dofs}
+        report = {"method": "stationary-symmetric-part",
+                  "iterations": rep.iterations, "converged": rep.converged}
+    report["rel_residual"] = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
+    report["dofs"] = mesh.n_dofs
     print(json.dumps(report, sort_keys=True))
     return 0 if report["rel_residual"] < 1e-6 else 1
 
 
-def cmd_table(opts, name, parser):
-    cfg = _experiment_config(opts)
-    if name == "zz":
-        table = run_zz_table(cfg)
-    elif name == "two-level":
-        table = run_two_level_table(cfg, ratio=opts["ratio"])
-    elif name == "bpx":
-        table = run_bpx_table(cfg)
-    elif name == "sipg1":
-        table = run_sipg1_blockjacobi_table(cfg)
-    elif name == "iipg-propagator":
-        table = run_iipg_propagator_table(cfg)
-    else:
-        parser.error(f"unknown table {name}")
+def cmd_table(opts, name):
+    table = RUNNERS[name](_experiment_config(opts))
     table.write(opts["out_dir"])
     sys.stdout.write(table.to_markdown())
     report = compare_to_golden(table)
@@ -255,8 +225,7 @@ def cmd_spectrum(opts):
     level = opts["level"]
     os.makedirs(opts["out_dir"], exist_ok=True)
     path = os.path.join(opts["out_dir"], f"spectrum_{eps:g}_{level}.csv")
-    precond = opts["precond"] if opts["precond"] != "diag" else "two-level"
-    eigs = dump_spectrum(cfg, eps, level, path, precond=precond)
+    eigs = dump_spectrum(cfg, eps, level, path, precond=opts["precond"])
     print(f"wrote {path} ({len(eigs)} eigenvalues, "
           f"min={eigs[0]:.6g}, max={eigs[-1]:.6g})")
     return 0
@@ -267,13 +236,10 @@ def cmd_verify(opts):
     the Galerkin identity and the spectral equivalence of the two penalty
     variants."""
     level = opts["level"]
-    eps = opts["eps"][0]
     alpha = opts["alpha"]
-    hier = build_hierarchy(level)
-    mesh = hier.finest
-    coeff = assign_coefficient(mesh, eps)
-    weights = edge_weights(mesh, coeff)
-    basis = build_transform(mesh, weights)
+    p = build_problem(build_hierarchy(level), opts["eps"][0],
+                      MethodParams(-1, alpha, IP0))
+    mesh, basis = p.mesh, p.basis
     failures = 0
 
     def check(label, ok, detail):
@@ -281,8 +247,12 @@ def cmd_verify(opts):
         print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
         failures += 0 if ok else 1
 
+    def assemble(theta, variant=IP0):
+        return assemble_dg(mesh, p.coeff, p.weights,
+                           MethodParams(theta, alpha, variant))
+
     for theta in (-1, 0, 1):
-        A0 = assemble_dg(mesh, coeff, weights, MethodParams(theta, alpha, IP0))
+        A0 = assemble(theta)
         T = basis.transform
         S = (T.T @ A0 @ T).tocsr()
         zv = S[: basis.n_z, basis.n_z :]
@@ -291,23 +261,22 @@ def cmd_verify(opts):
         check(f"orthogonality theta={theta}", worst < 1e-12 * scale,
               f"max CR-to-complement coupling {worst:.3e} vs scale {scale:.3e}")
         if theta == 0:
-            blocks = extract_blocks(A0, basis, theta, IP0)
+            blocks = extract_blocks(A0, basis)
             off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
             off_max = np.abs(off.data).max() if off.nnz else 0.0
             check("diagonal zz block theta=0",
                   off_max < 1e-12 * blocks.A_zz.diagonal().max(),
                   f"max off-diagonal {off_max:.3e}")
 
-    A0 = assemble_dg(mesh, coeff, weights, MethodParams(-1, alpha, IP0))
-    blocks = extract_blocks(A0, basis, -1, IP0)
-    P = cr_prolongation(hier, level)
+    blocks = extract_blocks(p.A, basis)
+    P = cr_prolongation(p.hier, level)
     G = (P.T @ blocks.A_vv @ P).toarray()
-    C = assemble_conforming(mesh, coeff).toarray()
+    C = assemble_conforming(mesh, p.coeff).toarray()
     gerr = np.abs(G - C).max() / max(np.abs(C).max(), 1e-300)
     check("Galerkin identity", gerr < 1e-12, f"relative mismatch {gerr:.3e}")
 
-    A1 = assemble_dg(mesh, coeff, weights, MethodParams(-1, alpha, IP1))
-    eigs = scipy.linalg.eigh(A1.toarray(), A0.toarray(), eigvals_only=True)
+    A1 = assemble(-1, IP1)
+    eigs = scipy.linalg.eigh(A1.toarray(), p.A.toarray(), eigvals_only=True)
     check("spectral equivalence lower bound", eigs[0] >= 1.0 - 1e-10,
           f"min generalized eigenvalue {eigs[0]:.12f}")
     check("spectral equivalence upper bound", np.isfinite(eigs[-1]),
@@ -332,7 +301,7 @@ def main(argv=None):
     if args.command == "solve":
         return cmd_solve(opts)
     if args.command == "table":
-        return cmd_table(opts, args.name, parser)
+        return cmd_table(opts, args.name)
     if args.command == "spectrum":
         return cmd_spectrum(opts)
     if args.command == "verify":

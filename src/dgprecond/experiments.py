@@ -8,15 +8,17 @@ serialize to JSON/CSV/markdown; a comparison harness checks measured values
 against stored reference values with per-quantity tolerance bands.
 """
 
+import functools
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.sparse as sp
 
-from .mesh import MeshHierarchy, build_hierarchy, assign_coefficient, edge_weights
+from .mesh import (CoefficientField, EdgeWeights, MeshHierarchy,
+                   build_hierarchy, assign_coefficient, edge_weights)
 from .assembly import IP0, IP1, MethodParams, assemble_dg
 from .basis_split import build_transform, extract_blocks, split_matrix
 from .precond import (
@@ -42,7 +44,6 @@ class ExperimentConfig:
     theta: int = -1
     alpha: float = 8.0
     variant: str = IP0
-    precond: str = "two-level"
     ratio: int = 1
     smoother_kind: str = SYM_GS
     sweeps: int = 5
@@ -73,9 +74,6 @@ class TableResult:
     eps_list: list
     levels: list
     cells: list = field(default_factory=list)
-    # wall-clock seconds per cell; kept out of the JSON so that reruns with
-    # the same seed are bit-identical
-    timings: dict = field(default_factory=dict)
 
     def add_cell(self, eps, level, **values):
         self.cells.append({"eps": eps, "level": level, **values})
@@ -197,39 +195,59 @@ def _csv_field(x):
     return str(x)
 
 
-# mesh hierarchies are coefficient independent; build once per max level
-_HIER_CACHE = {}
+@dataclass
+class Problem:
+    """One discretized problem on the finest mesh of a hierarchy."""
+
+    hier: MeshHierarchy
+    coeff: CoefficientField
+    weights: EdgeWeights
+    params: MethodParams
+    A: sp.csr_matrix
+
+    @property
+    def mesh(self):
+        return self.hier.finest
+
+    @functools.cached_property
+    def basis(self):
+        # built on first use: the iipg table, assemble and the stationary
+        # solve never need it
+        return build_transform(self.mesh, self.weights)
 
 
-def _hierarchy(level):
-    top = max(_HIER_CACHE) if _HIER_CACHE else -1
-    if level > top:
-        full = build_hierarchy(level)
-        for j in range(level + 1):
-            _HIER_CACHE[j] = MeshHierarchy(
-                meshes=full.meshes[: j + 1],
-                tri_parent=full.tri_parent[:j],
-                vertex_parents=full.vertex_parents[:j],
-            )
-    return _HIER_CACHE[level]
-
-
-def _split_blocks(level, eps, theta, alpha, variant):
-    hier = _hierarchy(level)
+def build_problem(hier, eps, params):
+    """Coefficient with contrast 1/eps, edge weights and the DG matrix of
+    method params on the finest mesh of hier."""
     mesh = hier.finest
     coeff = assign_coefficient(mesh, eps)
     weights = edge_weights(mesh, coeff)
-    params = MethodParams(theta=theta, alpha=alpha, variant=variant)
     A = assemble_dg(mesh, coeff, weights, params)
-    basis = build_transform(mesh, weights)
-    return hier, A, basis
+    return Problem(hier, coeff, weights, params, A)
 
 
-def _cell_rng(cfg, table_id, level, i_eps):
-    return np.random.default_rng([cfg.seed, table_id, level, i_eps])
+def _sweep(cfg, name, default_levels, cell, eps_list=None):
+    """Table of cell(hier, eps, i_eps) -> dict over levels x eps.
+
+    One hierarchy is built at the finest level and truncated for the others
+    (meshes do not depend on the coefficient)."""
+    eps_list = cfg.eps_list if eps_list is None else eps_list
+    levels = cfg.levels if cfg.levels is not None else default_levels
+    table = TableResult(name, cfg.to_dict(), list(eps_list), list(levels))
+    full = build_hierarchy(max(levels))
+    for lvl in levels:
+        hier = full.truncated(lvl)
+        for i, eps in enumerate(eps_list):
+            table.add_cell(eps, lvl, **cell(hier, eps, i))
+    return table
 
 
-def _solve_and_estimate(cfg, A, B, rng):
+def _measure(cfg, A, B, stream):
+    """PCG from a random right-hand side, then the spectrum of B*A.
+
+    stream = (table id, level, eps index) seeds the cell's generator, so each
+    cell is reproducible on its own."""
+    rng = np.random.default_rng([cfg.seed, *stream])
     b = rng.standard_normal(A.shape[0])
     _, rep = pcg(A, b, B, tol=cfg.tol, maxit=2000)
     eigs = estimate_spectrum(
@@ -237,119 +255,86 @@ def _solve_and_estimate(cfg, A, B, rng):
         dense_limit=cfg.dense_limit,
     )
     cond = condition_numbers(eigs, m_list=(0, cfg.m))
-    return rep, eigs, cond
+    return {"K": cond["K"], "K_1": cond["K_m"][cfg.m], "iterations": rep.iterations}
 
 
 def run_zz_table(cfg):
     """Diagonally preconditioned PCG on the complement-space block."""
     if cfg.variant != IP0:
         raise ValueError("zz table is defined for the weakly penalized variant")
-    levels = cfg.levels if cfg.levels is not None else (0, 1, 2, 3)
-    table = TableResult("zz", cfg.to_dict(), list(cfg.eps_list), list(levels))
-    for lvl in levels:
-        for i, eps in enumerate(cfg.eps_list):
-            t0 = time.perf_counter()
-            _, A, basis = _split_blocks(lvl, eps, cfg.theta, cfg.alpha, IP0)
-            blocks = extract_blocks(A, basis, cfg.theta, IP0)
-            A_zz = blocks.A_zz
-            B = DiagonalPrecond(A_zz)
-            rep, _, cond = _solve_and_estimate(
-                cfg, A_zz, B, _cell_rng(cfg, 1, lvl, i)
-            )
-            table.add_cell(
-                eps, lvl, K=cond["K"], K_1=cond["K_m"][cfg.m],
-                iterations=rep.iterations,
-            )
-            table.timings[f"{eps}:{lvl}"] = time.perf_counter() - t0
-    return table
+    params = MethodParams(cfg.theta, cfg.alpha, IP0)
+
+    def cell(hier, eps, i):
+        p = build_problem(hier, eps, params)
+        A_zz = extract_blocks(p.A, p.basis).A_zz
+        return _measure(cfg, A_zz, DiagonalPrecond(A_zz), (1, p.mesh.level, i))
+
+    return _sweep(cfg, "zz", (0, 1, 2, 3), cell)
 
 
-def _cr_block(lvl, eps, alpha):
+def _cr_block(cfg, hier, eps):
     # the CR block is theta independent; assemble with theta=-1
-    hier, A, basis = _split_blocks(lvl, eps, -1, alpha, IP0)
-    blocks = extract_blocks(A, basis, -1, IP0)
-    return hier, blocks.A_vv
+    p = build_problem(hier, eps, MethodParams(-1, cfg.alpha, IP0))
+    return extract_blocks(p.A, p.basis).A_vv
 
 
-def run_two_level_table(cfg, ratio=None):
+def run_two_level_table(cfg):
     """PCG on the Crouzeix-Raviart block with the additive two-level
-    preconditioner; coarse mesh is log2(ratio) levels below the fine one."""
-    ratio = cfg.ratio if ratio is None else ratio
-    if ratio not in (1, 2, 4):
+    preconditioner; coarse mesh is log2(cfg.ratio) levels below the fine one."""
+    if cfg.ratio not in (1, 2, 4):
         raise ValueError("ratio must be 1, 2 or 4")
-    steps = int(round(math.log2(ratio)))
-    levels = cfg.levels if cfg.levels is not None else (0, 1, 2, 3, 4)
-    name = f"two-level-w{ratio}"
-    table = TableResult(name, cfg.to_dict(), list(cfg.eps_list), list(levels))
-    for lvl in levels:
-        for i, eps in enumerate(cfg.eps_list):
-            if lvl < steps:
-                table.add_cell(eps, lvl, infeasible=True)
-                continue
-            t0 = time.perf_counter()
-            hier, A_vv = _cr_block(lvl, eps, cfg.alpha)
-            P = cr_prolongation(hier, lvl - steps)
-            B = two_level(A_vv, P, cfg.smoother_spec())
-            rep, _, cond = _solve_and_estimate(
-                cfg, A_vv, B, _cell_rng(cfg, 2 + steps, lvl, i)
-            )
-            table.add_cell(
-                eps, lvl, K=cond["K"], K_1=cond["K_m"][cfg.m],
-                iterations=rep.iterations,
-            )
-            table.timings[f"{eps}:{lvl}"] = time.perf_counter() - t0
-    return table
+    steps = int(round(math.log2(cfg.ratio)))
+
+    def cell(hier, eps, i):
+        lvl = hier.finest.level
+        if lvl < steps:
+            return {"infeasible": True}
+        A_vv = _cr_block(cfg, hier, eps)
+        P = cr_prolongation(hier, lvl - steps)
+        B = two_level(A_vv, P, cfg.smoother_spec())
+        return _measure(cfg, A_vv, B, (2 + steps, lvl, i))
+
+    return _sweep(cfg, f"two-level-w{cfg.ratio}", (0, 1, 2, 3, 4), cell)
 
 
 def run_bpx_table(cfg):
     """PCG on the Crouzeix-Raviart block with the additive multilevel
     preconditioner."""
-    levels = cfg.levels if cfg.levels is not None else (0, 1, 2, 3, 4)
-    table = TableResult("bpx", cfg.to_dict(), list(cfg.eps_list), list(levels))
-    for lvl in levels:
-        for i, eps in enumerate(cfg.eps_list):
-            t0 = time.perf_counter()
-            hier, A_vv = _cr_block(lvl, eps, cfg.alpha)
-            B = bpx(A_vv, hier, cfg.smoother_spec())
-            rep, _, cond = _solve_and_estimate(
-                cfg, A_vv, B, _cell_rng(cfg, 5, lvl, i)
-            )
-            table.add_cell(
-                eps, lvl, K=cond["K"], K_1=cond["K_m"][cfg.m],
-                iterations=rep.iterations,
-            )
-            table.timings[f"{eps}:{lvl}"] = time.perf_counter() - t0
-    return table
+
+    def cell(hier, eps, i):
+        A_vv = _cr_block(cfg, hier, eps)
+        B = bpx(A_vv, hier, cfg.smoother_spec())
+        return _measure(cfg, A_vv, B, (5, hier.finest.level, i))
+
+    return _sweep(cfg, "bpx", (0, 1, 2, 3, 4), cell)
 
 
-def run_sipg1_blockjacobi_table(cfg):
-    """Full fully penalized symmetric DG system, block-Jacobi preconditioner.
+def block_jacobi_system(p, spec=None):
+    """Split-basis matrix S of p and its block-Jacobi preconditioner.
 
     The complement block gets its inverse matrix diagonal; the CR block gets
     the additive preconditioner with an exactly solved conforming correction
     on the same mesh (the CR preconditioner whose measured condition numbers
     stay level-independent, which is what the reference values show)."""
-    levels = cfg.levels if cfg.levels is not None else (0, 1, 2, 3)
-    table = TableResult("sipg1", cfg.to_dict(), list(cfg.eps_list), list(levels))
-    for lvl in levels:
-        for i, eps in enumerate(cfg.eps_list):
-            t0 = time.perf_counter()
-            hier, A, basis = _split_blocks(lvl, eps, -1, cfg.alpha, IP1)
-            S = split_matrix(A, basis)
-            nz = basis.n_z
-            S_zz = S[:nz, :nz].tocsr()
-            S_vv = S[nz:, nz:].tocsr()
-            P = cr_prolongation(hier, lvl)
-            B = block_jacobi_dg(S_zz, two_level(S_vv, P, cfg.smoother_spec()))
-            rep, _, cond = _solve_and_estimate(
-                cfg, S, B, _cell_rng(cfg, 6, lvl, i)
-            )
-            table.add_cell(
-                eps, lvl, K=cond["K"], K_1=cond["K_m"][cfg.m],
-                iterations=rep.iterations,
-            )
-            table.timings[f"{eps}:{lvl}"] = time.perf_counter() - t0
-    return table
+    S = split_matrix(p.A, p.basis)
+    nz = p.basis.n_z
+    S_zz = S[:nz, :nz].tocsr()
+    S_vv = S[nz:, nz:].tocsr()
+    P = cr_prolongation(p.hier, p.mesh.level)
+    return S, block_jacobi_dg(S_zz, two_level(S_vv, P, spec))
+
+
+def run_sipg1_blockjacobi_table(cfg):
+    """Full fully penalized symmetric DG system, block-Jacobi preconditioner
+    (see block_jacobi_system)."""
+    params = MethodParams(-1, cfg.alpha, IP1)
+
+    def cell(hier, eps, i):
+        p = build_problem(hier, eps, params)
+        S, B = block_jacobi_system(p, cfg.smoother_spec())
+        return _measure(cfg, S, B, (6, p.mesh.level, i))
+
+    return _sweep(cfg, "sipg1", (0, 1, 2, 3), cell)
 
 
 def run_iipg_propagator_table(cfg):
@@ -360,25 +345,23 @@ def run_iipg_propagator_table(cfg):
     experiment metadata records this assumption).
     """
     eps_list = cfg.eps_list if cfg.eps_list != EPS_DEFAULT else EPS_SWEEP_11
-    levels = cfg.levels if cfg.levels is not None else (0, 1, 2, 3)
-    config = cfg.to_dict()
-    config["alpha_effective"] = 4.0 * cfg.alpha
-    config["assumption"] = "alpha* = 8 taken as the coercivity baseline"
-    table = TableResult("iipg-propagator", config, list(eps_list), list(levels))
-    for lvl in levels:
-        for i, eps in enumerate(eps_list):
-            t0 = time.perf_counter()
-            _, A, _ = _split_blocks(lvl, eps, 0, 4.0 * cfg.alpha, IP1)
-            norm = error_propagator_norm(A, seed=cfg.seed + i)
-            table.add_cell(eps, lvl, norm=norm)
-            table.timings[f"{eps}:{lvl}"] = time.perf_counter() - t0
+    params = MethodParams(0, 4.0 * cfg.alpha, IP1)
+
+    def cell(hier, eps, i):
+        A = build_problem(hier, eps, params).A
+        return {"norm": error_propagator_norm(A, seed=cfg.seed + i)}
+
+    table = _sweep(cfg, "iipg-propagator", (0, 1, 2, 3), cell, eps_list)
+    table.config["alpha_effective"] = params.alpha
+    table.config["assumption"] = "alpha* = 8 taken as the coercivity baseline"
     return table
 
 
 def dump_spectrum(cfg, eps, level, out_path, precond="two-level", deep_k=300):
     """Write the ascending spectrum of the preconditioned CR block as
     index,value CSV lines."""
-    hier, A_vv = _cr_block(level, eps, cfg.alpha)
+    hier = build_hierarchy(level)
+    A_vv = _cr_block(cfg, hier, eps)
     if precond == "two-level":
         steps = int(round(math.log2(cfg.ratio)))
         P = cr_prolongation(hier, level - steps)

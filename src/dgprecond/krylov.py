@@ -14,6 +14,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import symmetric_part
+
 DENSE_LIMIT = 2500
 
 
@@ -129,8 +131,7 @@ def _ritz_from_cg(alphas, betas):
     return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
-def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT,
-                      reorth_tol=1e-8):
+def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT):
     """Ascending eigenvalue estimates of B*A for SPD A and SPD B.
 
     Dense path (dim <= dense_limit): materialize B and solve the generalized
@@ -142,12 +143,7 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT,
     n = A.shape[0]
     if n <= dense_limit:
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-        try:
-            Bd = np.asarray(apply_B(np.eye(n)))
-        except Exception:
-            Bd = np.column_stack([apply_B(col) for col in np.eye(n)])
-        if Bd.shape != (n, n):
-            Bd = np.column_stack([apply_B(col) for col in np.eye(n)])
+        Bd = np.asarray(apply_B(np.eye(n)))
         M1 = Ad @ Bd @ Ad
         M1 = 0.5 * (M1 + M1.T)
         return scipy.linalg.eigh(M1, 0.5 * (Ad + Ad.T), eigvals_only=True)
@@ -168,10 +164,8 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT,
         alpha = w @ AV[j]
         w = w - alpha * V[j]
         # full reorthogonalization in the A-inner product
-        corr = 0.0
         for _ in range(2):
             coeffs = np.array([w @ av for av in AV])
-            corr = max(corr, np.abs(coeffs).max(initial=0.0))
             for c, vv in zip(coeffs, V):
                 w = w - c * vv
             if np.abs(coeffs).max(initial=0.0) < 1e-14:
@@ -239,7 +233,7 @@ def error_propagator_norm(A, tol=1e-10, maxit=500, seed=0):
     A_S^{-1} S^t A_S^{-1} S.
     """
     A = A.tocsr()
-    A_S = ((A + A.T) * 0.5).tocsc()
+    A_S = symmetric_part(A).tocsc()
     S = ((A.T - A) * 0.5).tocsr()
     if S.nnz == 0:
         return 0.0

@@ -151,6 +151,16 @@ class MeshHierarchy:
     def finest(self):
         return self.meshes[-1]
 
+    def truncated(self, level):
+        """The hierarchy of levels 0..level; shares the meshes and maps."""
+        if not 0 <= level < self.levels:
+            raise ValueError("level outside the hierarchy")
+        return MeshHierarchy(
+            meshes=self.meshes[: level + 1],
+            tri_parent=self.tri_parent[:level],
+            vertex_parents=self.vertex_parents[:level],
+        )
+
 
 @dataclass
 class CoefficientField:

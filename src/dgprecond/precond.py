@@ -50,10 +50,6 @@ class DiagonalPrecond:
         return _scale(self.inv_diag, r)
 
 
-def diag_precond(A):
-    return DiagonalPrecond(A)
-
-
 class DirectSolve:
     """Exact inverse via sparse LU."""
 
@@ -101,10 +97,6 @@ class Smoother:
         for _ in range(self.spec.sweeps - 1):
             x = x + self._sweep(r - self.A @ x)
         return x
-
-
-def smoother(A, spec=None):
-    return Smoother(A, spec)
 
 
 def conforming_prolongation(hier, j):
@@ -242,15 +234,12 @@ def block_jacobi_dg(A1_zz, B_cr):
     return BlockJacobiPrecond(A1_zz.diagonal(), B_cr, A1_zz.shape[0])
 
 
-def forward_substitution_solve(blocks, f_z, f_v, zz_solver=None, vv_solver=None):
+def forward_substitution_solve(blocks, f_z, f_v):
     """Exact solve of the block lower triangular split system.
 
     First the z block, then the CR block with the z coupling moved to the
-    right-hand side.  Sub-solvers default to sparse LU; a custom solver takes
-    (matrix, rhs) and returns the solution.
+    right-hand side, each by sparse LU.
     """
-    solve_zz = zz_solver or (lambda M, b: spla.splu(M.tocsc()).solve(b))
-    solve_vv = vv_solver or (lambda M, b: spla.splu(M.tocsc()).solve(b))
-    z = solve_zz(blocks.A_zz, np.asarray(f_z, dtype=float))
-    v = solve_vv(blocks.A_vv, np.asarray(f_v, dtype=float) - blocks.A_vz @ z)
+    z = DirectSolve(blocks.A_zz).apply(np.asarray(f_z, dtype=float))
+    v = DirectSolve(blocks.A_vv).apply(np.asarray(f_v, dtype=float) - blocks.A_vz @ z)
     return z, v

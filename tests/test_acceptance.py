@@ -5,6 +5,8 @@ the stored reference values; exact table values depend on the eigenvalue
 estimation method, so bands rather than equalities are asserted.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,7 +45,8 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def two_level_tables(cfg):
-    return {w: run_two_level_table(cfg, ratio=w) for w in (1, 2, 4)}
+    return {w: run_two_level_table(dataclasses.replace(cfg, ratio=w))
+            for w in (1, 2, 4)}
 
 
 def _feasible(table):
@@ -69,7 +72,7 @@ def test_criterion_2_iipg_zz_diagonal():
             weights = edge_weights(mesh, coeff)
             A = assemble_dg(mesh, coeff, weights, MethodParams(0, 8.0, IP0))
             basis = build_transform(mesh, weights)
-            blocks = extract_blocks(A, basis, 0, IP0)
+            blocks = extract_blocks(A, basis)
             off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
             off_max = np.abs(off.data).max() if off.nnz else 0.0
             worst = max(worst, off_max / blocks.A_zz.diagonal().max())
@@ -107,7 +110,7 @@ def test_criterion_4_two_level_w1(cfg, two_level_tables):
     weights = edge_weights(mesh, coeff)
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
     basis = build_transform(mesh, weights)
-    A_vv = extract_blocks(A, basis, -1, IP0).A_vv
+    A_vv = extract_blocks(A, basis).A_vv
     B = two_level(A_vv, cr_prolongation(hier, 4), cfg.smoother_spec())
     eigs = estimate_spectrum(A_vv, B, k=cfg.lanczos_k, seed=cfg.seed,
                              dense_limit=cfg.dense_limit)
@@ -181,7 +184,7 @@ def test_criterion_9_forward_substitution_oracle():
             b = assemble_rhs(mesh, lambda x, y: 1.0 + x * y)
             for theta in (-1, 0, 1):
                 A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-                blocks = extract_blocks(A, basis, theta, IP0)
+                blocks = extract_blocks(A, basis)
                 f = basis.transform.T @ b
                 z, v = forward_substitution_solve(blocks, f[: basis.n_z],
                                                   f[basis.n_z :])
@@ -219,7 +222,7 @@ def test_criterion_11_lanczos_dense_crosscheck(cfg):
     weights = edge_weights(mesh, coeff)
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
     basis = build_transform(mesh, weights)
-    A_vv = extract_blocks(A, basis, -1, IP0).A_vv
+    A_vv = extract_blocks(A, basis).A_vv
     n = A_vv.shape[0]
     worst = 0.0
     for B in (

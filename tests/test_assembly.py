@@ -15,8 +15,6 @@ from dgprecond.assembly import (
     MethodParams,
     p1_gradients,
     assemble_dg,
-    assemble_ip0,
-    assemble_ip1,
     assemble_conforming,
     assemble_rhs,
     energy_norm,
@@ -245,11 +243,7 @@ def test_energy_norm_matches_quadratic_form(setting):
 
 def test_variant_guards(setting):
     mesh, coeff, weights = setting
-    with pytest.raises(ValueError):
-        assemble_ip0(mesh, coeff, weights, MethodParams(-1, 8.0, IP1))
-    with pytest.raises(ValueError):
-        assemble_ip1(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    assert assemble_ip0(mesh, coeff, weights, MethodParams(-1, 8.0, IP0)).shape == (
+    assert assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0)).shape == (
         mesh.n_dofs,
         mesh.n_dofs,
     )

@@ -71,7 +71,7 @@ def test_conforming_function_has_zero_interior_jumps(setting):
 def test_ip0_block_lower_triangular(setting, theta):
     mesh, coeff, weights, basis = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-    blocks = extract_blocks(A, basis, theta, IP0)
+    blocks = extract_blocks(A, basis)
     S = split_matrix(A, basis)
     nz = basis.n_z
     assert abs(S[:nz, nz:]).max() <= 1e-11 * np.abs(A.data).max()
@@ -83,7 +83,7 @@ def test_sipg0_fully_decouples(setting):
     # theta = -1 kills the remaining coupling block as well
     mesh, coeff, weights, basis = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    blocks = extract_blocks(A, basis, -1, IP0)
+    blocks = extract_blocks(A, basis)
     scale = np.abs(A.data).max()
     assert blocks.A_vz.nnz == 0 or abs(blocks.A_vz).max() < 1e-11 * scale
 
@@ -91,7 +91,7 @@ def test_sipg0_fully_decouples(setting):
 def test_iipg0_zz_block_is_diagonal(setting):
     mesh, coeff, weights, basis = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(0, 8.0, IP0))
-    blocks = extract_blocks(A, basis, 0, IP0)
+    blocks = extract_blocks(A, basis)
     off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
     assert off.nnz == 0 or abs(off).max() < 1e-12 * np.abs(A.data).max()
     # diagonal entries are alpha * kappa_e (|e| = h_e cancels)
@@ -102,7 +102,7 @@ def test_ip1_violates_block_structure(setting):
     mesh, coeff, weights, basis = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP1))
     with pytest.raises(BlockStructureError):
-        extract_blocks(A, basis, -1, IP1)
+        extract_blocks(A, basis)
 
 
 def test_vv_block_is_cr_stiffness_plus_penalty(setting):
@@ -111,7 +111,7 @@ def test_vv_block_is_cr_stiffness_plus_penalty(setting):
     mesh, coeff, weights, basis = setting
     for theta in (-1, 0, 1):
         A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-        blocks = extract_blocks(A, basis, theta, IP0)
+        blocks = extract_blocks(A, basis)
         V = blocks.A_vv.toarray()
         assert np.allclose(V, V.T, atol=1e-12 * np.abs(V).max())
         assert np.linalg.eigvalsh(V)[0] > 0
@@ -122,7 +122,7 @@ def test_vv_block_independent_of_theta(setting):
     ref = None
     for theta in (-1, 0, 1):
         A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-        V = extract_blocks(A, basis, theta, IP0).A_vv.toarray()
+        V = extract_blocks(A, basis).A_vv.toarray()
         if ref is None:
             ref = V
         else:
@@ -154,7 +154,7 @@ def test_split_works_on_refined_mesh():
     weights = edge_weights(mesh, coeff)
     basis = build_transform(mesh, weights)
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    blocks = extract_blocks(A, basis, -1, IP0)
+    blocks = extract_blocks(A, basis)
     assert blocks.A_vv.shape == (basis.n_v, basis.n_v)
     u = np.random.default_rng(9).standard_normal(mesh.n_dofs)
     z, v = to_split(u, mesh, weights)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from dgprecond import experiments
 from dgprecond.assembly import IP1
 from dgprecond.experiments import (
     EPS_DEFAULT,
@@ -55,7 +57,7 @@ def test_zz_table_rejects_full_penalty_variant():
 
 def test_two_level_infeasible_below_coarse_level():
     cfg = ExperimentConfig(eps_list=(1.0,), levels=(0, 1, 2))
-    table = run_two_level_table(cfg, ratio=4)
+    table = run_two_level_table(dataclasses.replace(cfg, ratio=4))
     assert table.name == "two-level-w4"
     assert table.cell(1.0, 0).get("infeasible")
     assert table.cell(1.0, 1).get("infeasible")
@@ -69,12 +71,12 @@ def test_two_level_infeasible_below_coarse_level():
 
 def test_two_level_bad_ratio():
     with pytest.raises(ValueError):
-        run_two_level_table(ExperimentConfig(), ratio=3)
+        run_two_level_table(ExperimentConfig(ratio=3))
 
 
 def test_two_level_reference_cell():
     cfg = ExperimentConfig(eps_list=(1e-3,), levels=(1,))
-    table = run_two_level_table(cfg, ratio=1)
+    table = run_two_level_table(cfg)
     report = compare_to_golden(table)
     assert report["passed"], format_comparison(report)
     cell = table.cell(1e-3, 1)
@@ -155,6 +157,21 @@ def test_unknown_table_has_no_checks():
 def test_golden_tables_have_tolerances():
     assert set(GOLDEN) == set(TOLERANCES)
     assert set(RUNNERS) == {"zz", "two-level", "bpx", "sipg1", "iipg-propagator"}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_runner_builds_one_hierarchy_per_table(name, monkeypatch):
+    built = []
+    real = experiments.build_hierarchy
+
+    def counting(J):
+        built.append(J)
+        return real(J)
+
+    monkeypatch.setattr(experiments, "build_hierarchy", counting)
+    table = RUNNERS[name](ExperimentConfig(eps_list=(1.0,), levels=(0, 1, 2)))
+    assert built == [2]
+    assert [c["level"] for c in table.cells] == [0, 1, 2]
 
 
 def test_dump_spectrum(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,21 @@ def test_hierarchy_structure():
     assert len(h.tri_parent) == 2
     for j, m in enumerate(h.meshes):
         assert m.level == j
+
+
+def test_truncated_hierarchy_equals_fresh_build():
+    full = build_hierarchy(4)
+    for j in range(5):
+        cut, fresh = full.truncated(j), build_hierarchy(j)
+        assert cut.levels == fresh.levels == j + 1
+        for a, b in zip(cut.meshes, fresh.meshes):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        for a, b in zip(cut.tri_parent, fresh.tri_parent):
+            assert np.array_equal(a, b)
+        assert cut.vertex_parents == fresh.vertex_parents
+    with pytest.raises(ValueError):
+        full.truncated(5)
 
 
 def test_dump_roundtrip_format():

@@ -31,7 +31,7 @@ def _vv_block(level, eps, alpha=8.0):
     weights = edge_weights(mesh, coeff)
     basis = build_transform(mesh, weights)
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, alpha, IP0))
-    blocks = extract_blocks(A, basis, -1, IP0)
+    blocks = extract_blocks(A, basis)
     return hier, mesh, coeff, blocks
 
 
