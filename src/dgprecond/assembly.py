@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BOUNDARY
-
 IP0 = "IP0"
 IP1 = "IP1"
 
@@ -59,138 +57,108 @@ def p1_gradients(mesh):
     return grads
 
 
-def _edge_local_vertices(mesh, t, e):
-    """Local indices in triangle t of the two endpoints of edge e, ordered
-    as (v0, v1) with v0 < v1 globally."""
-    tri = mesh.triangles[t]
-    v0, v1 = mesh.edge_vertices[e]
-    return int(np.flatnonzero(tri == v0)[0]), int(np.flatnonzero(tri == v1)[0])
+def element_stiffness(mesh, coeff):
+    """(nt, 3, 3) element blocks kappa_T |T| grad phi_i . grad phi_j."""
+    grads = p1_gradients(mesh)
+    scaled = (coeff.kappa * mesh.triangle_areas())[:, None, None] * grads
+    return scaled @ grads.transpose(0, 2, 1)
 
 
-def _trace_matrix(local_pair):
-    """Rows = (value at v0, value at v1) of the 3 local nodal basis functions."""
-    M = np.zeros((2, 3))
-    M[0, local_pair[0]] = 1.0
-    M[1, local_pair[1]] = 1.0
-    return M
+def edge_traces(mesh):
+    """Local dofs of both sides of every edge and the jump of their traces.
+
+    Returns ``dofs`` (ne, 6), the nodal dofs of the plus then the minus
+    triangle, and ``traces`` (ne, 2, 6), where ``traces[e, k]`` maps the six
+    local dof values to the jump plus - minus at endpoint
+    ``edge_vertices[e, k]``.  On a boundary edge the minus half of
+    ``traces`` is zero (its dofs repeat the plus ones), so the jump is the
+    plus trace itself.
+    """
+    bnd = mesh.boundary_edge_mask
+    sides = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
+    dofs = (3 * sides[:, :, None] + np.arange(3)).reshape(-1, 6)
+    sign = np.column_stack([np.ones(len(bnd)), np.where(bnd, 0.0, -1.0)])
+    traces = np.zeros((mesh.n_edges, 2, 2, 3))
+    e, s, k = np.indices(mesh.edge_local.shape)
+    traces[e, k, s, mesh.edge_local] = sign[:, :, None]
+    return dofs, traces.reshape(-1, 2, 6)
+
+
+# quadrature of the penalty on an edge: the projected jump (IP0) is the jump
+# at the midpoint, the full jump (IP1) is integrated by 2-point Gauss
+_PENALTY_RULE = {IP0: ((0.5,), (1.0,)), IP1: (_GAUSS_S, (0.5, 0.5))}
+
+
+def _jump_at(traces, points):
+    """(ne, q, ...) jump at the parameters s of points along each edge."""
+    s = np.asarray(points)[:, None]
+    return (1 - s) * traces[:, None, 0] + s * traces[:, None, 1]
 
 
 def assemble_dg(mesh, coeff, weights, params):
     """Stiffness matrix of the IP(beta) form in the nodal DG basis."""
     n = mesh.n_dofs
-    grads = p1_gradients(mesh)
-    areas = mesh.triangle_areas()
-    rows, cols, vals = [], [], []
-
-    def add_block(dofs_r, dofs_c, block):
-        r, c = np.meshgrid(dofs_r, dofs_c, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.asarray(block).ravel())
-
-    # element terms: kappa_T |T| grad_i . grad_j
-    for t in range(mesh.n_triangles):
-        dofs = 3 * t + np.arange(3)
-        add_block(dofs, dofs, coeff.kappa[t] * areas[t] * grads[t] @ grads[t].T)
-
-    theta, alpha = params.theta, params.alpha
-    for e in range(mesh.n_edges):
-        tp = mesh.edge_plus[e]
-        tm = mesh.edge_minus[e]
-        length = mesh.edge_length[e]
-        he = length  # |e| is the 1D measure in 2D
-        normal = mesh.edge_normal[e]
-        ke = weights.kappa_e[e]
-
-        if tm == BOUNDARY:
-            lp = _edge_local_vertices(mesh, tp, e)
-            Tr = _trace_matrix(lp)  # (2, 3) endpoint traces
-            mid = 0.5 * (Tr[0] + Tr[1])  # value at m_e
-            flux = coeff.kappa[tp] * grads[tp] @ normal  # (3,)
-            dofs = 3 * tp + np.arange(3)
-            block = np.zeros((3, 3))
-            # -<kappa grad v . n, w> + theta <v, kappa grad w . n>
-            block += -length * np.outer(mid, flux)
-            block += theta * length * np.outer(flux, mid)
-            if params.variant == IP0:
-                block += alpha / he * ke * length * np.outer(mid, mid)
-            else:
-                for s in _GAUSS_S:
-                    tr = (1 - s) * Tr[0] + s * Tr[1]
-                    block += alpha / he * ke * (length / 2.0) * np.outer(tr, tr)
-            add_block(dofs, dofs, block)
-            continue
-
-        lp = _edge_local_vertices(mesh, tp, e)
-        lm = _edge_local_vertices(mesh, tm, e)
-        Trp = _trace_matrix(lp)
-        Trm = _trace_matrix(lm)
-        dofs = np.concatenate([3 * tp + np.arange(3), 3 * tm + np.arange(3)])
-        # endpoint traces of the 6 local dofs, jump = plus - minus along n+
-        Tr = np.hstack([Trp, -Trm])  # (2, 6) jump traces at the endpoints
-        jump_mid = 0.5 * (Tr[0] + Tr[1])
-        # weighted flux average {kappa grad v}_beta . n+ = kappa_e {grad v}.n+
-        flux = ke * 0.5 * np.concatenate([grads[tp] @ normal, grads[tm] @ normal])
-        block = np.zeros((6, 6))
-        block += -length * np.outer(jump_mid, flux)
-        block += theta * length * np.outer(flux, jump_mid)
-        if params.variant == IP0:
-            block += alpha / he * ke * length * np.outer(jump_mid, jump_mid)
-        else:
-            for s in _GAUSS_S:
-                tr = (1 - s) * Tr[0] + s * Tr[1]
-                block += alpha / he * ke * (length / 2.0) * np.outer(tr, tr)
-        add_block(dofs, dofs, block)
-
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+    dofs, traces = edge_traces(mesh)
+    length = mesh.edge_length
+    ke = weights.kappa_e
+    # weighted flux average {kappa grad v}_beta . n+ = kappa_e {grad v} . n+;
+    # on a boundary edge the plus side's kappa grad v . n (kappa_e = kappa+)
+    side = np.where(mesh.boundary_edge_mask[:, None], (1.0, 0.0), (0.5, 0.5))
+    normal_grad = np.einsum("edk,ek->ed", p1_gradients(mesh).reshape(-1, 2)[dofs],
+                            mesh.edge_normal)
+    flux = np.repeat(ke[:, None] * side, 3, axis=1) * normal_grad
+    jump_mid = 0.5 * (traces[:, 0] + traces[:, 1])
+    # -<{kappa grad v}, [w]> + theta <[v], {kappa grad w}>
+    edge_blocks = length[:, None, None] * (
+        -jump_mid[:, :, None] * flux[:, None, :]
+        + params.theta * flux[:, :, None] * jump_mid[:, None, :]
     )
+    points, wts = _PENALTY_RULE[params.variant]
+    jumps = _jump_at(traces, points)
+    # h_e = |e| in the penalty alpha / h_e kappa_e |e|
+    pen = params.alpha / length * ke * length
+    edge_blocks += np.einsum("q,e,eqi,eqj->eij", wts, pen, jumps, jumps)
+
+    tri_dofs = np.arange(n).reshape(-1, 3)
+    rows = np.concatenate([np.repeat(tri_dofs, 3, axis=1).ravel(),
+                           np.repeat(dofs, 6, axis=1).ravel()])
+    cols = np.concatenate([np.tile(tri_dofs, 3).ravel(), np.tile(dofs, 6).ravel()])
+    vals = np.concatenate([element_stiffness(mesh, coeff).ravel(), edge_blocks.ravel()])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()
     return drop_tiny(A)
 
 
 def assemble_conforming(mesh, coeff):
     """P1 conforming stiffness matrix on interior vertices (Dirichlet)."""
-    grads = p1_gradients(mesh)
-    areas = mesh.triangle_areas()
     interior = mesh.interior_vertices
     idx = -np.ones(mesh.n_vertices, dtype=np.int64)
     idx[interior] = np.arange(len(interior))
-    rows, cols, vals = [], [], []
-    for t in range(mesh.n_triangles):
-        gi = idx[mesh.triangles[t]]
-        block = coeff.kappa[t] * areas[t] * grads[t] @ grads[t].T
-        for i in range(3):
-            if gi[i] < 0:
-                continue
-            for j in range(3):
-                if gi[j] < 0:
-                    continue
-                rows.append(gi[i])
-                cols.append(gi[j])
-                vals.append(block[i, j])
+    gi = idx[mesh.triangles]
+    rows = np.repeat(gi[:, :, None], 3, axis=2)
+    cols = np.repeat(gi[:, None, :], 3, axis=1)
+    keep = (rows >= 0) & (cols >= 0)
     n = len(interior)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    A = sp.csr_matrix((element_stiffness(mesh, coeff)[keep], (rows[keep], cols[keep])),
+                      shape=(n, n))
     A.sum_duplicates()
     return drop_tiny(A)
 
 
 def assemble_rhs(mesh, f):
-    """DG load vector via the 3-point edge-midpoint rule (order-2 exact)."""
-    b = np.zeros(mesh.n_dofs)
-    areas = mesh.triangle_areas()
-    for t in range(mesh.n_triangles):
-        p = mesh.vertices[mesh.triangles[t]]
-        w = areas[t] / 3.0
-        for i in range(3):
-            m = 0.5 * (p[(i + 1) % 3] + p[(i + 2) % 3])  # midpoint opposite i
-            fv = f(m[0], m[1])
-            # P1 basis values at edge midpoints: 0 at the opposite one, 1/2 else
-            for j in range(3):
-                if j != i:
-                    b[3 * t + j] += w * fv * 0.5
-    return b
+    """DG load vector via the 3-point edge-midpoint rule (order-2 exact).
+
+    ``f(x, y)`` is called once, on the arrays of all quadrature-point
+    coordinates, so it must work elementwise on arrays; a constant result
+    broadcasts.
+    """
+    p = mesh.vertices[mesh.triangles]
+    # midpoint opposite local vertex i
+    mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
+    fv = np.broadcast_to(f(mids[..., 0], mids[..., 1]), mids.shape[:2])
+    contrib = (mesh.triangle_areas() / 3.0)[:, None] * fv * 0.5
+    # P1 basis values at edge midpoints: 0 at the opposite one, 1/2 else
+    return (contrib[:, [1, 0, 0]] + contrib[:, [2, 2, 1]]).ravel()
 
 
 def energy_norm(mesh, coeff, weights, u, which="DG0"):
@@ -200,31 +168,13 @@ def energy_norm(mesh, coeff, weights, u, which="DG0"):
     """
     if which not in ("DG0", "DG1"):
         raise ValueError("which must be DG0 or DG1")
-    grads = p1_gradients(mesh)
-    areas = mesh.triangle_areas()
-    total = 0.0
-    for t in range(mesh.n_triangles):
-        g = grads[t].T @ u[3 * t : 3 * t + 3]
-        total += coeff.kappa[t] * areas[t] * (g @ g)
-    for e in range(mesh.n_edges):
-        tp = mesh.edge_plus[e]
-        tm = mesh.edge_minus[e]
-        length = mesh.edge_length[e]
-        lp = _edge_local_vertices(mesh, tp, e)
-        jp = np.array([u[3 * tp + lp[0]], u[3 * tp + lp[1]]])
-        if tm == BOUNDARY:
-            jend = jp
-        else:
-            lm = _edge_local_vertices(mesh, tm, e)
-            jend = jp - np.array([u[3 * tm + lm[0]], u[3 * tm + lm[1]]])
-        ke = weights.kappa_e[e]
-        if which == "DG0":
-            jmid = 0.5 * (jend[0] + jend[1])
-            total += ke / length * length * jmid**2
-        else:
-            for s in _GAUSS_S:
-                j = (1 - s) * jend[0] + s * jend[1]
-                total += ke / length * (length / 2.0) * j**2
+    local = u.reshape(-1, 3)
+    total = np.einsum("ti,tij,tj->", local, element_stiffness(mesh, coeff), local)
+    dofs, traces = edge_traces(mesh)
+    points, wts = _PENALTY_RULE[IP0 if which == "DG0" else IP1]
+    jumps = np.einsum("eqd,ed->eq", _jump_at(traces, points), u[dofs])
+    # kappa_e / h_e |e| with h_e = |e|
+    total += np.einsum("q,e,eq->", wts, weights.kappa_e, jumps**2)
     return float(np.sqrt(total))
 
 

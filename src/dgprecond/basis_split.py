@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BOUNDARY
-from .assembly import _edge_local_vertices, drop_tiny
+from .assembly import drop_tiny, edge_traces
 
 
 class BlockStructureError(RuntimeError):
@@ -38,43 +37,25 @@ class SplitBasis:
         return self.n_z + self.n_v
 
 
-def _cr_nodal_values(mesh, t, e):
-    """Nodal values on triangle t of its CR basis function for edge e
-    (1 - 2 * barycentric coordinate of the opposite vertex)."""
-    vals = np.ones(3)
-    vals[mesh.local_edge_index(t, e)] = -1.0
-    return vals
-
-
 def build_transform(mesh, weights):
-    """Columns express each split basis function in nodal DG dofs."""
-    rows, cols, vals = [], [], []
+    """Columns express each split basis function in nodal DG dofs.
 
-    def put(col, t, nodal):
-        for i in range(3):
-            rows.append(3 * t + i)
-            cols.append(col)
-            vals.append(nodal[i])
-
+    On each side of an edge its CR hat is 1 at the edge's endpoints and -1 at
+    the opposite vertex.  The z-function of an edge is beta times the hat on
+    the plus side and -(1 - beta) times it on the minus side; beta = 1 on a
+    boundary edge leaves the plus-side hat alone.
+    """
+    dofs, traces = edge_traces(mesh)
+    hat = 2.0 * np.abs(traces).sum(axis=1) - 1.0
+    bp = np.where(mesh.boundary_edge_mask, 1.0, weights.beta)
+    z_vals = np.repeat(np.column_stack([bp, -(1.0 - bp)]), 3, axis=1) * hat
     interior = mesh.interior_edges
-    n_z = mesh.n_edges
-    for e in range(mesh.n_edges):
-        tp = mesh.edge_plus[e]
-        tm = mesh.edge_minus[e]
-        if tm == BOUNDARY:
-            put(e, tp, _cr_nodal_values(mesh, tp, e))
-        else:
-            bp = weights.beta[e]
-            put(e, tp, bp * _cr_nodal_values(mesh, tp, e))
-            put(e, tm, -(1.0 - bp) * _cr_nodal_values(mesh, tm, e))
-    for k, e in enumerate(interior):
-        tp = mesh.edge_plus[e]
-        tm = mesh.edge_minus[e]
-        put(n_z + k, tp, _cr_nodal_values(mesh, tp, e))
-        put(n_z + k, tm, _cr_nodal_values(mesh, tm, e))
-
-    T = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, n_z + len(interior)))
-    return SplitBasis(T, n_z, len(interior), interior)
+    n_z, n_v = mesh.n_edges, len(interior)
+    rows = np.concatenate([dofs.ravel(), dofs[interior].ravel()])
+    cols = np.repeat(np.arange(n_z + n_v), 6)
+    vals = np.concatenate([z_vals.ravel(), hat[interior].ravel()])
+    T = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, n_z + n_v))
+    return SplitBasis(T, n_z, n_v, interior)
 
 
 def to_split(u, mesh, weights):
@@ -86,27 +67,15 @@ def to_split(u, mesh, weights):
     u = np.asarray(u)
     if u.shape != (mesh.n_dofs,):
         raise ValueError("nodal vector has wrong length")
-    z = np.empty(mesh.n_edges)
-    v = np.empty(len(mesh.interior_edges))
-    for e in range(mesh.n_edges):
-        tp = mesh.edge_plus[e]
-        lp = _edge_local_vertices(mesh, tp, e)
-        up = 0.5 * (u[3 * tp + lp[0]] + u[3 * tp + lp[1]])
-        tm = mesh.edge_minus[e]
-        if tm == BOUNDARY:
-            z[e] = up
-        else:
-            lm = _edge_local_vertices(mesh, tm, e)
-            um = 0.5 * (u[3 * tm + lm[0]] + u[3 * tm + lm[1]])
-            z[e] = up - um
-    for k, e in enumerate(mesh.interior_edges):
-        tp, tm = mesh.edge_plus[e], mesh.edge_minus[e]
-        lp = _edge_local_vertices(mesh, tp, e)
-        lm = _edge_local_vertices(mesh, tm, e)
-        up = 0.5 * (u[3 * tp + lp[0]] + u[3 * tp + lp[1]])
-        um = 0.5 * (u[3 * tm + lm[0]] + u[3 * tm + lm[1]])
-        bp = weights.beta[e]
-        v[k] = (1.0 - bp) * up + bp * um
+    dofs, traces = edge_traces(mesh)
+    mid = 0.5 * (traces[:, 0] + traces[:, 1])
+    # (ne, 2): plus-side midpoint value, minus of the minus-side one (0 on
+    # the boundary)
+    sides = np.einsum("esd,esd->es", mid.reshape(-1, 2, 3), u[dofs].reshape(-1, 2, 3))
+    z = sides[:, 0] + sides[:, 1]
+    interior = mesh.interior_edges
+    bp = weights.beta[interior]
+    v = (1.0 - bp) * sides[interior, 0] - bp * sides[interior, 1]
     return z, v
 
 

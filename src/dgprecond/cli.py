@@ -31,6 +31,7 @@ from .precond import (
     SYM_GS,
     JACOBI,
     DirectSolve,
+    SmootherSpec,
     cr_prolongation,
     forward_substitution_solve,
 )
@@ -98,8 +99,9 @@ def _parser():
     return p
 
 
+# eps None: tables sweep their runner's own contrasts, single problems eps = 1
 _DEFAULTS = {
-    "eps": [1.0],
+    "eps": None,
     "levels": None,
     "level": 0,
     "theta": -1,
@@ -135,11 +137,16 @@ def _resolve(args):
     return opts
 
 
+def _eps(opts):
+    """Contrast of a single-problem command: the first --eps, else 1."""
+    return opts["eps"][0] if opts["eps"] else 1.0
+
+
 def _experiment_config(opts):
-    eps = opts["eps"]
+    eps = {} if opts["eps"] is None else {"eps_list": tuple(opts["eps"])}
     levels = opts["levels"]
     return ExperimentConfig(
-        eps_list=tuple(eps),
+        **eps,
         levels=None if levels is None else tuple(range(levels + 1)),
         theta=opts["theta"],
         alpha=opts["alpha"],
@@ -154,7 +161,7 @@ def _experiment_config(opts):
 
 def _problem(opts):
     params = MethodParams(opts["theta"], opts["alpha"], opts["variant"])
-    return build_problem(build_hierarchy(opts["level"]), opts["eps"][0], params)
+    return build_problem(build_hierarchy(opts["level"]), _eps(opts), params)
 
 
 def cmd_mesh_info(opts):
@@ -174,7 +181,7 @@ def cmd_assemble(opts):
     p = _problem(opts)
     A, params = p.A, p.params
     os.makedirs(opts["out_dir"], exist_ok=True)
-    tag = f"{params.variant}_theta{params.theta}_L{p.mesh.level}_eps{opts['eps'][0]:g}"
+    tag = f"{params.variant}_theta{params.theta}_L{p.mesh.level}_eps{_eps(opts):g}"
     path = os.path.join(opts["out_dir"], f"matrix_{tag}.txt")
     export_coordinate(A, path)
     print(f"wrote {path} ({A.shape[0]}x{A.shape[1]}, nnz={A.nnz})")
@@ -191,7 +198,7 @@ def cmd_solve(opts):
         u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.basis)
         report = {"method": "block-forward-substitution"}
     elif p.params.theta == -1:
-        S, B = block_jacobi_system(p)
+        S, B = block_jacobi_system(p, SmootherSpec(opts["smoother"], opts["sweeps"]))
         x, rep = pcg(S, p.basis.transform.T @ b, B, tol=opts["tol"], maxit=2000)
         u = p.basis.transform @ x
         report = {"method": "pcg-block-jacobi", "iterations": rep.iterations,
@@ -221,7 +228,7 @@ def cmd_table(opts, name):
 
 def cmd_spectrum(opts):
     cfg = _experiment_config(opts)
-    eps = opts["eps"][0]
+    eps = _eps(opts)
     level = opts["level"]
     os.makedirs(opts["out_dir"], exist_ok=True)
     path = os.path.join(opts["out_dir"], f"spectrum_{eps:g}_{level}.csv")
@@ -237,7 +244,7 @@ def cmd_verify(opts):
     variants."""
     level = opts["level"]
     alpha = opts["alpha"]
-    p = build_problem(build_hierarchy(level), opts["eps"][0],
+    p = build_problem(build_hierarchy(level), _eps(opts),
                       MethodParams(-1, alpha, IP0))
     mesh, basis = p.mesh, p.basis
     failures = 0

@@ -43,7 +43,12 @@ class Mesh:
     edge_normal : (ne, 2) unit normal pointing from plus to minus side
         (outward on the boundary).
     tri_edges : (nt, 3) int array; entry (t, i) is the edge opposite local
-        vertex i of triangle t.
+        vertex i of triangle t.  Edges are numbered in order of first
+        appearance in ``tri_edges.ravel()``; this is the dof order of both
+        split-basis blocks and so the Gauss-Seidel sweep order.
+    edge_local : (ne, 2, 2) int array; entry (e, s, k) is the local index of
+        ``edge_vertices[e, k]`` in the plus (s = 0) or minus (s = 1)
+        triangle.  On boundary edges the minus entries repeat the plus ones.
     """
 
     level: int
@@ -56,6 +61,7 @@ class Mesh:
     edge_minus: np.ndarray
     edge_normal: np.ndarray
     tri_edges: np.ndarray
+    edge_local: np.ndarray
 
     @property
     def n_vertices(self):
@@ -103,13 +109,6 @@ class Mesh:
     def barycenters(self):
         return self.vertices[self.triangles].mean(axis=1)
 
-    def local_edge_index(self, t, e):
-        """Local index (0..2) of edge e within triangle t (opposite vertex)."""
-        loc = np.flatnonzero(self.tri_edges[t] == e)
-        if len(loc) != 1:
-            raise ValueError(f"edge {e} not on triangle {t}")
-        return int(loc[0])
-
     def dump(self):
         """Plain-text dump: VERTICES / TRIANGLES / EDGES sections, 0-based."""
         lines = ["VERTICES"]
@@ -134,14 +133,12 @@ class Mesh:
 class MeshHierarchy:
     """Nested meshes T_0 subset T_1 subset ... subset T_J.
 
-    ``tri_parent[j]`` maps triangles of mesh j+1 to their parent in mesh j.
-    ``vertex_parents[j]`` maps each new vertex of mesh j+1 to the coarse edge
-    endpoints it bisects; coarse vertices keep their indices on refinement.
+    The numbering of ``refine`` fixes the parent maps: coarse vertices keep
+    their indices, fine vertex ``n_vertices + e`` bisects coarse edge ``e``,
+    and the children of coarse triangle ``t`` are ``4t .. 4t+3``.
     """
 
     meshes: list = field(default_factory=list)
-    tri_parent: list = field(default_factory=list)
-    vertex_parents: list = field(default_factory=list)
 
     @property
     def levels(self):
@@ -152,14 +149,10 @@ class MeshHierarchy:
         return self.meshes[-1]
 
     def truncated(self, level):
-        """The hierarchy of levels 0..level; shares the meshes and maps."""
+        """The hierarchy of levels 0..level; shares the meshes."""
         if not 0 <= level < self.levels:
             raise ValueError("level outside the hierarchy")
-        return MeshHierarchy(
-            meshes=self.meshes[: level + 1],
-            tri_parent=self.tri_parent[:level],
-            vertex_parents=self.vertex_parents[:level],
-        )
+        return MeshHierarchy(meshes=self.meshes[: level + 1])
 
 
 @dataclass
@@ -186,33 +179,39 @@ class EdgeWeights:
 
 
 def _build_edges(vertices, triangles):
-    """Enumerate edges with adjacency; plus side is the smaller triangle index."""
-    nt = len(triangles)
-    edge_map = {}
-    tri_edges = np.empty((nt, 3), dtype=np.int64)
-    pairs = []
-    adj = []
-    for t in range(nt):
-        tri = triangles[t]
-        for i in range(3):
-            a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
-            key = (min(a, b), max(a, b))
-            e = edge_map.get(key)
-            if e is None:
-                e = len(pairs)
-                edge_map[key] = e
-                pairs.append(key)
-                adj.append([t, BOUNDARY])
-            else:
-                adj[e][1] = t
-            tri_edges[t, i] = e
+    """Enumerate edges with adjacency; plus side is the smaller triangle index.
 
-    edge_vertices = np.asarray(pairs, dtype=np.int64)
-    adj = np.asarray(adj, dtype=np.int64)
-    # plus = smaller adjacent triangle index (adjacency is filled in
-    # ascending t order, so adj[:, 0] already is the smaller one)
-    edge_plus = adj[:, 0]
-    edge_minus = adj[:, 1]
+    Local edge i of a triangle joins its local vertices (i+1) % 3 and
+    (i+2) % 3.  Edges are numbered by first appearance over (triangle, local
+    edge), so the first occurrence of an edge is on its plus triangle.
+    """
+    nt = len(triangles)
+    local = np.array([[1, 2], [2, 0], [0, 1]])
+    # one row per (triangle, local edge): global endpoints in rising order
+    # and their local indices
+    ends = triangles[:, local].reshape(-1, 2)
+    pair = np.tile(local, (nt, 1))
+    swap = ends[:, 0] > ends[:, 1]
+    ends = np.where(swap[:, None], ends[:, ::-1], ends)
+    pair = np.where(swap[:, None], pair[:, ::-1], pair)
+
+    # np.unique numbers edges by sorted key; the rank of their first
+    # appearance renumbers them in the dof order of the split blocks
+    _, first, inverse = np.unique(ends[:, 0] * len(vertices) + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    occ_edge = np.argsort(order)[inverse]
+    first = first[order]
+    tri_edges = occ_edge.reshape(nt, 3)
+
+    edge_vertices = ends[first]
+    edge_plus = first // 3
+    edge_minus = np.full(len(first), BOUNDARY, dtype=np.int64)
+    edge_local = np.repeat(pair[first][:, None, :], 2, axis=1)
+    # the other occurrence of an interior edge is on its minus triangle
+    second = np.flatnonzero(first[occ_edge] != np.arange(3 * nt))
+    edge_minus[occ_edge[second]] = second // 3
+    edge_local[occ_edge[second], 1] = pair[second]
 
     p0 = vertices[edge_vertices[:, 0]]
     p1 = vertices[edge_vertices[:, 1]]
@@ -224,7 +223,8 @@ def _build_edges(vertices, triangles):
     bary_plus = vertices[triangles[edge_plus]].mean(axis=1)
     flip = np.einsum("ij,ij->i", normal, edge_midpoint - bary_plus) < 0
     normal[flip] *= -1.0
-    return edge_vertices, edge_midpoint, edge_length, edge_plus, edge_minus, normal, tri_edges
+    return (edge_vertices, edge_midpoint, edge_length, edge_plus, edge_minus, normal,
+            tri_edges, edge_local)
 
 
 def _make_mesh(level, vertices, triangles):
@@ -234,8 +234,7 @@ def _make_mesh(level, vertices, triangles):
     p = vertices[triangles]
     flip = _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    ev, mid, length, plus, minus, normal, tri_edges = _build_edges(vertices, triangles)
-    return Mesh(level, vertices, triangles, ev, mid, length, plus, minus, normal, tri_edges)
+    return Mesh(level, vertices, triangles, *_build_edges(vertices, triangles))
 
 
 def build_initial_mesh():
@@ -257,50 +256,34 @@ def build_initial_mesh():
 def refine(mesh):
     """Red refinement: split every triangle into 4 congruent children.
 
-    Returns (fine_mesh, tri_parent, vertex_parents); coarse vertices keep
-    their indices, each new vertex bisects one coarse edge.
+    Coarse vertices keep their indices, fine vertex ``n_vertices + e`` is the
+    midpoint of coarse edge ``e``, and the children of triangle ``t`` are
+    ``4t .. 4t+3``.
     """
-    nv = mesh.n_vertices
-    new_vertices = list(mesh.vertices)
-    midpoint_vertex = np.empty(mesh.n_edges, dtype=np.int64)
-    vertex_parents = {}
-    for e in range(mesh.n_edges):
-        midpoint_vertex[e] = len(new_vertices)
-        vertex_parents[len(new_vertices)] = tuple(mesh.edge_vertices[e])
-        new_vertices.append(mesh.edge_midpoint[e])
-
-    triangles = []
-    tri_parent = []
-    for t in range(mesh.n_triangles):
-        v0, v1, v2 = mesh.triangles[t]
-        # m_i = midpoint of the edge opposite vertex i
-        m0, m1, m2 = midpoint_vertex[mesh.tri_edges[t]]
-        for child in ((v0, m2, m1), (v1, m0, m2), (v2, m1, m0), (m0, m1, m2)):
-            triangles.append(child)
-            tri_parent.append(t)
-
-    fine = _make_mesh(mesh.level + 1, np.asarray(new_vertices), triangles)
-    return fine, np.asarray(tri_parent, dtype=np.int64), vertex_parents
+    vertices = np.vstack([mesh.vertices, mesh.edge_midpoint])
+    v0, v1, v2 = mesh.triangles.T
+    # m_i = midpoint of the edge opposite vertex i
+    m0, m1, m2 = (mesh.n_vertices + mesh.tri_edges).T
+    children = np.stack([[v0, m2, m1], [v1, m0, m2], [v2, m1, m0], [m0, m1, m2]])
+    return _make_mesh(mesh.level + 1, vertices, children.transpose(2, 0, 1).reshape(-1, 3))
 
 
 def build_hierarchy(J):
-    """J+1 nested meshes, levels 0..J, with parent maps."""
+    """J+1 nested meshes, levels 0..J."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    hier = MeshHierarchy()
-    mesh = build_initial_mesh()
-    hier.meshes.append(mesh)
+    hier = MeshHierarchy([build_initial_mesh()])
     for _ in range(J):
-        mesh, tp, vp = refine(mesh)
-        hier.meshes.append(mesh)
-        hier.tri_parent.append(tp)
-        hier.vertex_parents.append(vp)
+        hier.meshes.append(refine(hier.finest))
     return hier
 
 
 def _in_inclusion(p):
-    x, y = p
-    return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, x1, y0, y1 in _INCLUSIONS)
+    """Whether each point of the (..., 2) array p lies in an inclusion."""
+    x, y = p[..., 0], p[..., 1]
+    return np.logical_or.reduce(
+        [(x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1) for x0, x1, y0, y1 in _INCLUSIONS]
+    )
 
 
 def assign_coefficient(mesh, eps):
@@ -311,20 +294,18 @@ def assign_coefficient(mesh, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    kappa = np.empty(mesh.n_triangles)
     bary = mesh.barycenters()
-    for t in range(mesh.n_triangles):
-        inside = _in_inclusion(bary[t])
-        # probe slightly inside the triangle at each corner; straddling the
-        # interface means the mesh does not resolve the coefficient
-        for v in mesh.vertices[mesh.triangles[t]]:
-            q = v + 1e-9 * (bary[t] - v)
-            if _in_inclusion(q) != inside:
-                raise UnresolvedCoefficientError(
-                    f"triangle {t} straddles the coefficient interface"
-                )
-        kappa[t] = 1.0 if inside else eps
-    return CoefficientField(kappa, float(eps))
+    inside = _in_inclusion(bary)
+    # probe slightly inside the triangle at each corner; straddling the
+    # interface means the mesh does not resolve the coefficient
+    corners = mesh.vertices[mesh.triangles]
+    probes = corners + 1e-9 * (bary[:, None, :] - corners)
+    straddle = np.flatnonzero((_in_inclusion(probes) != inside[:, None]).any(axis=1))
+    if len(straddle):
+        raise UnresolvedCoefficientError(
+            f"triangle {straddle[0]} straddles the coefficient interface"
+        )
+    return CoefficientField(np.where(inside, 1.0, eps), float(eps))
 
 
 def edge_weights(mesh, coeff):

@@ -102,30 +102,25 @@ class Smoother:
 def conforming_prolongation(hier, j):
     """Interior-vertex P1 prolongation from level j to level j+1.
 
-    Coarse vertices keep their values; each edge-midpoint vertex averages its
-    two parents.  Boundary vertices carry homogeneous values on both levels.
+    Coarse vertices keep their values; fine vertex ``n_vertices + e`` (see
+    ``refine``) averages the two endpoints of coarse edge ``e``.  Boundary
+    vertices carry homogeneous values on both levels.
     """
     coarse = hier.meshes[j]
-    fine = hier.meshes[j + 1]
+    nv = coarse.n_vertices
     ci = coarse.interior_vertices
-    fi = fine.interior_vertices
-    cidx = -np.ones(coarse.n_vertices, dtype=np.int64)
+    fi = hier.meshes[j + 1].interior_vertices
+    cidx = -np.ones(nv, dtype=np.int64)
     cidx[ci] = np.arange(len(ci))
-    parents = hier.vertex_parents[j]
-    rows, cols, vals = [], [], []
-    for k, f in enumerate(fi):
-        if f < coarse.n_vertices:
-            if cidx[f] >= 0:
-                rows.append(k)
-                cols.append(cidx[f])
-                vals.append(1.0)
-        else:
-            for p in parents[f]:
-                if cidx[p] >= 0:
-                    rows.append(k)
-                    cols.append(cidx[p])
-                    vals.append(0.5)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(fi), len(ci)))
+    # the coarse parents of each fine vertex: itself twice, or an edge's ends
+    parents = np.vstack([np.repeat(np.arange(nv)[:, None], 2, axis=1), coarse.edge_vertices])
+    c = cidx[parents[fi]]
+    old = fi < nv
+    keep = c >= 0
+    keep[old, 1] = False
+    rows = np.broadcast_to(np.arange(len(fi))[:, None], c.shape)[keep]
+    vals = np.broadcast_to(np.where(old, 1.0, 0.5)[:, None], c.shape)[keep]
+    return sp.csr_matrix((vals, (rows, c[keep])), shape=(len(fi), len(ci)))
 
 
 def cr_from_conforming(mesh):
@@ -138,14 +133,11 @@ def cr_from_conforming(mesh):
     vi = mesh.interior_vertices
     vidx = -np.ones(mesh.n_vertices, dtype=np.int64)
     vidx[vi] = np.arange(len(vi))
-    rows, cols, vals = [], [], []
-    for k, e in enumerate(interior_edges):
-        for v in mesh.edge_vertices[e]:
-            if vidx[v] >= 0:
-                rows.append(k)
-                cols.append(vidx[v])
-                vals.append(0.5)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(interior_edges), len(vi)))
+    c = vidx[mesh.edge_vertices[interior_edges]]
+    keep = c >= 0
+    rows = np.broadcast_to(np.arange(len(interior_edges))[:, None], c.shape)[keep]
+    return sp.csr_matrix((np.full(keep.sum(), 0.5), (rows, c[keep])),
+                         shape=(len(interior_edges), len(vi)))
 
 
 def cr_prolongation(hier, jc):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dgprecond.cli import main
+from dgprecond.experiments import EPS_DEFAULT
 
 
 def run(capsys, *argv):
@@ -67,6 +68,21 @@ def test_solve_full_penalty_pcg(capsys):
     assert rep["converged"]
 
 
+def test_solve_full_penalty_obeys_smoother_flags(capsys):
+    base = ("solve", "--level", "1", "--variant", "IP1")
+    code, out = run(capsys, *base)
+    assert code == 0
+    rep = json.loads(out)
+    # the defaults are sym_gs with 5 sweeps, as in SmootherSpec()
+    assert rep["iterations"] == 20
+    assert rep["rel_residual"] == pytest.approx(3.668384924201733e-08, rel=1e-6)
+    code, out = run(capsys, *base, "--sweeps", "5", "--smoother", "sym_gs")
+    assert json.loads(out) == rep
+    code, out = run(capsys, *base, "--sweeps", "1", "--smoother", "jacobi")
+    assert code == 0
+    assert json.loads(out)["iterations"] != rep["iterations"]
+
+
 def test_solve_nonsymmetric_stationary(capsys):
     code, out = run(capsys, "solve", "--level", "0", "--variant", "IP1",
                     "--theta", "0")
@@ -87,6 +103,17 @@ def test_table_zz(tmp_path, capsys):
         assert (tmp_path / f"zz{ext}").exists()
     data = json.loads((tmp_path / "zz.json").read_text())
     assert data["levels"] == [0, 1]
+
+
+def test_table_without_eps_sweeps_the_runner_default(tmp_path, capsys):
+    code, out = run(capsys, "table", "zz", "--levels", "0",
+                    "--out-dir", str(tmp_path))
+    # exit code 1 reports a reference-band miss (one level-0 iteration count)
+    assert code in (0, 1)
+    data = json.loads((tmp_path / "zz.json").read_text())
+    assert data["eps_list"] == list(EPS_DEFAULT)
+    assert sum(" | K | " in line for line in out.splitlines()) == len(EPS_DEFAULT)
+    assert out.count("level=0 K:") == len(EPS_DEFAULT)
 
 
 def test_table_two_level_ratio(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -97,21 +98,55 @@ def test_edge_adjacency():
 
 def test_refinement_nesting():
     coarse = build_initial_mesh()
-    fine, tri_parent, vertex_parents = refine(coarse)
+    fine = refine(coarse)
+    nv = coarse.n_vertices
     assert fine.n_triangles == 4 * coarse.n_triangles
     # coarse vertices keep their indices
-    assert np.allclose(fine.vertices[: coarse.n_vertices], coarse.vertices)
-    # each new vertex bisects a coarse edge
-    for v, (a, b) in vertex_parents.items():
+    assert np.allclose(fine.vertices[:nv], coarse.vertices)
+    # fine vertex nv + e bisects coarse edge e
+    for e, (a, b) in enumerate(coarse.edge_vertices):
         assert np.allclose(
-            fine.vertices[v], 0.5 * (coarse.vertices[a] + coarse.vertices[b])
+            fine.vertices[nv + e], 0.5 * (coarse.vertices[a] + coarse.vertices[b])
         )
-    # children partition the parent area
+    # the children 4t .. 4t+3 of t use its corners and edge midpoints and
+    # partition its area
     areas = fine.triangle_areas()
     for t in range(coarse.n_triangles):
-        children = np.flatnonzero(tri_parent == t)
-        assert len(children) == 4
+        children = np.arange(4 * t, 4 * t + 4)
+        allowed = set(coarse.triangles[t]) | set(nv + coarse.tri_edges[t])
+        assert set(fine.triangles[children].ravel()) == allowed
         assert np.isclose(areas[children].sum(), coarse.triangle_area(t))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_edge_local_matches_brute_force_lookup(level):
+    m = build_hierarchy(level).finest
+    assert m.edge_local.shape == (m.n_edges, 2, 2)
+    for e in range(m.n_edges):
+        tm = m.edge_minus[e]
+        for s, t in enumerate((m.edge_plus[e], m.edge_plus[e] if tm == BOUNDARY else tm)):
+            for k in range(2):
+                (loc,) = np.flatnonzero(m.triangles[t] == m.edge_vertices[e, k])
+                assert m.edge_local[e, s, k] == loc
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_edges_numbered_by_first_appearance(level):
+    m = build_hierarchy(level).finest
+    _, first = np.unique(m.tri_edges.ravel(), return_index=True)
+    assert np.all(np.diff(first) > 0)
+
+
+def test_level3_edge_numbering_digest():
+    # pins the edge numbering and adjacency: the numbering is the split-block
+    # dof order and so the Gauss-Seidel sweep order of every table
+    m = build_hierarchy(3).finest
+    h = hashlib.sha256()
+    for a in (m.edge_vertices, m.tri_edges, m.edge_plus, m.edge_minus):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    assert h.hexdigest() == (
+        "02567fa7ce490bed8a716f9ede3c635c5b9d83c2f1ac5af18b4f0c8213abfbe0"
+    )
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -172,7 +207,7 @@ def test_hierarchy_structure():
     h = build_hierarchy(2)
     assert h.levels == 3
     assert h.finest is h.meshes[2]
-    assert len(h.tri_parent) == 2
+    assert [m.n_triangles for m in h.meshes] == [32, 128, 512]
     for j, m in enumerate(h.meshes):
         assert m.level == j
 
@@ -185,9 +220,6 @@ def test_truncated_hierarchy_equals_fresh_build():
         for a, b in zip(cut.meshes, fresh.meshes):
             for f in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-        for a, b in zip(cut.tri_parent, fresh.tri_parent):
-            assert np.array_equal(a, b)
-        assert cut.vertex_parents == fresh.vertex_parents
     with pytest.raises(ValueError):
         full.truncated(5)
 

@@ -136,7 +136,11 @@ def test_conforming_prolongation_reproduces_p1_interpolation():
             if f < coarse.n_vertices:
                 assert uf[k] == pytest.approx(nodal_c[f])
             else:
-                a, b = hier.vertex_parents[j][f]
+                # fine vertex n_vertices + e bisects coarse edge e
+                a, b = coarse.edge_vertices[f - coarse.n_vertices]
+                assert np.allclose(
+                    fine.vertices[f], 0.5 * (coarse.vertices[a] + coarse.vertices[b])
+                )
                 assert uf[k] == pytest.approx(0.5 * (nodal_c[a] + nodal_c[b]))
 
 
