@@ -153,22 +153,21 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT):
     v = rng.standard_normal(n)
     Av = A @ v
     nrm = np.sqrt(v @ Av)
-    V = [v / nrm]
-    AV = [Av / nrm]
+    V = np.empty((k, n))
+    V[0] = v / nrm
+    Av /= nrm
     diag, off = [], []
-    beta = 0.0
     for j in range(k):
-        w = apply_B(AV[j])
+        w = apply_B(Av)
         if j > 0:
             w = w - beta * V[j - 1]
-        alpha = w @ AV[j]
+        alpha = w @ Av
         w = w - alpha * V[j]
-        # full reorthogonalization in the A-inner product
+        # full reorthogonalization in the A-inner product, Gram-Schmidt twice
         for _ in range(2):
-            coeffs = np.array([w @ av for av in AV])
-            for c, vv in zip(coeffs, V):
-                w = w - c * vv
-            if np.abs(coeffs).max(initial=0.0) < 1e-14:
+            coeffs = V[: j + 1] @ (A @ w)
+            w -= coeffs @ V[: j + 1]
+            if np.abs(coeffs).max() < 1e-14:
                 break
         diag.append(alpha)
         if j == k - 1:
@@ -178,8 +177,8 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT):
         if beta == 0.0:
             break
         off.append(beta)
-        V.append(w / beta)
-        AV.append(Aw / beta)
+        V[j + 1] = w / beta
+        Av = Aw / beta
     diag = np.asarray(diag)
     off = np.asarray(off[: len(diag) - 1])
     if len(diag) == 1:

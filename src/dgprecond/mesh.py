@@ -292,8 +292,8 @@ def assign_coefficient(mesh, eps):
     Membership is decided by the barycenter; a triangle whose corners end up
     on both sides of the subdomain interface is rejected.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:  # also false for NaN
+        raise ValueError("eps must be finite and positive")
     bary = mesh.barycenters()
     inside = _in_inclusion(bary)
     # probe slightly inside the triangle at each corner; straddling the

@@ -60,6 +60,17 @@ class DirectSolve:
         return self.lu.solve(r)
 
 
+def _factor_triangle(T):
+    """SuperLU factor of a triangle in its own unknown order, the sweep order;
+    raises if SuperLU permuted rows or columns."""
+    lu = spla.splu(T.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   relax=1, panel_size=1)
+    order = np.arange(T.shape[0])
+    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
+        raise RuntimeError("SuperLU permuted a Gauss-Seidel triangle")
+    return lu
+
+
 class Smoother:
     """Fixed number of stationary sweeps x <- x + M^{-1}(r - A x) from x = 0.
 
@@ -82,15 +93,13 @@ class Smoother:
             self._inv_diag = (1.0 if spec.sweeps == 1 else 0.5) / d
         else:
             self._diag = d
-            self._lower = sp.tril(self.A, format="csr")
-            self._upper = sp.triu(self.A, format="csr")
+            self._lower = _factor_triangle(sp.tril(self.A))
+            self._upper = _factor_triangle(sp.triu(self.A))
 
     def _sweep(self, r):
         if self.spec.kind == JACOBI:
             return _scale(self._inv_diag, r)
-        y = spla.spsolve_triangular(self._lower, r, lower=True)
-        return spla.spsolve_triangular(self._upper, _scale(self._diag, y),
-                                       lower=False)
+        return self._upper.solve(_scale(self._diag, self._lower.solve(r)))
 
     def apply(self, r):
         x = self._sweep(r)

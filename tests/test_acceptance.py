@@ -12,15 +12,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from dgprecond.mesh import build_hierarchy, assign_coefficient, edge_weights
-from dgprecond.assembly import IP0, IP1, MethodParams, assemble_dg, assemble_rhs
-from dgprecond.basis_split import build_transform, extract_blocks, from_split
+from dgprecond.mesh import build_hierarchy
+from dgprecond.assembly import IP0, IP1, MethodParams, assemble_rhs
+from dgprecond.basis_split import extract_blocks, from_split
 from dgprecond.precond import cr_prolongation, two_level, bpx, forward_substitution_solve
 from dgprecond.krylov import estimate_spectrum
 from dgprecond.experiments import (
     EPS_DEFAULT,
     ExperimentConfig,
     GOLDEN,
+    build_problem,
     run_zz_table,
     run_two_level_table,
     run_bpx_table,
@@ -66,13 +67,9 @@ def test_criterion_2_iipg_zz_diagonal():
     worst = 0.0
     for level in (0, 1, 2):
         hier = build_hierarchy(level)
-        mesh = hier.finest
         for eps in (1e-5, 1.0, 1e5):
-            coeff = assign_coefficient(mesh, eps)
-            weights = edge_weights(mesh, coeff)
-            A = assemble_dg(mesh, coeff, weights, MethodParams(0, 8.0, IP0))
-            basis = build_transform(mesh, weights)
-            blocks = extract_blocks(A, basis)
+            p = build_problem(hier, eps, MethodParams(0, 8.0, IP0))
+            blocks = extract_blocks(p.A, p.basis)
             off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
             off_max = np.abs(off.data).max() if off.nnz else 0.0
             worst = max(worst, off_max / blocks.A_zz.diagonal().max())
@@ -84,18 +81,14 @@ def test_criterion_3_orthogonality():
     worst = 0.0
     for level in (0, 1, 2):
         hier = build_hierarchy(level)
-        mesh = hier.finest
         for eps in (1e-5, 1.0, 1e5):
-            coeff = assign_coefficient(mesh, eps)
-            weights = edge_weights(mesh, coeff)
-            basis = build_transform(mesh, weights)
             for theta in (-1, 0, 1):
-                A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-                T = basis.transform
-                S = (T.T @ A @ T).tocsr()
-                zv = S[: basis.n_z, basis.n_z :]
+                p = build_problem(hier, eps, MethodParams(theta, 8.0, IP0))
+                T = p.basis.transform
+                S = (T.T @ p.A @ T).tocsr()
+                zv = S[: p.basis.n_z, p.basis.n_z :]
                 worst_cell = np.abs(zv.data).max() if zv.nnz else 0.0
-                worst = max(worst, worst_cell / np.abs(A.data).max())
+                worst = max(worst, worst_cell / np.abs(p.A.data).max())
     _report(3, "CR-to-complement coupling vanishes", worst < 1e-12,
             f"worst relative coupling {worst:.3e}")
 
@@ -105,12 +98,8 @@ def test_criterion_4_two_level_w1(cfg, two_level_tables):
     k1s = [c["K_1"] for c in _feasible(table)]
     cell = table.cell(1e-5, 4)
     hier = build_hierarchy(4)
-    mesh = hier.finest
-    coeff = assign_coefficient(mesh, 1e-5)
-    weights = edge_weights(mesh, coeff)
-    A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    basis = build_transform(mesh, weights)
-    A_vv = extract_blocks(A, basis).A_vv
+    p = build_problem(hier, 1e-5, MethodParams(-1, 8.0, IP0))
+    A_vv = extract_blocks(p.A, p.basis).A_vv
     B = two_level(A_vv, cr_prolongation(hier, 4), cfg.smoother_spec())
     eigs = estimate_spectrum(A_vv, B, k=cfg.lanczos_k, seed=cfg.seed,
                              dense_limit=cfg.dense_limit)
@@ -176,21 +165,17 @@ def test_criterion_9_forward_substitution_oracle():
     worst = 0.0
     for level in (0, 1):
         hier = build_hierarchy(level)
-        mesh = hier.finest
+        b = assemble_rhs(hier.finest, lambda x, y: 1.0 + x * y)
         for eps in (1e-3, 1.0, 1e3):
-            coeff = assign_coefficient(mesh, eps)
-            weights = edge_weights(mesh, coeff)
-            basis = build_transform(mesh, weights)
-            b = assemble_rhs(mesh, lambda x, y: 1.0 + x * y)
             for theta in (-1, 0, 1):
-                A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-                blocks = extract_blocks(A, basis)
-                f = basis.transform.T @ b
-                z, v = forward_substitution_solve(blocks, f[: basis.n_z],
-                                                  f[basis.n_z :])
-                u = from_split(z, v, basis)
-                u_ref = scipy.linalg.solve(A.toarray(), b)
-                rel = np.linalg.norm(A @ (u - u_ref)) / np.linalg.norm(b)
+                p = build_problem(hier, eps, MethodParams(theta, 8.0, IP0))
+                blocks = extract_blocks(p.A, p.basis)
+                f = p.basis.transform.T @ b
+                z, v = forward_substitution_solve(blocks, f[: p.basis.n_z],
+                                                  f[p.basis.n_z :])
+                u = from_split(z, v, p.basis)
+                u_ref = scipy.linalg.solve(p.A.toarray(), b)
+                rel = np.linalg.norm(p.A @ (u - u_ref)) / np.linalg.norm(b)
                 worst = max(worst, rel)
     _report(9, "block forward substitution equals direct solve", worst <= 1e-9,
             f"worst relative residual gap {worst:.3e}")
@@ -200,12 +185,9 @@ def test_criterion_10_spectral_equivalence():
     c0s = []
     lower_ok = True
     hier = build_hierarchy(2)
-    mesh = hier.finest
     for eps in EPS_DEFAULT:
-        coeff = assign_coefficient(mesh, eps)
-        weights = edge_weights(mesh, coeff)
-        A0 = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-        A1 = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP1))
+        A0 = build_problem(hier, eps, MethodParams(-1, 8.0, IP0)).A
+        A1 = build_problem(hier, eps, MethodParams(-1, 8.0, IP1)).A
         eigs = scipy.linalg.eigh(A1.toarray(), A0.toarray(), eigvals_only=True)
         lower_ok = lower_ok and eigs[0] >= 1.0 - 1e-10
         c0s.append(eigs[-1])
@@ -217,12 +199,8 @@ def test_criterion_10_spectral_equivalence():
 
 def test_criterion_11_lanczos_dense_crosscheck(cfg):
     hier = build_hierarchy(2)
-    mesh = hier.finest
-    coeff = assign_coefficient(mesh, 1e-3)
-    weights = edge_weights(mesh, coeff)
-    A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    basis = build_transform(mesh, weights)
-    A_vv = extract_blocks(A, basis).A_vv
+    p = build_problem(hier, 1e-3, MethodParams(-1, 8.0, IP0))
+    A_vv = extract_blocks(p.A, p.basis).A_vv
     n = A_vv.shape[0]
     worst = 0.0
     for B in (

@@ -112,6 +112,16 @@ def test_estimate_spectrum_lanczos_matches_dense():
     assert lanczos[0] == pytest.approx(dense[0], rel=1e-4)
 
 
+def test_estimate_spectrum_lanczos_stops_when_the_basis_is_full():
+    # k > n: the preallocated basis has n rows, Lanczos stops after n steps
+    # and returns the exact spectrum
+    levels = np.array([1.0, 3.0, 10.0])
+    Q, _ = np.linalg.qr(np.random.default_rng(20).standard_normal((3, 3)))
+    A = sp.csr_matrix(Q @ np.diag(levels) @ Q.T)
+    ritz = estimate_spectrum(A, None, k=20, dense_limit=0, seed=3)
+    assert np.allclose(ritz, levels, rtol=1e-10, atol=0)
+
+
 def test_condition_numbers():
     eigs = np.array([0.001, 0.5, 0.8, 1.0, 2.0])
     out = condition_numbers(eigs, m_list=(0, 1, 2))

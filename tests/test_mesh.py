@@ -172,12 +172,10 @@ def test_unresolved_coefficient_raises():
         assign_coefficient(m, 1e-3)
 
 
-def test_bad_eps_rejected():
-    m = build_initial_mesh()
-    with pytest.raises(ValueError):
-        assign_coefficient(m, 0.0)
-    with pytest.raises(ValueError):
-        assign_coefficient(m, -1.0)
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_bad_eps_rejected(eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        assign_coefficient(build_initial_mesh(), eps)
 
 
 @settings(deadline=None, max_examples=25)

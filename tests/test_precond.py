@@ -103,6 +103,28 @@ def test_many_sgs_sweeps_approach_exact_inverse():
     assert np.allclose(sm.apply(r), spla.spsolve(A.tocsc(), r), atol=1e-8)
 
 
+def test_factored_sym_gs_sweep_matches_triangular_solves():
+    # one sweep through the stored SuperLU factors equals forward then
+    # backward substitution with the triangles of the matrix itself
+    _, _, _, blocks = _vv_block(2, 1e-5)
+    A = blocks.A_vv.tocsr()
+    n = A.shape[0]
+    sm = Smoother(A, SmootherSpec(SYM_GS, 1))
+    lower, upper = sp.tril(A, format="csr"), sp.triu(A, format="csr")
+    rng = np.random.default_rng(19)
+    for r in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        y = spla.spsolve_triangular(lower, r, lower=True)
+        d = A.diagonal() if r.ndim == 1 else A.diagonal()[:, None]
+        ref = spla.spsolve_triangular(upper, d * y, lower=False)
+        x = sm.apply(r)
+        assert x.shape == r.shape
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the factors keep the unknown order, so the sweep order is the dof order
+    for lu in (sm._lower, sm._upper):
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert np.array_equal(lu.perm_c, np.arange(n))
+
+
 @pytest.mark.parametrize("kind,sweeps", [(JACOBI, 1), (JACOBI, 4), (SYM_GS, 1), (SYM_GS, 5)])
 def test_smoother_linear_and_spd(kind, sweeps):
     A = _spd(10, seed=12)
