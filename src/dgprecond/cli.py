@@ -118,7 +118,9 @@ _DEFAULTS = {
 
 
 def _resolve(args):
-    """Merge defaults, config file and explicit flags (flags win)."""
+    """Merge defaults, config file and explicit flags (flags win); raise
+    ValueError for a negative level or an eps that is not finite and
+    positive."""
     opts = dict(_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
@@ -134,6 +136,12 @@ def _resolve(args):
     env_out = os.environ.get("DG_PRECOND_OUT")
     if env_out:
         opts["out_dir"] = env_out
+    for key in ("level", "levels"):
+        if opts[key] is not None and opts[key] < 0:
+            raise ValueError(f"{key} must be >= 0, got {opts[key]}")
+    for eps in opts["eps"] or ():
+        if not (np.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
     return opts
 
 
@@ -298,7 +306,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         opts = _resolve(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "mesh-info":

@@ -156,25 +156,37 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT):
     V = np.empty((k, n))
     V[0] = v / nrm
     Av /= nrm
+    # beta <= n * eps_mach * ||T||_inf (the largest row sum of the tridiagonal
+    # T so far, a bound on its norm) is round-off of the recurrence: the Krylov
+    # space is invariant and its Ritz values are eigenvalues, so Lanczos stops
+    # there instead of restarting from noise
+    invariant_tol = n * np.finfo(float).eps
     diag, off = [], []
+    t_norm = beta = 0.0
     for j in range(k):
         w = apply_B(Av)
         if j > 0:
             w = w - beta * V[j - 1]
         alpha = w @ Av
         w = w - alpha * V[j]
-        # full reorthogonalization in the A-inner product, Gram-Schmidt twice
-        for _ in range(2):
-            coeffs = V[: j + 1] @ (A @ w)
-            w -= coeffs @ V[: j + 1]
-            if np.abs(coeffs).max() < 1e-14:
-                break
+        # full reorthogonalization in the A-inner product by classical
+        # Gram-Schmidt.  V is A-orthonormal, so the pass leaves
+        # ||w||_A^2 - |c|^2; a second pass runs only when that is at most half
+        # of ||w||_A^2, i.e. when the first one cancelled (Daniel, Gragg,
+        # Kaufman and Stewart, 1976)
+        Aw = A @ w
+        ww = w @ Aw
+        c = V[: j + 1] @ Aw
+        w -= c @ V[: j + 1]
+        if ww - c @ c <= 0.5 * ww:
+            w -= (V[: j + 1] @ (A @ w)) @ V[: j + 1]
         diag.append(alpha)
         if j == k - 1:
             break
         Aw = A @ w
-        beta = np.sqrt(max(w @ Aw, 0.0))
-        if beta == 0.0:
+        beta_prev, beta = beta, np.sqrt(max(w @ Aw, 0.0))
+        t_norm = max(t_norm, abs(alpha) + beta_prev + beta)
+        if beta <= invariant_tol * t_norm:
             break
         off.append(beta)
         V[j + 1] = w / beta

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 JACOBI = "jacobi"
 SYM_GS = "sym_gs"
@@ -60,15 +61,10 @@ class DirectSolve:
         return self.lu.solve(r)
 
 
-def _factor_triangle(T):
-    """SuperLU factor of a triangle in its own unknown order, the sweep order;
-    raises if SuperLU permuted rows or columns."""
-    lu = spla.splu(T.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   relax=1, panel_size=1)
-    order = np.arange(T.shape[0])
-    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
-        raise RuntimeError("SuperLU permuted a Gauss-Seidel triangle")
-    return lu
+def _csc_arrays(T):
+    """A CSC matrix as the (n, nnz, data, indices, indptr) arguments of gstrs."""
+    return (T.shape[0], T.nnz, T.data, T.indices.astype(np.intc, copy=False),
+            T.indptr.astype(np.intc, copy=False))
 
 
 class Smoother:
@@ -78,6 +74,11 @@ class Smoother:
     stiffness matrices); symmetric Gauss-Seidel sweeps forward then backward
     in the fixed unknown order.  The resulting operator (I - E^s) A^{-1} with
     E = I - M^{-1} A is symmetric positive definite for a convergent sweep.
+
+    A symmetric Gauss-Seidel sweep is one SuperLU triangular-pair solve with
+    the LU factors (I + L D^{-1})(D + U) of M = (D + L) D^{-1} (D + U), stored
+    at setup as CSC arrays in SuperLU's layout: L D^{-1} with D in the diagonal
+    slots (SuperLU keeps U's diagonal with L), and the strict upper triangle U.
     """
 
     def __init__(self, A, spec=None):
@@ -92,14 +93,21 @@ class Smoother:
             # sweeps are damped by 1/2 to guarantee a convergent splitting
             self._inv_diag = (1.0 if spec.sweeps == 1 else 0.5) / d
         else:
-            self._diag = d
-            self._lower = _factor_triangle(sp.tril(self.A))
-            self._upper = _factor_triangle(sp.triu(self.A))
+            lower = (sp.tril(self.A, -1, format="csc") @ sp.diags(1.0 / d)
+                     + sp.diags(d)).tocsc()
+            upper = sp.triu(self.A, 1, format="csc")
+            if not np.array_equal(lower.indices[lower.indptr[:-1]], np.arange(len(d))):
+                raise RuntimeError("a Gauss-Seidel factor column does not "
+                                   "store its diagonal first")
+            self._factors = _csc_arrays(lower) + _csc_arrays(upper)
 
     def _sweep(self, r):
         if self.spec.kind == JACOBI:
             return _scale(self._inv_diag, r)
-        return self._upper.solve(_scale(self._diag, self._lower.solve(r)))
+        x, info = gstrs("N", *self._factors, r)
+        if info != 0:
+            raise RuntimeError(f"SuperLU triangular solve failed (info={info})")
+        return x
 
     def apply(self, r):
         x = self._sweep(r)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgprecond.mesh import build_initial_mesh, build_hierarchy, assign_coefficient, edge_weights
+from dgprecond.mesh import build_hierarchy
 from dgprecond.assembly import IP0, IP1, MethodParams, assemble_dg
 from dgprecond.basis_split import (
     BlockStructureError,
-    build_transform,
     to_split,
     from_split,
     extract_blocks,
@@ -14,15 +13,13 @@ from dgprecond.basis_split import (
     star_product,
     star_diagonal,
 )
+from dgprecond.experiments import build_problem
 
 
 @pytest.fixture(scope="module", params=[1.0, 1e-3])
 def setting(request):
-    mesh = build_initial_mesh()
-    coeff = assign_coefficient(mesh, request.param)
-    weights = edge_weights(mesh, coeff)
-    basis = build_transform(mesh, weights)
-    return mesh, coeff, weights, basis
+    p = build_problem(build_hierarchy(0), request.param, MethodParams(-1, 8.0, IP0))
+    return p.mesh, p.coeff, p.weights, p.basis
 
 
 def test_transform_is_square_and_invertible(setting):
@@ -148,13 +145,9 @@ def test_shape_guards(setting):
 
 
 def test_split_works_on_refined_mesh():
-    hier = build_hierarchy(1)
-    mesh = hier.finest
-    coeff = assign_coefficient(mesh, 1e-2)
-    weights = edge_weights(mesh, coeff)
-    basis = build_transform(mesh, weights)
-    A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    blocks = extract_blocks(A, basis)
+    p = build_problem(build_hierarchy(1), 1e-2, MethodParams(-1, 8.0, IP0))
+    mesh, weights, basis = p.mesh, p.weights, p.basis
+    blocks = extract_blocks(p.A, basis)
     assert blocks.A_vv.shape == (basis.n_v, basis.n_v)
     u = np.random.default_rng(9).standard_normal(mesh.n_dofs)
     z, v = to_split(u, mesh, weights)

@@ -170,6 +170,16 @@ def test_config_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--level", "-1"), ("--eps", "nan")])
+def test_rejected_input_is_one_error_line(capsys, flags):
+    code = main(["solve", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["table", "nope"])

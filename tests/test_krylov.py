@@ -110,6 +110,10 @@ def test_estimate_spectrum_lanczos_matches_dense():
     lanczos = estimate_spectrum(A, None, k=80, dense_limit=0, seed=1)
     assert lanczos[-1] == pytest.approx(dense[-1], rel=1e-6)
     assert lanczos[0] == pytest.approx(dense[0], rel=1e-4)
+    # k = n steps with distinct eigenvalues recover every eigenvalue once;
+    # without reorthogonalization copies of the extreme values appear
+    assert len(lanczos) == 80
+    assert np.allclose(lanczos, d, rtol=1e-8, atol=0)
 
 
 def test_estimate_spectrum_lanczos_stops_when_the_basis_is_full():
@@ -120,6 +124,16 @@ def test_estimate_spectrum_lanczos_stops_when_the_basis_is_full():
     A = sp.csr_matrix(Q @ np.diag(levels) @ Q.T)
     ritz = estimate_spectrum(A, None, k=20, dense_limit=0, seed=3)
     assert np.allclose(ritz, levels, rtol=1e-10, atol=0)
+
+
+def test_estimate_spectrum_lanczos_stops_at_an_invariant_subspace():
+    # three distinct eigenvalues: the Krylov space is invariant after three
+    # steps, and the round-off residual must not restart the recurrence
+    levels = np.array([1.0, 3.0, 10.0])
+    Q, _ = np.linalg.qr(np.random.default_rng(20).standard_normal((60, 60)))
+    A = sp.csr_matrix(Q @ np.diag(np.repeat(levels, 20)) @ Q.T)
+    ritz = estimate_spectrum(A, None, k=20, dense_limit=0, seed=3)
+    assert np.abs(ritz[:, None] - levels).min(axis=1).max() <= 1e-10
 
 
 def test_condition_numbers():

@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dgprecond.mesh import build_hierarchy, assign_coefficient, edge_weights
-from dgprecond.assembly import IP0, MethodParams, assemble_dg, assemble_conforming
-from dgprecond.basis_split import build_transform, extract_blocks
+from dgprecond.mesh import build_hierarchy, assign_coefficient
+from dgprecond.assembly import IP0, MethodParams, assemble_conforming
+from dgprecond.basis_split import extract_blocks
+from dgprecond.experiments import build_problem
 from dgprecond.krylov import estimate_spectrum
 from dgprecond.precond import (
     JACOBI,
@@ -25,14 +26,8 @@ from dgprecond.precond import (
 
 
 def _vv_block(level, eps, alpha=8.0):
-    hier = build_hierarchy(level)
-    mesh = hier.finest
-    coeff = assign_coefficient(mesh, eps)
-    weights = edge_weights(mesh, coeff)
-    basis = build_transform(mesh, weights)
-    A = assemble_dg(mesh, coeff, weights, MethodParams(-1, alpha, IP0))
-    blocks = extract_blocks(A, basis)
-    return hier, mesh, coeff, blocks
+    p = build_problem(build_hierarchy(level), eps, MethodParams(-1, alpha, IP0))
+    return p.hier, p.mesh, p.coeff, extract_blocks(p.A, p.basis)
 
 
 def _spd(n, seed=0):
@@ -104,8 +99,8 @@ def test_many_sgs_sweeps_approach_exact_inverse():
 
 
 def test_factored_sym_gs_sweep_matches_triangular_solves():
-    # one sweep through the stored SuperLU factors equals forward then
-    # backward substitution with the triangles of the matrix itself
+    # one sweep through the stored factors equals forward then backward
+    # substitution with the triangles of the matrix itself
     _, _, _, blocks = _vv_block(2, 1e-5)
     A = blocks.A_vv.tocsr()
     n = A.shape[0]
@@ -116,13 +111,24 @@ def test_factored_sym_gs_sweep_matches_triangular_solves():
         y = spla.spsolve_triangular(lower, r, lower=True)
         d = A.diagonal() if r.ndim == 1 else A.diagonal()[:, None]
         ref = spla.spsolve_triangular(upper, d * y, lower=False)
+        r_in = r.copy()
         x = sm.apply(r)
         assert x.shape == r.shape
+        assert np.array_equal(r, r_in)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-    # the factors keep the unknown order, so the sweep order is the dof order
-    for lu in (sm._lower, sm._upper):
-        assert np.array_equal(lu.perm_r, np.arange(n))
-        assert np.array_equal(lu.perm_c, np.arange(n))
+    # the factors of M = (I + L D^-1)(D + U) in SuperLU's CSC layout: the
+    # lower array is L D^-1 with D stored first in every column, the upper
+    # array the strict upper triangle of A
+    n_l, nnz_l, data_l, ind_l, ptr_l, n_u, nnz_u, data_u, ind_u, ptr_u = sm._factors
+    assert n_l == n_u == n
+    lower_f = sp.csc_matrix((data_l, ind_l, ptr_l), shape=(n, n))
+    upper_f = sp.csc_matrix((data_u, ind_u, ptr_u), shape=(n, n))
+    assert (nnz_l, nnz_u) == (lower_f.nnz, upper_f.nnz)
+    assert np.array_equal(ind_l[ptr_l[:-1]], np.arange(n))
+    D = A.diagonal()
+    expected = sp.tril(A, -1) @ sp.diags(1.0 / D) + sp.diags(D)
+    assert abs(lower_f - expected).max() <= 1e-15 * abs(expected).max()
+    assert (upper_f != sp.triu(A, 1)).nnz == 0
 
 
 @pytest.mark.parametrize("kind,sweeps", [(JACOBI, 1), (JACOBI, 4), (SYM_GS, 1), (SYM_GS, 5)])
