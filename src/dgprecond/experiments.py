@@ -252,7 +252,7 @@ def _measure(cfg, A, B, stream):
     _, rep = pcg(A, b, B, tol=cfg.tol, maxit=2000)
     eigs = estimate_spectrum(
         A, B, k=cfg.lanczos_k, seed=int(rng.integers(2**31)),
-        dense_limit=cfg.dense_limit,
+        dense_limit=cfg.dense_limit, m=cfg.m,
     )
     cond = condition_numbers(eigs, m_list=(0, cfg.m))
     return {"K": cond["K"], "K_1": cond["K_m"][cfg.m], "iterations": rep.iterations}
@@ -359,7 +359,11 @@ def run_iipg_propagator_table(cfg):
 
 def dump_spectrum(cfg, eps, level, out_path, precond="two-level", deep_k=300):
     """Write the ascending spectrum of the preconditioned CR block as
-    index,value CSV lines."""
+    index,value CSV lines.
+
+    Lanczos runs max(deep_k, cfg.lanczos_k) steps with its stopping test off
+    (rtol=0), so the file holds the whole Ritz spectrum, not only the values
+    the tables read."""
     hier = build_hierarchy(level)
     A_vv = _cr_block(cfg, hier, eps)
     if precond == "two-level":
@@ -372,7 +376,7 @@ def dump_spectrum(cfg, eps, level, out_path, precond="two-level", deep_k=300):
         raise ValueError("precond must be 'two-level' or 'bpx'")
     eigs = estimate_spectrum(
         A_vv, B, k=max(deep_k, cfg.lanczos_k), seed=cfg.seed,
-        dense_limit=cfg.dense_limit,
+        dense_limit=cfg.dense_limit, rtol=0.0,
     )
     with open(out_path, "w") as fh:
         fh.write("index,value\n")

@@ -3,7 +3,7 @@
 Extreme (and near-extreme) eigenvalues of a preconditioned SPD system B*A are
 estimated either by a dense generalized eigensolve (small problems) or by
 Lanczos with full reorthogonalization in the A-inner product, where B*A is
-self-adjoint.
+self-adjoint, run until the Ritz values asked for are certified to RTOL.
 """
 
 import json
@@ -17,6 +17,8 @@ import scipy.sparse.linalg as spla
 from .assembly import symmetric_part
 
 DENSE_LIMIT = 2500
+# relative accuracy at which Lanczos certifies the Ritz values it is asked for
+RTOL = 1e-6
 
 
 class BreakdownError(RuntimeError):
@@ -131,13 +133,19 @@ def _ritz_from_cg(alphas, betas):
     return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
-def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT):
+def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
+                      rtol=RTOL):
     """Ascending eigenvalue estimates of B*A for SPD A and SPD B.
 
     Dense path (dim <= dense_limit): materialize B and solve the generalized
     symmetric problem A B A x = lambda A x, returning the full spectrum.
-    Otherwise: k steps of Lanczos with full reorthogonalization in the
-    A-inner product, returning the Ritz values.
+    Otherwise: Lanczos with full reorthogonalization in the A-inner product,
+    returning the Ritz values.  Lanczos stops after the first step whose
+    error bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 13; see
+    _certified) certify to rtol the values condition_numbers reads for K and
+    K_m, or show the Krylov space invariant up to round-off, where a further
+    step would restart from noise.  k caps the steps; rtol=0 runs all k of
+    them unless beta is exactly zero.
     """
     apply_B = _as_apply(B)
     n = A.shape[0]
@@ -156,13 +164,8 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT):
     V = np.empty((k, n))
     V[0] = v / nrm
     Av /= nrm
-    # beta <= n * eps_mach * ||T||_inf (the largest row sum of the tridiagonal
-    # T so far, a bound on its norm) is round-off of the recurrence: the Krylov
-    # space is invariant and its Ritz values are eigenvalues, so Lanczos stops
-    # there instead of restarting from noise
-    invariant_tol = n * np.finfo(float).eps
     diag, off = [], []
-    t_norm = beta = 0.0
+    beta = 0.0
     for j in range(k):
         w = apply_B(Av)
         if j > 0:
@@ -184,18 +187,44 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT):
         if j == k - 1:
             break
         Aw = A @ w
-        beta_prev, beta = beta, np.sqrt(max(w @ Aw, 0.0))
-        t_norm = max(t_norm, abs(alpha) + beta_prev + beta)
-        if beta <= invariant_tol * t_norm:
+        beta = np.sqrt(max(w @ Aw, 0.0))
+        if beta == 0.0 or (rtol > 0.0 and _certified(diag, off, beta, m, rtol)):
             break
         off.append(beta)
         V[j + 1] = w / beta
         Av = Aw / beta
-    diag = np.asarray(diag)
-    off = np.asarray(off[: len(diag) - 1])
     if len(diag) == 1:
-        return diag
+        return np.asarray(diag)
     return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+
+
+def _certified(diag, off, beta, m, rtol):
+    """Whether Lanczos may stop at the tridiagonal T with diagonal diag and
+    off-diagonal off, beta being the norm of the next residual.
+
+    Each Ritz value theta_i of T lies within beta * |s_i| of an eigenvalue
+    (s_i: last entry of its unit eigenvector).  True once the m+1 lowest and
+    the largest have bounds below rtol * theta_i, or every bound is below
+    rtol * max(theta).  Both tests need the largest value's bound, so it is
+    computed first, alone, and the full eigensystem of T only when a small
+    beta leaves the second test open.
+    """
+    k = len(diag)
+    top, s_top = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                               select_range=(k - 1, k - 1))
+    tol = rtol * top[0]
+    if beta * abs(s_top[-1, 0]) >= tol:
+        return False
+    low, s_low = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                               select_range=(0, min(m, k - 1)))
+    if np.all(beta * np.abs(s_low[-1]) < rtol * low):
+        return True
+    # the s_i are a row of an orthogonal matrix, so the largest bound is at
+    # least beta / sqrt(k)
+    if beta >= np.sqrt(k) * tol:
+        return False
+    s = scipy.linalg.eigh_tridiagonal(diag, off)[1]
+    return bool(np.all(beta * np.abs(s[-1]) < tol))
 
 
 def condition_numbers(eigs, m_list=(0, 1)):
@@ -235,37 +264,28 @@ def stationary_iteration(A, B, f, u0=None, maxit=200, tol=1e-7):
     return u, report
 
 
-def error_propagator_norm(A, tol=1e-10, maxit=500, seed=0):
+def error_propagator_norm(A, seed=0):
     """A_S-norm of E = I - A_S^{-1} A for nonsymmetric A.
 
     Computed as the square root of the largest generalized eigenvalue of
-    (E^t A_S E, A_S) by power iteration with direct solves for A_S^{-1}.
-    Using A_S E = A_S - A = (A^t - A)/2 =: S, this is the top eigenvalue of
-    A_S^{-1} S^t A_S^{-1} S.
+    (E^t A_S E, A_S).  Using A_S E = A_S - A = (A^t - A)/2 =: S, this is the
+    largest eigenvalue lambda of S^t A_S^{-1} S x = lambda A_S x, found by
+    ARPACK (eigsh) with one sparse LU of A_S for every A_S^{-1}; the start
+    vector comes from default_rng(seed).
     """
     A = A.tocsr()
     A_S = symmetric_part(A).tocsc()
     S = ((A.T - A) * 0.5).tocsr()
     if S.nnz == 0:
         return 0.0
+    n = A.shape[0]
     lu = spla.splu(A_S)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.shape[0])
-    lam = 0.0
-    for _ in range(maxit):
-        y = lu.solve(S.T @ lu.solve(S @ x))
-        # Rayleigh quotient in the A_S inner product
-        num = y @ (A_S @ x)
-        den = x @ (A_S @ x)
-        lam_new = num / den
-        nrm = np.sqrt(max(y @ (A_S @ y), 0.0))
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
+    op = spla.LinearOperator((n, n), matvec=lambda x: S.T @ lu.solve(S @ x),
+                             dtype=float)
+    Minv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    lam = spla.eigsh(op, k=1, M=A_S, Minv=Minv, which="LA", v0=v0,
+                     return_eigenvectors=False)[0]
     if lam < 0:
         raise BreakdownError("symmetric part is not positive definite")
     return float(np.sqrt(lam))

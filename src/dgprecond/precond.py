@@ -194,28 +194,36 @@ class HierarchyPrecond:
 
     Exact solve on the coarsest conforming space, smoothers on every finer
     conforming level and on the fine CR block itself, all corrections summed.
-    Level matrices are Galerkin products P_j^t A_vv P_j.
+    Residuals are restricted one level at a time, by C^t = the transpose of
+    cr_from_conforming on the finest mesh and then by each p_j^t
+    (conforming_prolongation), and the corrections are prolonged back the
+    same way, so an apply never forms the composite prolongations
+    P_j = C p_{J-1} ... p_j.  Level matrices are Galerkin products of the
+    next finer one: A_J = C^t A_vv C and A_j = p_j^t A_{j+1} p_j, which equal
+    P_j^t A_vv P_j.
     """
 
     def __init__(self, A_vv, hier, spec=None):
         J = hier.levels - 1
         self.smoother = Smoother(A_vv, spec)
-        self.P = []
-        self.level_ops = []
-        for j in range(J + 1):
-            P_j = cr_prolongation(hier, j)
-            A_j = (P_j.T @ A_vv @ P_j).tocsr()
-            self.P.append(P_j)
-            if j == 0:
-                self.level_ops.append(DirectSolve(A_j))
-            else:
-                self.level_ops.append(Smoother(A_j, spec))
+        self.C = cr_from_conforming(hier.finest)
+        self.p = [conforming_prolongation(hier, j) for j in range(J)]
+        self.A_levels = [(self.C.T @ A_vv @ self.C).tocsr()]
+        for p_j in reversed(self.p):
+            self.A_levels.insert(0, (p_j.T @ self.A_levels[0] @ p_j).tocsr())
+        self.level_ops = [DirectSolve(self.A_levels[0])]
+        self.level_ops += [Smoother(A_j, spec) for A_j in self.A_levels[1:]]
 
     def apply(self, r):
-        x = self.smoother.apply(r)
-        for P, op in zip(self.P, self.level_ops):
-            x = x + P @ op.apply(P.T @ r)
-        return x
+        # level residuals, coarsest first: r_J = C^t r, r_j = p_j^t r_{j+1}
+        residuals = [self.C.T @ r]
+        for p_j in reversed(self.p):
+            residuals.insert(0, p_j.T @ residuals[0])
+        # corrections summed from the coarsest level up: y_j = x_j + p_{j-1} y_{j-1}
+        y = self.level_ops[0].apply(residuals[0])
+        for p_j, op, r_j in zip(self.p, self.level_ops[1:], residuals[1:]):
+            y = op.apply(r_j) + p_j @ y
+        return self.smoother.apply(r) + self.C @ y
 
 
 def bpx(A_vv, hier, spec=None):

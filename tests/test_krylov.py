@@ -136,6 +136,38 @@ def test_estimate_spectrum_lanczos_stops_at_an_invariant_subspace():
     assert np.abs(ritz[:, None] - levels).min(axis=1).max() <= 1e-10
 
 
+def test_estimate_spectrum_lanczos_stops_at_an_ill_conditioned_invariant_subspace():
+    # four distinct eigenvalues over five decades: the round-off residual of
+    # the recurrence after four steps grows with the conditioning, and the
+    # stop must still see the invariant space instead of restarting from it
+    levels = np.array([1e-3, 1.0, 7.0, 50.0])
+    worst = 0.0
+    for q_seed in (20, 21, 22):
+        Q, _ = np.linalg.qr(np.random.default_rng(q_seed).standard_normal((120, 120)))
+        A = sp.csr_matrix(Q @ np.diag(np.repeat(levels, 30)) @ Q.T)
+        for seed in range(10):
+            ritz = estimate_spectrum(A, None, k=10, dense_limit=0, seed=seed)
+            worst = max(worst, (np.abs(ritz[:, None] - levels) / levels).min(axis=1).max())
+    assert worst <= 1e-9
+
+
+def test_estimate_spectrum_lanczos_stops_once_the_read_values_are_certified():
+    # one isolated small eigenvalue under a bulk with ratio 5, the shape of
+    # the tables' spectra: lambda_1, lambda_2 and lambda_max converge long
+    # before the basis is full
+    n = 120
+    d = np.concatenate([[1e-4], np.geomspace(0.2, 1.0, n - 1)])
+    Q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((n, n)))
+    A = sp.csr_matrix(Q @ np.diag(d) @ Q.T)
+    dense = estimate_spectrum(A, None, dense_limit=200)
+    lanczos = estimate_spectrum(A, None, k=n, dense_limit=0, seed=1)
+    assert len(lanczos) < n
+    for i in (0, 1, -1):
+        assert lanczos[i] == pytest.approx(dense[i], rel=1e-6)
+    # rtol=0 switches the stop off: all k steps run
+    assert len(estimate_spectrum(A, None, k=n, dense_limit=0, seed=1, rtol=0.0)) == n
+
+
 def test_condition_numbers():
     eigs = np.array([0.001, 0.5, 0.8, 1.0, 2.0])
     out = condition_numbers(eigs, m_list=(0, 1, 2))

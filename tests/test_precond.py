@@ -235,6 +235,27 @@ def test_bpx_single_level_equals_two_level():
     assert np.allclose(B_ml.apply(r), B_2l.apply(r), atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-5, 1e5])
+def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
+    # restricting and prolonging one level at a time is the additive sum
+    # smoother + sum_j P_j op_j(P_j^t r) with the composite P_j
+    hier, mesh, coeff, blocks = _vv_block(3, eps)
+    A_vv = blocks.A_vv
+    B = bpx(A_vv, hier, SmootherSpec(SYM_GS, 5))
+    P = [cr_prolongation(hier, j) for j in range(hier.levels)]
+    for j, P_j in enumerate(P):
+        ref = (P_j.T @ A_vv @ P_j).toarray()
+        assert np.abs(B.A_levels[j].toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+    r = np.random.default_rng(19).standard_normal((A_vv.shape[0], 3))
+    for x in (r[:, 0], r):
+        ref = B.smoother.apply(x)
+        for P_j, op in zip(P, B.level_ops):
+            ref = ref + P_j @ op.apply(P_j.T @ x)
+        got = B.apply(x)
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_bpx_spd():
     hier, mesh, coeff, blocks = _vv_block(2, 1e-3)
     B = bpx(blocks.A_vv, hier, SmootherSpec(SYM_GS, 5))
