@@ -19,6 +19,14 @@ from .assembly import symmetric_part
 DENSE_LIMIT = 2500
 # relative accuracy at which Lanczos certifies the Ritz values it is asked for
 RTOL = 1e-6
+# At an invariant Krylov space the next Lanczos residual is round-off, and its
+# A-norm grows with theta_max / theta_min: up to 16 * eps_mach * theta_max^2 /
+# theta_min on spectra of three to six distinct values spread over up to six
+# decades (B = I, or B on an A of condition up to 1e3), against at least 42 times that one step before the space closes
+# when two of the values are 1e-4 relative apart (1e-4 and 1.0001e-4 under 1
+# and 7).  A beta below ROUNDOFF times that scale stops Lanczos; values closer
+# than it cannot be told apart by the recurrence anyway.
+ROUNDOFF = 32
 
 
 class BreakdownError(RuntimeError):
@@ -204,27 +212,19 @@ def _certified(diag, off, beta, m, rtol):
 
     Each Ritz value theta_i of T lies within beta * |s_i| of an eigenvalue
     (s_i: last entry of its unit eigenvector).  True once the m+1 lowest and
-    the largest have bounds below rtol * theta_i, or every bound is below
-    rtol * max(theta).  Both tests need the largest value's bound, so it is
-    computed first, alone, and the full eigensystem of T only when a small
-    beta leaves the second test open.
+    the largest have bounds below rtol * theta_i, or once beta is at the
+    round-off floor of an invariant Krylov space (see ROUNDOFF), where a
+    further step would restart from noise.
     """
     k = len(diag)
     top, s_top = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
                                                select_range=(k - 1, k - 1))
-    tol = rtol * top[0]
-    if beta * abs(s_top[-1, 0]) >= tol:
-        return False
     low, s_low = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
                                                select_range=(0, min(m, k - 1)))
-    if np.all(beta * np.abs(s_low[-1]) < rtol * low):
+    if beta <= ROUNDOFF * np.finfo(float).eps * top[0] * top[0] / low[0]:
         return True
-    # the s_i are a row of an orthogonal matrix, so the largest bound is at
-    # least beta / sqrt(k)
-    if beta >= np.sqrt(k) * tol:
-        return False
-    s = scipy.linalg.eigh_tridiagonal(diag, off)[1]
-    return bool(np.all(beta * np.abs(s[-1]) < tol))
+    return bool(beta * abs(s_top[-1, 0]) < rtol * top[0]
+                and np.all(beta * np.abs(s_low[-1]) < rtol * low))
 
 
 def condition_numbers(eigs, m_list=(0, 1)):
