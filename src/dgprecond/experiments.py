@@ -242,14 +242,20 @@ def _sweep(cfg, name, default_levels, cell, eps_list=None):
     return table
 
 
-def _measure(cfg, A, B, stream):
+def _measure(cfg, A, B, stream, eps):
     """PCG from a random right-hand side, then the spectrum of B*A.
 
     stream = (table id, level, eps index) seeds the cell's generator, so each
-    cell is reproducible on its own."""
+    cell is reproducible on its own.  A PCG that does not converge raises
+    RuntimeError, so no table records its iteration count."""
     rng = np.random.default_rng([cfg.seed, *stream])
     b = rng.standard_normal(A.shape[0])
     _, rep = pcg(A, b, B, tol=cfg.tol, maxit=2000)
+    if not rep.converged:
+        raise RuntimeError(
+            f"PCG did not converge in table stream {stream[0]}, level {stream[1]}, "
+            f"eps={eps:g}: relative residual {rep.rel_residual_history[-1]:.3g} "
+            f"after {rep.iterations} iterations")
     eigs = estimate_spectrum(
         A, B, k=cfg.lanczos_k, seed=int(rng.integers(2**31)),
         dense_limit=cfg.dense_limit, m=cfg.m,
@@ -267,7 +273,7 @@ def run_zz_table(cfg):
     def cell(hier, eps, i):
         p = build_problem(hier, eps, params)
         A_zz = extract_blocks(p.A, p.basis).A_zz
-        return _measure(cfg, A_zz, DiagonalPrecond(A_zz), (1, p.mesh.level, i))
+        return _measure(cfg, A_zz, DiagonalPrecond(A_zz), (1, p.mesh.level, i), eps)
 
     return _sweep(cfg, "zz", (0, 1, 2, 3), cell)
 
@@ -292,7 +298,7 @@ def run_two_level_table(cfg):
         A_vv = _cr_block(cfg, hier, eps)
         P = cr_prolongation(hier, lvl - steps)
         B = two_level(A_vv, P, cfg.smoother_spec())
-        return _measure(cfg, A_vv, B, (2 + steps, lvl, i))
+        return _measure(cfg, A_vv, B, (2 + steps, lvl, i), eps)
 
     return _sweep(cfg, f"two-level-w{cfg.ratio}", (0, 1, 2, 3, 4), cell)
 
@@ -304,7 +310,7 @@ def run_bpx_table(cfg):
     def cell(hier, eps, i):
         A_vv = _cr_block(cfg, hier, eps)
         B = bpx(A_vv, hier, cfg.smoother_spec())
-        return _measure(cfg, A_vv, B, (5, hier.finest.level, i))
+        return _measure(cfg, A_vv, B, (5, hier.finest.level, i), eps)
 
     return _sweep(cfg, "bpx", (0, 1, 2, 3, 4), cell)
 
@@ -332,7 +338,7 @@ def run_sipg1_blockjacobi_table(cfg):
     def cell(hier, eps, i):
         p = build_problem(hier, eps, params)
         S, B = block_jacobi_system(p, cfg.smoother_spec())
-        return _measure(cfg, S, B, (6, p.mesh.level, i))
+        return _measure(cfg, S, B, (6, p.mesh.level, i), eps)
 
     return _sweep(cfg, "sipg1", (0, 1, 2, 3), cell)
 

@@ -145,8 +145,11 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
                       rtol=RTOL):
     """Ascending eigenvalue estimates of B*A for SPD A and SPD B.
 
-    Dense path (dim <= dense_limit): materialize B and solve the generalized
-    symmetric problem A B A x = lambda A x, returning the full spectrum.
+    Dense path (dim <= dense_limit): factor A = L L^t and return the full
+    spectrum of the symmetric L^t B L, B applied to the columns of L.  This
+    form keeps the conditioning of B*A (A B A x = lambda A x would square
+    it), so a round-off change in B moves the small eigenvalues by round-off
+    only.
     Otherwise: Lanczos with full reorthogonalization in the A-inner product,
     returning the Ritz values.  Lanczos stops after the first step whose
     error bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 13; see
@@ -159,10 +162,9 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
     n = A.shape[0]
     if n <= dense_limit:
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-        Bd = np.asarray(apply_B(np.eye(n)))
-        M1 = Ad @ Bd @ Ad
-        M1 = 0.5 * (M1 + M1.T)
-        return scipy.linalg.eigh(M1, 0.5 * (Ad + Ad.T), eigvals_only=True)
+        L = scipy.linalg.cholesky(0.5 * (Ad + Ad.T), lower=True)
+        M = L.T @ np.asarray(apply_B(L))
+        return scipy.linalg.eigvalsh(0.5 * (M + M.T))
 
     rng = np.random.default_rng(seed)
     k = min(k, n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg._dsolve._superlu import gstrs
+from scipy.sparse import _sparsetools
 
 JACOBI = "jacobi"
 SYM_GS = "sym_gs"
@@ -61,10 +61,74 @@ class DirectSolve:
         return self.lu.solve(r)
 
 
-def _csc_arrays(T):
-    """A CSC matrix as the (n, nnz, data, indices, indptr) arguments of gstrs."""
-    return (T.shape[0], T.nnz, T.data, T.indices.astype(np.intc, copy=False),
-            T.indptr.astype(np.intc, copy=False))
+def _wavefronts(A):
+    """Unknowns of the CSR matrix A grouped into Gauss-Seidel wavefronts, in
+    sweep order.
+
+    Unknown k must wait for unknown j < k when A_jk or A_kj is stored, i.e. on
+    the pattern of tril(A, -1) + triu(A, 1)^t.  A wavefront holds the
+    unknowns whose longest chain of predecessors has the same length, so no
+    two unknowns of one wavefront are coupled.  Fronts are peeled off one at
+    a time (Kahn's algorithm): each front's rows of A and A^t are read once,
+    plus one pass over the unknowns per front.
+    """
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    off = rows != A.indices
+    waiting = np.bincount(np.maximum(rows, A.indices)[off], minlength=n)
+    # rows j and n + j of (ptr, coupled) are rows j of A and of A^t: the
+    # unknowns coupled to j
+    At = A.T.tocsr()
+    ptr = np.concatenate([A.indptr, At.indptr[1:] + A.indptr[-1]])
+    sizes = np.diff(ptr)
+    coupled = np.concatenate([A.indices, At.indices])
+    front = np.flatnonzero(waiting == 0)
+    fronts = []
+    while front.size:
+        fronts.append(front)
+        waiting[front] = -1
+        both = np.concatenate([front, front + n])
+        starts, counts = ptr[both], sizes[both]
+        ends = np.cumsum(counts)
+        # predecessors and the front itself, done already, only sink further
+        # below zero
+        waiting -= np.bincount(coupled[np.repeat(starts - ends + counts, counts)
+                                       + np.arange(ends[-1])], minlength=n)
+        front = np.flatnonzero(waiting == 0)
+    return fronts
+
+
+def _sweep_operators(A, inv_diag, bounds):
+    """-D^{-1} L and -D^{-1} U for the CSR matrix A = D + L + U, whose rows
+    and columns are in wavefront order (wavefront l holds rows bounds[l] to
+    bounds[l + 1]).  Each is the row slice (start, end, indptr view) of every
+    wavefront that stores an entry, then the CSR indices and data; the
+    backward one lists its wavefronts last to first."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    scaled = A.data * -inv_diag[rows]
+    ops = []
+    for keep in (A.indices < rows, A.indices > rows):
+        ptr = np.zeros(n + 1, dtype=A.indices.dtype)
+        np.cumsum(np.bincount(np.compress(keep, rows), minlength=n), out=ptr[1:])
+        levels = [(s, e, ptr[s:e + 1]) for s, e in zip(bounds[:-1], bounds[1:])
+                  if ptr[s] < ptr[e]]
+        ops.append((levels, np.compress(keep, A.indices), np.compress(keep, scaled)))
+    forward, (levels, indices, data) = ops
+    return forward, (levels[::-1], indices, data)
+
+
+def _substitute(levels, indices, data, x):
+    """x_l += T_l x for every wavefront l in turn, in place; T_l reads only
+    wavefronts already done.  x is a vector or a C-ordered block of columns."""
+    n = x.shape[0]
+    if x.ndim == 1:
+        for s, e, ptr in levels:
+            _sparsetools.csr_matvec(e - s, n, ptr, indices, data, x, x[s:e])
+    else:
+        for s, e, ptr in levels:
+            _sparsetools.csr_matvecs(e - s, n, x.shape[1], ptr, indices, data,
+                                     x, x[s:e])
 
 
 class Smoother:
@@ -72,13 +136,19 @@ class Smoother:
 
     Jacobi sweeps are damped by 1/2 (plain Jacobi need not converge on these
     stiffness matrices); symmetric Gauss-Seidel sweeps forward then backward
-    in the fixed unknown order.  The resulting operator (I - E^s) A^{-1} with
-    E = I - M^{-1} A is symmetric positive definite for a convergent sweep.
+    in the fixed unknown order, M = (D + L) D^{-1} (D + U).  The resulting
+    operator (I - E^s) A^{-1} with E = I - M^{-1} A is symmetric positive
+    definite for a convergent sweep.
 
-    A symmetric Gauss-Seidel sweep is one SuperLU triangular-pair solve with
-    the LU factors (I + L D^{-1})(D + U) of M = (D + L) D^{-1} (D + U), stored
-    at setup as CSC arrays in SuperLU's layout: L D^{-1} with D in the diagonal
-    slots (SuperLU keeps U's diagonal with L), and the strict upper triangle U.
+    Gauss-Seidel runs by wavefronts (_wavefronts): the unknowns are permuted
+    once, at setup, into wavefront order, in which the strict lower triangle
+    L of A is block lower and the strict upper triangle U block upper, so the
+    forward substitution walks the wavefronts in order and the backward one
+    walks them in reverse, each wavefront being one product with a row slice
+    of -D^{-1} L or -D^{-1} U.  The sweeps run in Eisenstat's form (Eisenstat
+    1981): with h = D^{-1} U x, a sweep is x' = (D + L)^{-1} (r - D h),
+    x'' = (D + U)^{-1} D (h + x') and h <- h + x' - x'', so no sweep
+    multiplies by A.
     """
 
     def __init__(self, A, spec=None):
@@ -92,27 +162,40 @@ class Smoother:
             # a single Jacobi sweep is the plain inverse diagonal; repeated
             # sweeps are damped by 1/2 to guarantee a convergent splitting
             self._inv_diag = (1.0 if spec.sweeps == 1 else 0.5) / d
-        else:
-            lower = (sp.tril(self.A, -1, format="csc") @ sp.diags(1.0 / d)
-                     + sp.diags(d)).tocsc()
-            upper = sp.triu(self.A, 1, format="csc")
-            if not np.array_equal(lower.indices[lower.indptr[:-1]], np.arange(len(d))):
-                raise RuntimeError("a Gauss-Seidel factor column does not "
-                                   "store its diagonal first")
-            self._factors = _csc_arrays(lower) + _csc_arrays(upper)
+            return
+        fronts = _wavefronts(self.A)
+        self._perm = np.concatenate(fronts)
+        n = len(d)
+        where = np.empty(n, dtype=self.A.indices.dtype)
+        where[self._perm] = np.arange(n)
+        # A and its inverse diagonal with rows and columns in wavefront order
+        A = sp.csr_matrix((self.A.data, where[self.A.indices], self.A.indptr),
+                          shape=(n, n))[self._perm]
+        self._inv_diag = 1.0 / d[self._perm]
+        bounds = np.cumsum([0] + [len(f) for f in fronts])
+        self._forward, self._backward = _sweep_operators(A, self._inv_diag, bounds)
 
-    def _sweep(self, r):
-        if self.spec.kind == JACOBI:
-            return _scale(self._inv_diag, r)
-        x, info = gstrs("N", *self._factors, r)
-        if info != 0:
-            raise RuntimeError(f"SuperLU triangular solve failed (info={info})")
-        return x
+    def _sym_gs(self, r):
+        b = np.asarray(r, dtype=float)[self._perm]
+        b = _scale(self._inv_diag, b)
+        h = np.zeros_like(b)
+        for _ in range(self.spec.sweeps):
+            x = b - h
+            _substitute(*self._forward, x)
+            y = h + x
+            _substitute(*self._backward, y)
+            h += x
+            h -= y
+        out = np.empty_like(y)
+        out[self._perm] = y
+        return out
 
     def apply(self, r):
-        x = self._sweep(r)
+        if self.spec.kind == SYM_GS:
+            return self._sym_gs(r)
+        x = _scale(self._inv_diag, r)
         for _ in range(self.spec.sweeps - 1):
-            x = x + self._sweep(r - self.A @ x)
+            x = x + _scale(self._inv_diag, r - self.A @ x)
         return x
 
 
@@ -200,30 +283,36 @@ class HierarchyPrecond:
     same way, so an apply never forms the composite prolongations
     P_j = C p_{J-1} ... p_j.  Level matrices are Galerkin products of the
     next finer one: A_J = C^t A_vv C and A_j = p_j^t A_{j+1} p_j, which equal
-    P_j^t A_vv P_j.
+    P_j^t A_vv P_j.  All smoothing is one Smoother on
+    block_diag(A_vv, A_J, ..., A_1): Gauss-Seidel on a block-diagonal matrix
+    sweeps each block on its own, so the levels share its wavefronts.
     """
 
     def __init__(self, A_vv, hier, spec=None):
         J = hier.levels - 1
-        self.smoother = Smoother(A_vv, spec)
         self.C = cr_from_conforming(hier.finest)
         self.p = [conforming_prolongation(hier, j) for j in range(J)]
         self.A_levels = [(self.C.T @ A_vv @ self.C).tocsr()]
         for p_j in reversed(self.p):
             self.A_levels.insert(0, (p_j.T @ self.A_levels[0] @ p_j).tocsr())
-        self.level_ops = [DirectSolve(self.A_levels[0])]
-        self.level_ops += [Smoother(A_j, spec) for A_j in self.A_levels[1:]]
+        self.coarse = DirectSolve(self.A_levels[0])
+        smoothed = [A_vv] + self.A_levels[:0:-1]
+        self.splits = np.cumsum([A.shape[0] for A in smoothed])[:-1]
+        self.smoother = Smoother(sp.block_diag(smoothed, format="csr"), spec)
 
     def apply(self, r):
         # level residuals, coarsest first: r_J = C^t r, r_j = p_j^t r_{j+1}
         residuals = [self.C.T @ r]
         for p_j in reversed(self.p):
             residuals.insert(0, p_j.T @ residuals[0])
+        # smoothed corrections [x_vv, x_J, ..., x_1] of [r, r_J, ..., r_1]
+        x = np.split(self.smoother.apply(np.concatenate([r] + residuals[:0:-1])),
+                     self.splits)
         # corrections summed from the coarsest level up: y_j = x_j + p_{j-1} y_{j-1}
-        y = self.level_ops[0].apply(residuals[0])
-        for p_j, op, r_j in zip(self.p, self.level_ops[1:], residuals[1:]):
-            y = op.apply(r_j) + p_j @ y
-        return self.smoother.apply(r) + self.C @ y
+        y = self.coarse.apply(residuals[0])
+        for p_j, x_j in zip(self.p, x[:0:-1]):
+            y = x_j + p_j @ y
+        return x[0] + self.C @ y
 
 
 def bpx(A_vv, hier, spec=None):

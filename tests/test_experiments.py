@@ -5,6 +5,7 @@ import pytest
 
 from dgprecond import experiments
 from dgprecond.assembly import IP1
+from dgprecond.krylov import SolveReport
 from dgprecond.experiments import (
     EPS_DEFAULT,
     EPS_SWEEP_11,
@@ -157,6 +158,18 @@ def test_unknown_table_has_no_checks():
 def test_golden_tables_have_tolerances():
     assert set(GOLDEN) == set(TOLERANCES)
     assert set(RUNNERS) == {"zz", "two-level", "bpx", "sipg1", "iipg-propagator"}
+
+
+def test_non_converged_pcg_is_never_recorded(monkeypatch):
+    def stalled(A, b, B=None, tol=1e-7, maxit=1000, x0=None):
+        return b * 0.0, SolveReport(iterations=maxit, converged=False,
+                                    rel_residual_history=[1.0] + [0.5] * maxit)
+
+    monkeypatch.setattr(experiments, "pcg", stalled)
+    with pytest.raises(RuntimeError, match="table stream 5, level 1, eps=1e-05:"):
+        experiments.run_bpx_table(ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
+    with pytest.raises(RuntimeError, match="table stream 1, level 2, eps=1:"):
+        run_zz_table(ExperimentConfig(eps_list=(1.0,), levels=(2,)))
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dgprecond.assembly import IP0, MethodParams
+from dgprecond.basis_split import extract_blocks
+from dgprecond.experiments import build_problem
+from dgprecond.mesh import build_hierarchy
+from dgprecond.precond import bpx
 from dgprecond.krylov import (
     BreakdownError,
     SolveReport,
@@ -265,3 +270,22 @@ def test_pcg_accepts_matrix_and_object_preconditioners():
     for B in (Ainv, Obj(), None):
         x, rep = pcg(A, b, B=B, tol=1e-10)
         assert rep.converged
+
+
+def test_dense_spectrum_insensitive_to_round_off_in_the_preconditioner():
+    # bpx at L2, eps = 1e-5 (K about 6e4): a symmetric perturbation of B of
+    # relative size 4e-16, the size of its round-off, may move lambda_min by
+    # round-off only (9e-11 relative); the form A B A x = lambda A x, which
+    # squares the conditioning, moved it by 5.5e-7
+    p = build_problem(build_hierarchy(2), 1e-5, MethodParams(-1, 8.0, IP0))
+    A = extract_blocks(p.A, p.basis).A_vv
+    n = A.shape[0]
+    B = bpx(A, p.hier).apply(np.eye(n))
+    B = 0.5 * (B + B.T)
+    G = np.random.default_rng(23).standard_normal((n, n))
+    G = G + G.T
+    E = 4e-16 * np.linalg.norm(B, 2) / np.linalg.norm(G, 2) * G
+    lam = estimate_spectrum(A, B)
+    lam_perturbed = estimate_spectrum(A, B + E)
+    assert lam[-1] / lam[0] > 1e4
+    assert abs(lam_perturbed[0] - lam[0]) <= 1e-9 * lam[0]

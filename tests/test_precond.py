@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
 from dgprecond.mesh import build_hierarchy, assign_coefficient
 from dgprecond.assembly import IP0, MethodParams, assemble_conforming
@@ -99,8 +101,8 @@ def test_many_sgs_sweeps_approach_exact_inverse():
 
 
 def test_factored_sym_gs_sweep_matches_triangular_solves():
-    # one sweep through the stored factors equals forward then backward
-    # substitution with the triangles of the matrix itself
+    # one sweep in wavefront order equals forward then backward substitution
+    # with the triangles of the matrix itself
     _, _, _, blocks = _vv_block(2, 1e-5)
     A = blocks.A_vv.tocsr()
     n = A.shape[0]
@@ -116,19 +118,96 @@ def test_factored_sym_gs_sweep_matches_triangular_solves():
         assert x.shape == r.shape
         assert np.array_equal(r, r_in)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-    # the factors of M = (I + L D^-1)(D + U) in SuperLU's CSC layout: the
-    # lower array is L D^-1 with D stored first in every column, the upper
-    # array the strict upper triangle of A
-    n_l, nnz_l, data_l, ind_l, ptr_l, n_u, nnz_u, data_u, ind_u, ptr_u = sm._factors
-    assert n_l == n_u == n
-    lower_f = sp.csc_matrix((data_l, ind_l, ptr_l), shape=(n, n))
-    upper_f = sp.csc_matrix((data_u, ind_u, ptr_u), shape=(n, n))
-    assert (nnz_l, nnz_u) == (lower_f.nnz, upper_f.nnz)
-    assert np.array_equal(ind_l[ptr_l[:-1]], np.arange(n))
-    D = A.diagonal()
-    expected = sp.tril(A, -1) @ sp.diags(1.0 / D) + sp.diags(D)
-    assert abs(lower_f - expected).max() <= 1e-15 * abs(expected).max()
-    assert (upper_f != sp.triu(A, 1)).nnz == 0
+    # the wavefront schedule: in the permuted order every stored entry of a
+    # wavefront's rows of -D^-1 L points to an earlier wavefront and every
+    # entry of -D^-1 U to a later one, and together the rows hold exactly
+    # the strict triangles of A
+    perm = sm._perm
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    Dinv = sp.diags(1.0 / A.diagonal())
+    for (levels, indices, data), T, later in (
+            (sm._forward, sp.tril(A, -1), False), (sm._backward, sp.triu(A, 1), True)):
+        starts = [s for s, _, _ in levels]
+        assert starts == sorted(starts, reverse=later)
+        rows, cols, vals = [], [], []
+        for s, e, ptr in levels:
+            c = indices[ptr[0]:ptr[-1]]
+            assert np.all(c >= e) if later else np.all(c < s)
+            rows.append(np.repeat(np.arange(s, e), np.diff(ptr)))
+            cols.append(c)
+            vals.append(data[ptr[0]:ptr[-1]])
+        stored = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                       np.concatenate(cols))), shape=(n, n))
+        expected = -(Dinv @ T).tocsr()[perm][:, perm]
+        assert sum(len(v) for v in vals) == T.nnz
+        assert abs(stored - expected).max() <= 1e-15 * abs(expected).max()
+
+
+def _sym_gs_reference(A, r, sweeps):
+    """x <- x + M^-1 (r - A x) from x = 0, M = (D + L) D^-1 (D + U), by dense
+    triangular solves in the matrix's own numbering."""
+    Ad = A.toarray()
+    d = np.diag(Ad)
+    lower, upper = np.tril(Ad), np.triu(Ad)
+    x = np.zeros_like(r)
+    for _ in range(sweeps):
+        y = scipy.linalg.solve_triangular(lower, r - Ad @ x, lower=True)
+        x = x + scipy.linalg.solve_triangular(upper, d * y, lower=False)
+    return x
+
+
+def test_sym_gs_sweeps_match_dense_triangular_solves():
+    _, _, _, blocks = _vv_block(2, 1e-5)
+    A = blocks.A_vv
+    r = np.random.default_rng(20).standard_normal(A.shape[0])
+    ref = _sym_gs_reference(A, r, 5)
+    x = Smoother(A, SmootherSpec(SYM_GS, 5)).apply(r)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_sym_gs_block_apply_equals_vector_applies():
+    _, _, _, blocks = _vv_block(2, 1e-5)
+    sm = Smoother(blocks.A_vv, SmootherSpec(SYM_GS, 5))
+    R = np.random.default_rng(21).standard_normal((blocks.A_vv.shape[0], 4))
+    X = sm.apply(R)
+    for j in range(R.shape[1]):
+        x = sm.apply(R[:, j])
+        assert np.linalg.norm(X[:, j] - x) <= 1e-15 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("drop", ["lower", "upper"])
+def test_sym_gs_asymmetric_stored_pattern(drop):
+    # two chains 0 - 1 - 2 - 3 and 4 - 5 - 6 - 7 coupled by (2, 5) stored on
+    # one side only: unknown 5 must still follow 2 in the forward sweep when
+    # only A_25 is stored, and precede it in the backward sweep when only A_52
+    n = 8
+    chain = sp.diags([-np.ones(3), 4.0 * np.ones(4), -np.ones(3)], [-1, 0, 1])
+    A = sp.block_diag([chain, chain]).tolil()
+    A[(2, 5) if drop == "lower" else (5, 2)] = -0.5
+    A = A.tocsr()
+    r = np.random.default_rng(22).standard_normal(n)
+    for sweeps in (1, 5):
+        ref = _sym_gs_reference(A, r, sweeps)
+        x = Smoother(A, SmootherSpec(SYM_GS, sweeps)).apply(r)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 200), density=st.floats(0.0, 0.2), seed=st.integers(0, 2**31 - 1),
+       sweeps=st.sampled_from([1, 5]))
+@example(n=50, density=0.0, seed=0, sweeps=5)
+def test_sym_gs_matches_reference_on_random_matrices(n, density, seed, sweeps):
+    # diagonally dominant SPD matrices, numbered at random
+    rng = np.random.default_rng(seed)
+    S = sp.random(n, n, density=density, random_state=rng, format="csr")
+    S = S + S.T
+    A = S + sp.diags(abs(S).sum(axis=1).A1 + rng.uniform(0.5, 2.0, n))
+    perm = rng.permutation(n)
+    A = A.tocsr()[perm][:, perm]
+    r = rng.standard_normal(n)
+    ref = _sym_gs_reference(A, r, sweeps)
+    x = Smoother(A, SmootherSpec(SYM_GS, sweeps)).apply(r)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("kind,sweeps", [(JACOBI, 1), (JACOBI, 4), (SYM_GS, 1), (SYM_GS, 5)])
@@ -237,8 +316,9 @@ def test_bpx_single_level_equals_two_level():
 
 @pytest.mark.parametrize("eps", [1e-5, 1e5])
 def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
-    # restricting and prolonging one level at a time is the additive sum
-    # smoother + sum_j P_j op_j(P_j^t r) with the composite P_j
+    # restricting and prolonging one level at a time, with one smoother on
+    # the stacked levels, is the additive sum smoother + sum_j P_j op_j(P_j^t r)
+    # with the composite P_j
     hier, mesh, coeff, blocks = _vv_block(3, eps)
     A_vv = blocks.A_vv
     B = bpx(A_vv, hier, SmootherSpec(SYM_GS, 5))
@@ -246,10 +326,15 @@ def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
     for j, P_j in enumerate(P):
         ref = (P_j.T @ A_vv @ P_j).toarray()
         assert np.abs(B.A_levels[j].toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+    # reference: a smoother of its own on A_vv and on every level but the
+    # coarsest, which is solved exactly
+    spec = SmootherSpec(SYM_GS, 5)
+    ops = [DirectSolve(B.A_levels[0])] + [Smoother(A_j, spec) for A_j in B.A_levels[1:]]
+    fine = Smoother(A_vv, spec)
     r = np.random.default_rng(19).standard_normal((A_vv.shape[0], 3))
     for x in (r[:, 0], r):
-        ref = B.smoother.apply(x)
-        for P_j, op in zip(P, B.level_ops):
+        ref = fine.apply(x)
+        for P_j, op in zip(P, ops):
             ref = ref + P_j @ op.apply(P_j.T @ x)
         got = B.apply(x)
         assert got.shape == x.shape
