@@ -55,10 +55,10 @@ from .precond import (
     Smoother,
     conforming_prolongation,
     cr_from_conforming,
+    transfer_chain,
     cr_prolongation,
-    TwoLevelPrecond,
+    AdditivePrecond,
     two_level,
-    HierarchyPrecond,
     bpx,
     BlockJacobiPrecond,
     block_jacobi_dg,

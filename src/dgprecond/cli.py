@@ -26,7 +26,7 @@ from .assembly import (
     export_coordinate,
     symmetric_part,
 )
-from .basis_split import extract_blocks, from_split
+from .basis_split import BlockStructureError, extract_blocks, from_split
 from .precond import (
     SYM_GS,
     JACOBI,
@@ -119,8 +119,8 @@ _DEFAULTS = {
 
 def _resolve(args):
     """Merge defaults, config file and explicit flags (flags win); raise
-    ValueError for a negative level or an eps that is not finite and
-    positive."""
+    ValueError for a negative level, an eps that is not finite and positive,
+    or a two-level spectrum whose coarse level would be below 0."""
     opts = dict(_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
@@ -142,6 +142,10 @@ def _resolve(args):
     for eps in opts["eps"] or ():
         if not (np.isfinite(eps) and eps > 0):
             raise ValueError(f"eps must be finite and positive, got {eps}")
+    if (args.command == "spectrum" and opts["precond"] == "two-level"
+            and opts["ratio"] > 2 ** opts["level"]):
+        raise ValueError(f"ratio {opts['ratio']} puts the coarse mesh below "
+                         f"level 0 at level {opts['level']}")
     return opts
 
 
@@ -267,16 +271,14 @@ def cmd_verify(opts):
                            MethodParams(theta, alpha, variant))
 
     for theta in (-1, 0, 1):
-        A0 = assemble(theta)
-        T = basis.transform
-        S = (T.T @ A0 @ T).tocsr()
-        zv = S[: basis.n_z, basis.n_z :]
-        worst = np.abs(zv.data).max() if zv.nnz else 0.0
-        scale = np.abs(A0.data).max()
-        check(f"orthogonality theta={theta}", worst < 1e-12 * scale,
-              f"max CR-to-complement coupling {worst:.3e} vs scale {scale:.3e}")
+        try:
+            blocks = extract_blocks(assemble(theta), basis, zero_tol=1e-12)
+        except BlockStructureError as exc:
+            check(f"orthogonality theta={theta}", False, str(exc))
+            continue
+        check(f"orthogonality theta={theta}", True,
+              "CR-to-z coupling within 1e-12 of the largest matrix entry")
         if theta == 0:
-            blocks = extract_blocks(A0, basis)
             off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
             off_max = np.abs(off.data).max() if off.nnz else 0.0
             check("diagonal zz block theta=0",

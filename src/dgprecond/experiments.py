@@ -9,7 +9,6 @@ against stored reference values with per-quantity tolerance bands.
 """
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -61,10 +60,6 @@ class ExperimentConfig:
         d["eps_list"] = list(self.eps_list)
         d["levels"] = None if self.levels is None else list(self.levels)
         return d
-
-    def digest(self):
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -246,22 +241,27 @@ def _measure(cfg, A, B, stream, eps):
     """PCG from a random right-hand side, then the spectrum of B*A.
 
     stream = (table id, level, eps index) seeds the cell's generator, so each
-    cell is reproducible on its own.  A PCG that does not converge raises
-    RuntimeError, so no table records its iteration count."""
+    cell is reproducible on its own.  A PCG that does not converge, or a K or
+    K_1 that is not finite and positive, raises RuntimeError, so no table
+    records it."""
+    where = f"table stream {stream[0]}, level {stream[1]}, eps={eps:g}"
     rng = np.random.default_rng([cfg.seed, *stream])
     b = rng.standard_normal(A.shape[0])
     _, rep = pcg(A, b, B, tol=cfg.tol, maxit=2000)
     if not rep.converged:
         raise RuntimeError(
-            f"PCG did not converge in table stream {stream[0]}, level {stream[1]}, "
-            f"eps={eps:g}: relative residual {rep.rel_residual_history[-1]:.3g} "
-            f"after {rep.iterations} iterations")
+            f"PCG did not converge in {where}: relative residual "
+            f"{rep.rel_residual_history[-1]:.3g} after {rep.iterations} iterations")
     eigs = estimate_spectrum(
         A, B, k=cfg.lanczos_k, seed=int(rng.integers(2**31)),
         dense_limit=cfg.dense_limit, m=cfg.m,
     )
     cond = condition_numbers(eigs, m_list=(0, cfg.m))
-    return {"K": cond["K"], "K_1": cond["K_m"][cfg.m], "iterations": rep.iterations}
+    K, K_1 = cond["K"], cond["K_m"][cfg.m]
+    if not all(math.isfinite(v) and v > 0 for v in (K, K_1)):
+        raise RuntimeError(f"condition number not finite and positive in {where}: "
+                           f"K={K:.3g}, K_1={K_1:.3g}")
+    return {"K": K, "K_1": K_1, "iterations": rep.iterations}
 
 
 def run_zz_table(cfg):

@@ -6,7 +6,6 @@ Lanczos with full reorthogonalization in the A-inner product, where B*A is
 self-adjoint, run until the Ritz values asked for are certified to RTOL.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,27 +36,7 @@ class BreakdownError(RuntimeError):
 class SolveReport:
     iterations: int = 0
     rel_residual_history: list = field(default_factory=list)
-    eig_min: float | None = None
-    eig_max: float | None = None
-    eig_sorted_low: list = field(default_factory=list)
-    K: float | None = None
-    K_m: dict = field(default_factory=dict)
     converged: bool = False
-
-    def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "rel_residual_history": list(self.rel_residual_history),
-            "eig_min": self.eig_min,
-            "eig_max": self.eig_max,
-            "eig_sorted_low": list(self.eig_sorted_low),
-            "K": self.K,
-            "K_m": {str(m): v for m, v in self.K_m.items()},
-            "converged": self.converged,
-        }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _as_apply(B):
@@ -71,11 +50,7 @@ def _as_apply(B):
 
 
 def pcg(A, b, B=None, tol=1e-7, maxit=1000, x0=None):
-    """Preconditioned conjugate gradients with Lanczos eigenvalue estimates.
-
-    Stops when ||r_k|| / ||r_0|| < tol.  The CG scalars build the Lanczos
-    tridiagonal whose Ritz values estimate the spectrum of B*A.
-    """
+    """Preconditioned conjugate gradients; stops when ||r_k|| / ||r_0|| < tol."""
     apply_B = _as_apply(B)
     n = len(b)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -92,7 +67,6 @@ def pcg(A, b, B=None, tol=1e-7, maxit=1000, x0=None):
     if rho <= 0:
         raise BreakdownError("preconditioner is not positive definite")
     p = z.copy()
-    alphas, betas = [], []
     for k in range(maxit):
         Ap = A @ p
         pAp = p @ Ap
@@ -103,7 +77,6 @@ def pcg(A, b, B=None, tol=1e-7, maxit=1000, x0=None):
         r -= alpha * Ap
         rel = np.linalg.norm(r) / r0_norm
         report.rel_residual_history.append(float(rel))
-        alphas.append(alpha)
         if rel < tol:
             report.converged = True
             break
@@ -111,34 +84,10 @@ def pcg(A, b, B=None, tol=1e-7, maxit=1000, x0=None):
         rho_new = r @ z
         if rho_new <= 0:
             raise BreakdownError("preconditioner is not positive definite")
-        beta = rho_new / rho
-        betas.append(beta)
-        p = z + beta * p
+        p = z + (rho_new / rho) * p
         rho = rho_new
     report.iterations = len(report.rel_residual_history) - 1
-
-    if alphas:
-        ritz = _ritz_from_cg(alphas, betas[: len(alphas) - 1])
-        report.eig_min = float(ritz[0])
-        report.eig_max = float(ritz[-1])
-        report.eig_sorted_low = [float(v) for v in ritz[: min(6, len(ritz))]]
-        report.K = float(ritz[-1] / ritz[0])
-        report.K_m = {0: report.K}
     return x, report
-
-
-def _ritz_from_cg(alphas, betas):
-    """Ritz values of the Lanczos tridiagonal built from PCG scalars."""
-    k = len(alphas)
-    diag = np.empty(k)
-    off = np.empty(max(k - 1, 0))
-    diag[0] = 1.0 / alphas[0]
-    for j in range(1, k):
-        diag[j] = 1.0 / alphas[j] + betas[j - 1] / alphas[j - 1]
-        off[j - 1] = np.sqrt(betas[j - 1]) / alphas[j - 1]
-    if k == 1:
-        return diag
-    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,

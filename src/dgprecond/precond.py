@@ -1,13 +1,16 @@
 """Preconditioners for the split-basis systems.
 
 All preconditioners expose ``apply(r) -> x`` approximating the inverse action.
-The additive two-level and multilevel operators combine a smoother on the
-Crouzeix-Raviart block with exact or smoothed corrections from nested
-conforming P1 spaces (homogeneous Dirichlet, interior vertices only).  Coarse
+The two-level and multilevel (BPX) operators are one additive operator,
+AdditivePrecond: a smoother on the Crouzeix-Raviart block plus exact or
+smoothed corrections from nested conforming P1 spaces (homogeneous Dirichlet,
+interior vertices only), reached through a chain of transfers.  Coarse
 matrices are Galerkin triple products of the fine CR matrix, which guarantees
 symmetric positive definite and nested coarse problems.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,83 +243,72 @@ def cr_from_conforming(mesh):
                          shape=(len(interior_edges), len(vi)))
 
 
-def cr_prolongation(hier, jc):
-    """Prolongation from the conforming P1 space at level jc into the CR
-    space on the finest mesh of the hierarchy."""
+def transfer_chain(hier, jc):
+    """Finest-first transfers [C, p_{J-1}, ..., p_jc] from the CR space on
+    the finest mesh down to the conforming space at level jc: C is
+    cr_from_conforming on the finest mesh, p_j is conforming_prolongation
+    from level j to j+1."""
     J = hier.levels - 1
     if not 0 <= jc <= J:
         raise ValueError("coarse level outside the hierarchy")
-    P = cr_from_conforming(hier.finest)
-    for j in range(J - 1, jc - 1, -1):
-        P = P @ conforming_prolongation(hier, j)
-    return P.tocsr()
+    return [cr_from_conforming(hier.finest)] + [
+        conforming_prolongation(hier, j) for j in range(J - 1, jc - 1, -1)]
 
 
-class TwoLevelPrecond:
-    """Additive two-level operator: CR smoother plus exact coarse correction
-    on the conforming space reached by the prolongation P."""
-
-    def __init__(self, A_vv, P, spec=None):
-        if P.shape[0] != A_vv.shape[0]:
-            raise ValueError("prolongation shape mismatch")
-        self.P = P.tocsr()
-        A_c = (self.P.T @ A_vv @ self.P).tocsc()
-        self.coarse = DirectSolve(A_c)
-        self.smoother = Smoother(A_vv, spec)
-
-    def apply(self, r):
-        return self.smoother.apply(r) + self.P @ self.coarse.apply(self.P.T @ r)
+def cr_prolongation(hier, jc):
+    """Prolongation from the conforming P1 space at level jc into the CR
+    space on the finest mesh of the hierarchy: the product of
+    transfer_chain(hier, jc) from left to right."""
+    return functools.reduce(operator.matmul, transfer_chain(hier, jc)).tocsr()
 
 
-def two_level(A_vv, P, spec=None):
-    return TwoLevelPrecond(A_vv, P, spec)
+class AdditivePrecond:
+    """Additive subspace correction on the Crouzeix-Raviart block over a
+    finest-first chain of transfers [T_1, ..., T_L] (Xu, SIAM Rev. 1992).
 
-
-class HierarchyPrecond:
-    """Additive multilevel operator on the Crouzeix-Raviart block.
-
-    Exact solve on the coarsest conforming space, smoothers on every finer
-    conforming level and on the fine CR block itself, all corrections summed.
-    Residuals are restricted one level at a time, by C^t = the transpose of
-    cr_from_conforming on the finest mesh and then by each p_j^t
-    (conforming_prolongation), and the corrections are prolonged back the
-    same way, so an apply never forms the composite prolongations
-    P_j = C p_{J-1} ... p_j.  Level matrices are Galerkin products of the
-    next finer one: A_J = C^t A_vv C and A_j = p_j^t A_{j+1} p_j, which equal
-    P_j^t A_vv P_j.  All smoothing is one Smoother on
-    block_diag(A_vv, A_J, ..., A_1): Gauss-Seidel on a block-diagonal matrix
-    sweeps each block on its own, so the levels share its wavefronts.
+    Level 0 is A_vv itself; T_l maps level l into level l-1, and the level
+    matrices are Galerkin products down the chain, A_l = T_l^t A_{l-1} T_l,
+    which equal P_l^t A_vv P_l with the composite P_l = T_1 ... T_l.  The
+    last level is solved exactly; A_vv and every other level are smoothed by
+    one Smoother on block_diag(A_0, ..., A_{L-1}): Gauss-Seidel on a
+    block-diagonal matrix sweeps each block on its own, so the levels share
+    its wavefronts.  An apply restricts the residual one transfer at a time,
+    r_l = T_l^t r_{l-1}, and prolongs the corrections back the same way,
+    y_{l-1} = x_{l-1} + T_l y_l, so it never forms the composite P_l.
     """
 
-    def __init__(self, A_vv, hier, spec=None):
-        J = hier.levels - 1
-        self.C = cr_from_conforming(hier.finest)
-        self.p = [conforming_prolongation(hier, j) for j in range(J)]
-        self.A_levels = [(self.C.T @ A_vv @ self.C).tocsr()]
-        for p_j in reversed(self.p):
-            self.A_levels.insert(0, (p_j.T @ self.A_levels[0] @ p_j).tocsr())
-        self.coarse = DirectSolve(self.A_levels[0])
-        smoothed = [A_vv] + self.A_levels[:0:-1]
+    def __init__(self, A_vv, transfers, spec=None):
+        self.transfers = [T.tocsr() for T in transfers]
+        self.A_levels = [A_vv]
+        for T in self.transfers:
+            self.A_levels.append((T.T @ self.A_levels[-1] @ T).tocsr())
+        self.coarse = DirectSolve(self.A_levels[-1])
+        smoothed = self.A_levels[:-1]
         self.splits = np.cumsum([A.shape[0] for A in smoothed])[:-1]
         self.smoother = Smoother(sp.block_diag(smoothed, format="csr"), spec)
 
     def apply(self, r):
-        # level residuals, coarsest first: r_J = C^t r, r_j = p_j^t r_{j+1}
-        residuals = [self.C.T @ r]
-        for p_j in reversed(self.p):
-            residuals.insert(0, p_j.T @ residuals[0])
-        # smoothed corrections [x_vv, x_J, ..., x_1] of [r, r_J, ..., r_1]
-        x = np.split(self.smoother.apply(np.concatenate([r] + residuals[:0:-1])),
+        residuals = [r]
+        for T in self.transfers:
+            residuals.append(T.T @ residuals[-1])
+        x = np.split(self.smoother.apply(np.concatenate(residuals[:-1])),
                      self.splits)
-        # corrections summed from the coarsest level up: y_j = x_j + p_{j-1} y_{j-1}
-        y = self.coarse.apply(residuals[0])
-        for p_j, x_j in zip(self.p, x[:0:-1]):
-            y = x_j + p_j @ y
-        return x[0] + self.C @ y
+        y = self.coarse.apply(residuals[-1])
+        for T, x_l in zip(self.transfers[::-1], x[::-1]):
+            y = x_l + T @ y
+        return y
+
+
+def two_level(A_vv, P, spec=None):
+    """Smoother on A_vv plus an exact correction on the space reached by the
+    prolongation P."""
+    return AdditivePrecond(A_vv, [P], spec)
 
 
 def bpx(A_vv, hier, spec=None):
-    return HierarchyPrecond(A_vv, hier, spec)
+    """Smoother on A_vv and on every conforming level of hier but the
+    coarsest, which is solved exactly."""
+    return AdditivePrecond(A_vv, transfer_chain(hier, 0), spec)
 
 
 class BlockJacobiPrecond:

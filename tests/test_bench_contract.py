@@ -59,6 +59,24 @@ def test_table_cell_calls_go_through_layer_names(counts):
     )
 
 
+_PROBLEM_CALLS = ("build_hierarchy", "assign_coefficient", "edge_weights",
+                  "assemble_dg", "build_transform")
+_MEASURE_CALLS = ("pcg", "estimate_spectrum", "condition_numbers")
+
+
+@pytest.mark.parametrize("name, setup_calls", [
+    ("two-level", ("extract_blocks", "cr_prolongation", "two_level")),
+    ("bpx", ("extract_blocks", "bpx")),
+    ("sipg1", ("split_matrix", "cr_prolongation", "two_level", "block_jacobi_dg")),
+])
+def test_preconditioner_setup_goes_through_layer_names(counts, name, setup_calls):
+    # every preconditioner is built inside the spans of these calls, which
+    # perfbench counts as set-up time
+    cfg = experiments.ExperimentConfig(eps_list=(1.0,), levels=(1,))
+    experiments.RUNNERS[name](cfg)
+    assert counts == dict.fromkeys(_PROBLEM_CALLS + setup_calls + _MEASURE_CALLS, 1)
+
+
 def test_solve_calls_go_through_layer_names(counts, capsys):
     assert cli.main(["solve", "--level", "0"]) == 0
     capsys.readouterr()

@@ -180,6 +180,15 @@ def test_rejected_input_is_one_error_line(capsys, flags):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_spectrum_coarse_level_below_zero_is_one_error_line(capsys):
+    code = main(["spectrum", "--level", "0", "--ratio", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["table", "nope"])

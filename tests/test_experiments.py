@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from dgprecond import experiments
@@ -22,14 +23,6 @@ from dgprecond.experiments import (
     compare_to_golden,
     format_comparison,
 )
-
-
-def test_config_digest_stable_and_sensitive():
-    a = ExperimentConfig(eps_list=(1.0,), levels=(0,))
-    b = ExperimentConfig(eps_list=(1.0,), levels=(0,))
-    c = ExperimentConfig(eps_list=(1.0,), levels=(0,), alpha=16.0)
-    assert a.digest() == b.digest()
-    assert a.digest() != c.digest()
 
 
 def test_zz_table_matches_reference():
@@ -170,6 +163,16 @@ def test_non_converged_pcg_is_never_recorded(monkeypatch):
         experiments.run_bpx_table(ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
     with pytest.raises(RuntimeError, match="table stream 1, level 2, eps=1:"):
         run_zz_table(ExperimentConfig(eps_list=(1.0,), levels=(2,)))
+
+
+def test_non_finite_condition_number_is_never_recorded(monkeypatch):
+    def singular(A, B=None, **kwargs):
+        return np.array([0.0, 0.5, 2.0])
+
+    monkeypatch.setattr(experiments, "estimate_spectrum", singular)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(RuntimeError, match="table stream 5, level 1, eps=1e-05:"):
+            experiments.run_bpx_table(ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))

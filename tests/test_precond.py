@@ -323,13 +323,15 @@ def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
     A_vv = blocks.A_vv
     B = bpx(A_vv, hier, SmootherSpec(SYM_GS, 5))
     P = [cr_prolongation(hier, j) for j in range(hier.levels)]
+    # B.A_levels runs finest first: A_vv, then conforming levels J, ..., 0
+    A_levels = B.A_levels[:0:-1]
     for j, P_j in enumerate(P):
         ref = (P_j.T @ A_vv @ P_j).toarray()
-        assert np.abs(B.A_levels[j].toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(A_levels[j].toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
     # reference: a smoother of its own on A_vv and on every level but the
     # coarsest, which is solved exactly
     spec = SmootherSpec(SYM_GS, 5)
-    ops = [DirectSolve(B.A_levels[0])] + [Smoother(A_j, spec) for A_j in B.A_levels[1:]]
+    ops = [DirectSolve(A_levels[0])] + [Smoother(A_j, spec) for A_j in A_levels[1:]]
     fine = Smoother(A_vv, spec)
     r = np.random.default_rng(19).standard_normal((A_vv.shape[0], 3))
     for x in (r[:, 0], r):
