@@ -22,7 +22,6 @@ from .assembly import (
     assemble_dg,
     assemble_conforming,
     assemble_rhs,
-    energy_norm,
     symmetric_part,
 )
 from .basis_split import (
@@ -34,8 +33,6 @@ from .basis_split import (
     from_split,
     extract_blocks,
     split_matrix,
-    star_product,
-    star_diagonal,
 )
 from .krylov import (
     SolveReport,

@@ -29,11 +29,11 @@ class MethodParams:
 
     def __post_init__(self):
         if self.theta not in (-1, 0, 1):
-            raise ValueError("theta must be -1, 0 or 1")
+            raise ValueError(f"theta must be -1, 0 or 1, got {self.theta}")
         if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.variant not in (IP0, IP1):
-            raise ValueError("variant must be IP0 or IP1")
+            raise ValueError(f"variant must be IP0 or IP1, got {self.variant!r}")
 
 
 def p1_gradients(mesh):
@@ -159,23 +159,6 @@ def assemble_rhs(mesh, f):
     contrib = (mesh.triangle_areas() / 3.0)[:, None] * fv * 0.5
     # P1 basis values at edge midpoints: 0 at the opposite one, 1/2 else
     return (contrib[:, [1, 0, 0]] + contrib[:, [2, 2, 1]]).ravel()
-
-
-def energy_norm(mesh, coeff, weights, u, which="DG0"):
-    """Energy norm: element gradients plus penalty-weighted jump terms.
-
-    ``which`` selects the projected-jump (DG0) or full-jump (DG1) variant.
-    """
-    if which not in ("DG0", "DG1"):
-        raise ValueError("which must be DG0 or DG1")
-    local = u.reshape(-1, 3)
-    total = np.einsum("ti,tij,tj->", local, element_stiffness(mesh, coeff), local)
-    dofs, traces = edge_traces(mesh)
-    points, wts = _PENALTY_RULE[IP0 if which == "DG0" else IP1]
-    jumps = np.einsum("eqd,ed->eq", _jump_at(traces, points), u[dofs])
-    # kappa_e / h_e |e| with h_e = |e|
-    total += np.einsum("q,e,eq->", wts, weights.kappa_e, jumps**2)
-    return float(np.sqrt(total))
 
 
 def symmetric_part(A):

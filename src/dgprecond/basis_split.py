@@ -59,7 +59,8 @@ def build_transform(mesh, weights):
 
 
 def to_split(u, mesh, weights):
-    """Closed-form decomposition coefficients.
+    """Closed-form decomposition coefficients: the reference that
+    test_to_split_inverts_transform checks build_transform against.
 
     v_e is the (1-beta)-weighted trace average at the edge midpoint, z_e the
     jump along n+ (the trace value itself on boundary edges).
@@ -122,17 +123,3 @@ def split_matrix(A_nodal, basis):
     T = basis.transform
     return drop_tiny((T.T @ A_nodal @ T).tocsr())
 
-
-def star_product(z1, z2, mesh, weights):
-    """Weighted product sum_e (|e|/h_e) kappa_e z1_e z2_e (= sum kappa_e z1 z2
-    in 2D where |e| = h_e)."""
-    z1 = np.asarray(z1)
-    z2 = np.asarray(z2)
-    if z1.shape != (mesh.n_edges,) or z2.shape != (mesh.n_edges,):
-        raise ValueError("z vectors must have one entry per edge")
-    return float(np.sum(weights.kappa_e * z1 * z2))
-
-
-def star_diagonal(mesh, weights):
-    """Diagonal matrix of the weighted product in the z basis."""
-    return sp.diags(weights.kappa_e).tocsr()

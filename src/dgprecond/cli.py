@@ -31,12 +31,12 @@ from .precond import (
     SYM_GS,
     JACOBI,
     DirectSolve,
-    SmootherSpec,
     cr_prolongation,
     forward_substitution_solve,
 )
 from .krylov import pcg, stationary_iteration
 from .experiments import (
+    CR_PRECONDS,
     RUNNERS,
     ExperimentConfig,
     block_jacobi_system,
@@ -61,66 +61,45 @@ def _parser():
     )
     p.add_argument("--config", help="JSON file with flat option keys")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (help_text, _) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        if command == "table":
+            sp.add_argument("name", choices=TABLES)
+        # bounds are checked by ExperimentConfig and _resolve, for flags and
+        # config-file values alike
         sp.add_argument("--eps", type=float, action="append",
                         help="coefficient contrast (repeatable)")
         sp.add_argument("--levels", type=int, help="finest refinement level")
         sp.add_argument("--level", type=int, help="single refinement level")
-        sp.add_argument("--theta", type=int, choices=(-1, 0, 1))
+        sp.add_argument("--theta", type=int, help="-1, 0 or 1")
         sp.add_argument("--alpha", type=float)
-        sp.add_argument("--variant", choices=(IP0, IP1))
-        sp.add_argument("--precond", choices=("two-level", "bpx"))
-        sp.add_argument("--ratio", type=int, choices=(1, 2, 4))
+        sp.add_argument("--variant", help=f"{IP0} or {IP1}")
+        sp.add_argument("--precond", help=" or ".join(CR_PRECONDS))
+        sp.add_argument("--ratio", type=int, help="1, 2 or 4")
         sp.add_argument("--sweeps", type=int)
-        sp.add_argument("--smoother", choices=(SYM_GS, JACOBI))
+        sp.add_argument("--smoother", help=f"{SYM_GS} or {JACOBI}")
         sp.add_argument("--tol", type=float)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out-dir", dest="out_dir")
-
-    sp = sub.add_parser("mesh-info", help="print mesh statistics")
-    common(sp)
-
-    sp = sub.add_parser("assemble", help="export the stiffness matrix")
-    common(sp)
-
-    sp = sub.add_parser("solve", help="solve one discretized problem")
-    common(sp)
-
-    sp = sub.add_parser("table", help="run a condition-number table")
-    sp.add_argument("name", choices=TABLES)
-    common(sp)
-
-    sp = sub.add_parser("spectrum", help="dump the preconditioned spectrum")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="run the structural property checks")
-    common(sp)
     return p
 
 
-# eps None: tables sweep their runner's own contrasts, single problems eps = 1
-_DEFAULTS = {
-    "eps": None,
-    "levels": None,
-    "level": 0,
-    "theta": -1,
-    "alpha": 8.0,
-    "variant": IP0,
-    "precond": "two-level",
-    "ratio": 1,
-    "sweeps": 5,
-    "smoother": SYM_GS,
-    "tol": 1e-7,
-    "seed": 7,
-    "out_dir": ".",
-}
+# the CLI's own options; eps None: tables sweep their runner's own
+# contrasts, single problems take eps = 1
+_CLI_ONLY = {"eps": None, "levels": None, "level": 0, "precond": "two-level",
+             "out_dir": "."}
+# every other option sets the ExperimentConfig field named here; unset
+# (None), it leaves the field's default
+_FIELDS = {"theta": "theta", "alpha": "alpha", "variant": "variant",
+           "ratio": "ratio", "smoother": "smoother_kind", "sweeps": "sweeps",
+           "tol": "tol", "seed": "seed"}
+_DEFAULTS = {**_CLI_ONLY, **dict.fromkeys(_FIELDS)}
 
 
 def _resolve(args):
-    """Merge defaults, config file and explicit flags (flags win); raise
-    ValueError for a negative level, an eps that is not finite and positive,
-    or a two-level spectrum whose coarse level would be below 0."""
+    """Merge defaults, config file and explicit flags (flags win) into the
+    options and the ExperimentConfig of the command; raise ValueError for an
+    option out of bounds."""
     opts = dict(_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
@@ -129,24 +108,25 @@ def _resolve(args):
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
         opts.update(file_opts)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
+    opts.update((k, v) for k, v in vars(args).items() if v is not None)
     env_out = os.environ.get("DG_PRECOND_OUT")
     if env_out:
         opts["out_dir"] = env_out
-    for key in ("level", "levels"):
-        if opts[key] is not None and opts[key] < 0:
-            raise ValueError(f"{key} must be >= 0, got {opts[key]}")
-    for eps in opts["eps"] or ():
-        if not (np.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {eps}")
+    fields = {_FIELDS[k]: opts[k] for k in _FIELDS if opts[k] is not None}
+    if opts["eps"] is not None:
+        fields["eps_list"] = tuple(opts["eps"])
+    if opts["levels"] is not None:
+        fields["levels"] = tuple(range(opts["levels"] + 1))
+    cfg = ExperimentConfig(**fields)
+    if opts["level"] < 0:
+        raise ValueError(f"level must be >= 0, got {opts['level']}")
+    if opts["precond"] not in CR_PRECONDS:
+        raise ValueError(f"precond must be one of {CR_PRECONDS}, got {opts['precond']!r}")
     if (args.command == "spectrum" and opts["precond"] == "two-level"
-            and opts["ratio"] > 2 ** opts["level"]):
-        raise ValueError(f"ratio {opts['ratio']} puts the coarse mesh below "
+            and cfg.coarse_level(opts["level"]) < 0):
+        raise ValueError(f"ratio {cfg.ratio} puts the coarse mesh below "
                          f"level 0 at level {opts['level']}")
-    return opts
+    return opts, cfg
 
 
 def _eps(opts):
@@ -154,29 +134,11 @@ def _eps(opts):
     return opts["eps"][0] if opts["eps"] else 1.0
 
 
-def _experiment_config(opts):
-    eps = {} if opts["eps"] is None else {"eps_list": tuple(opts["eps"])}
-    levels = opts["levels"]
-    return ExperimentConfig(
-        **eps,
-        levels=None if levels is None else tuple(range(levels + 1)),
-        theta=opts["theta"],
-        alpha=opts["alpha"],
-        variant=opts["variant"],
-        ratio=opts["ratio"],
-        smoother_kind=opts["smoother"],
-        sweeps=opts["sweeps"],
-        tol=opts["tol"],
-        seed=opts["seed"],
-    )
+def _problem(opts, cfg):
+    return build_problem(build_hierarchy(opts["level"]), _eps(opts), cfg.method_params())
 
 
-def _problem(opts):
-    params = MethodParams(opts["theta"], opts["alpha"], opts["variant"])
-    return build_problem(build_hierarchy(opts["level"]), _eps(opts), params)
-
-
-def cmd_mesh_info(opts):
+def cmd_mesh_info(opts, cfg):
     level = opts["levels"] if opts["levels"] is not None else opts["level"]
     mesh = build_hierarchy(level).finest
     print(f"level={mesh.level}")
@@ -189,8 +151,8 @@ def cmd_mesh_info(opts):
     return 0
 
 
-def cmd_assemble(opts):
-    p = _problem(opts)
+def cmd_assemble(opts, cfg):
+    p = _problem(opts, cfg)
     A, params = p.A, p.params
     os.makedirs(opts["out_dir"], exist_ok=True)
     tag = f"{params.variant}_theta{params.theta}_L{p.mesh.level}_eps{_eps(opts):g}"
@@ -200,8 +162,8 @@ def cmd_assemble(opts):
     return 0
 
 
-def cmd_solve(opts):
-    p = _problem(opts)
+def cmd_solve(opts, cfg):
+    p = _problem(opts, cfg)
     mesh, A = p.mesh, p.A
     b = assemble_rhs(mesh, lambda x, y: 1.0)
     if p.params.variant == IP0:
@@ -210,14 +172,14 @@ def cmd_solve(opts):
         u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.basis)
         report = {"method": "block-forward-substitution"}
     elif p.params.theta == -1:
-        S, B = block_jacobi_system(p, SmootherSpec(opts["smoother"], opts["sweeps"]))
-        x, rep = pcg(S, p.basis.transform.T @ b, B, tol=opts["tol"], maxit=2000)
+        S, B = block_jacobi_system(p, cfg.smoother_spec())
+        x, rep = pcg(S, p.basis.transform.T @ b, B, tol=cfg.tol, maxit=2000)
         u = p.basis.transform @ x
         report = {"method": "pcg-block-jacobi", "iterations": rep.iterations,
                   "converged": rep.converged}
     else:
         u, rep = stationary_iteration(A, DirectSolve(symmetric_part(A)), b,
-                                      tol=opts["tol"], maxit=500)
+                                      tol=cfg.tol, maxit=500)
         report = {"method": "stationary-symmetric-part",
                   "iterations": rep.iterations, "converged": rep.converged}
     report["rel_residual"] = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
@@ -226,8 +188,8 @@ def cmd_solve(opts):
     return 0 if report["rel_residual"] < 1e-6 else 1
 
 
-def cmd_table(opts, name):
-    table = RUNNERS[name](_experiment_config(opts))
+def cmd_table(opts, cfg):
+    table = RUNNERS[opts["name"]](cfg)
     table.write(opts["out_dir"])
     sys.stdout.write(table.to_markdown())
     report = compare_to_golden(table)
@@ -238,8 +200,7 @@ def cmd_table(opts, name):
     return 0
 
 
-def cmd_spectrum(opts):
-    cfg = _experiment_config(opts)
+def cmd_spectrum(opts, cfg):
     eps = _eps(opts)
     level = opts["level"]
     os.makedirs(opts["out_dir"], exist_ok=True)
@@ -250,12 +211,12 @@ def cmd_spectrum(opts):
     return 0
 
 
-def cmd_verify(opts):
+def cmd_verify(opts, cfg):
     """Structural checks: split orthogonality, diagonal zz block for theta=0,
     the Galerkin identity and the spectral equivalence of the two penalty
     variants."""
     level = opts["level"]
-    alpha = opts["alpha"]
+    alpha = cfg.alpha
     p = build_problem(build_hierarchy(level), _eps(opts),
                       MethodParams(-1, alpha, IP0))
     mesh, basis = p.mesh, p.basis
@@ -270,14 +231,18 @@ def cmd_verify(opts):
         return assemble_dg(mesh, p.coeff, p.weights,
                            MethodParams(theta, alpha, variant))
 
+    A_vv = None  # the theta = -1 CR block, once its coupling check passed
     for theta in (-1, 0, 1):
         try:
-            blocks = extract_blocks(assemble(theta), basis, zero_tol=1e-12)
+            blocks = extract_blocks(p.A if theta == -1 else assemble(theta),
+                                    basis, zero_tol=1e-12)
         except BlockStructureError as exc:
             check(f"orthogonality theta={theta}", False, str(exc))
             continue
         check(f"orthogonality theta={theta}", True,
               "CR-to-z coupling within 1e-12 of the largest matrix entry")
+        if theta == -1:
+            A_vv = blocks.A_vv
         if theta == 0:
             off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
             off_max = np.abs(off.data).max() if off.nnz else 0.0
@@ -285,12 +250,14 @@ def cmd_verify(opts):
                   off_max < 1e-12 * blocks.A_zz.diagonal().max(),
                   f"max off-diagonal {off_max:.3e}")
 
-    blocks = extract_blocks(p.A, basis)
-    P = cr_prolongation(p.hier, level)
-    G = (P.T @ blocks.A_vv @ P).toarray()
-    C = assemble_conforming(mesh, p.coeff).toarray()
-    gerr = np.abs(G - C).max() / max(np.abs(C).max(), 1e-300)
-    check("Galerkin identity", gerr < 1e-12, f"relative mismatch {gerr:.3e}")
+    if A_vv is None:
+        check("Galerkin identity", False, "no CR block: theta=-1 coupling check failed")
+    else:
+        P = cr_prolongation(p.hier, level)
+        G = (P.T @ A_vv @ P).toarray()
+        C = assemble_conforming(mesh, p.coeff).toarray()
+        gerr = np.abs(G - C).max() / max(np.abs(C).max(), 1e-300)
+        check("Galerkin identity", gerr < 1e-12, f"relative mismatch {gerr:.3e}")
 
     A1 = assemble(-1, IP1)
     eigs = scipy.linalg.eigh(A1.toarray(), p.A.toarray(), eigvals_only=True)
@@ -303,27 +270,26 @@ def cmd_verify(opts):
     return 0 if failures == 0 else 1
 
 
+COMMANDS = {
+    "mesh-info": ("print mesh statistics", cmd_mesh_info),
+    "assemble": ("export the stiffness matrix", cmd_assemble),
+    "solve": ("solve one discretized problem", cmd_solve),
+    "table": ("run a condition-number table", cmd_table),
+    "spectrum": ("dump the preconditioned spectrum", cmd_spectrum),
+    "verify": ("run the structural property checks", cmd_verify),
+}
+
+
 def main(argv=None):
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        opts = _resolve(args)
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        opts, cfg = _resolve(args)
+    # json.JSONDecodeError is a ValueError; TypeError: a config-file value of
+    # the wrong type
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "mesh-info":
-        return cmd_mesh_info(opts)
-    if args.command == "assemble":
-        return cmd_assemble(opts)
-    if args.command == "solve":
-        return cmd_solve(opts)
-    if args.command == "table":
-        return cmd_table(opts, args.name)
-    if args.command == "spectrum":
-        return cmd_spectrum(opts)
-    if args.command == "verify":
-        return cmd_verify(opts)
-    parser.error("unknown command")
+    return COMMANDS[args.command][1](opts, cfg)
 
 
 if __name__ == "__main__":

@@ -34,10 +34,15 @@ from .krylov import pcg, estimate_spectrum, condition_numbers, error_propagator_
 EPS_DEFAULT = (1e-5, 1e-3, 1e-1, 1.0, 1e1, 1e3, 1e5)
 EPS_SWEEP_11 = tuple(10.0**k for k in range(-5, 6))
 INFEASIBLE = "X"
+CR_PRECONDS = ("two-level", "bpx")
 
 
 @dataclass
 class ExperimentConfig:
+    """Every option of a run, with its default and its bounds: the
+    constructor raises ValueError for a value out of bounds, so every table
+    cell and CLI command runs with checked options."""
+
     eps_list: tuple = EPS_DEFAULT
     levels: tuple | None = None  # None picks the per-table default
     theta: int = -1
@@ -52,8 +57,32 @@ class ExperimentConfig:
     dense_limit: int = 2500
     lanczos_k: int = 120
 
+    def __post_init__(self):
+        for eps in self.eps_list:
+            if not (math.isfinite(eps) and eps > 0):
+                raise ValueError(f"eps must be finite and positive, got {eps}")
+        if self.levels is not None and not (self.levels and min(self.levels) >= 0):
+            raise ValueError(f"levels must be one or more levels >= 0, got {self.levels}")
+        if self.ratio not in (1, 2, 4):
+            raise ValueError(f"ratio must be 1, 2 or 4, got {self.ratio}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # theta, alpha, variant, smoother kind and sweeps: their own checks
+        self.method_params()
+        self.smoother_spec()
+
+    def method_params(self):
+        return MethodParams(self.theta, self.alpha, self.variant)
+
     def smoother_spec(self):
         return SmootherSpec(self.smoother_kind, self.sweeps)
+
+    def coarse_level(self, level):
+        """Level of the two-level coarse mesh under a fine mesh at level:
+        ratio r puts it log2(r) levels lower (below 0: no such mesh)."""
+        return level - int(math.log2(self.ratio))
 
     def to_dict(self):
         d = asdict(self)
@@ -74,22 +103,13 @@ class TableResult:
         self.cells.append({"eps": eps, "level": level, **values})
 
     def cell(self, eps, level):
-        for c in self.cells:
-            if c["level"] == level and math.isclose(c["eps"], eps, rel_tol=1e-12):
-                return c
-        raise KeyError((eps, level))
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "config": self.config,
-            "eps_list": self.eps_list,
-            "levels": self.levels,
-            "cells": self.cells,
-        }
+        c = _lookup((((c["eps"], c["level"]), c) for c in self.cells), eps, level)
+        if c is None:
+            raise KeyError((eps, level))
+        return c
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self):
         keys = ["eps", "level"]
@@ -103,50 +123,27 @@ class TableResult:
         return "\n".join(lines) + "\n"
 
     def to_markdown(self):
+        text = self._cell_text
         if any("norm" in c for c in self.cells):
-            return self._md_value_grid("norm")
-        if any("K_1" in c for c in self.cells):
-            return self._md_precond_grid()
-        return self._md_value_grid("K", with_iters=True, transpose=True)
-
-    def _md_value_grid(self, key, with_iters=False, transpose=False):
-        # transpose: level rows x eps columns (contrast sweep layout)
-        lines = [f"# {self.name}", ""]
-        if transpose:
-            header = ["level"] + [f"eps={_fmt(e)}" for e in self.eps_list]
-            lines.append("| " + " | ".join(header) + " |")
-            lines.append("|" + "---|" * len(header))
-            for lvl in self.levels:
-                row = [str(lvl)]
-                for eps in self.eps_list:
-                    row.append(self._cell_text(eps, lvl, key, with_iters))
-                lines.append("| " + " | ".join(row) + " |")
-        else:
             header = ["eps"] + [f"level {l}" for l in self.levels]
-            lines.append("| " + " | ".join(header) + " |")
-            lines.append("|" + "---|" * len(header))
+            rows = [[_fmt(eps)] + [text(eps, l, "norm") for l in self.levels]
+                    for eps in self.eps_list]
+        elif any("K_1" in c for c in self.cells):
+            header = ["eps", "quantity"] + [f"level {l}" for l in self.levels]
+            rows = []
             for eps in self.eps_list:
-                row = [_fmt(eps)]
-                for lvl in self.levels:
-                    row.append(self._cell_text(eps, lvl, key, with_iters))
-                lines.append("| " + " | ".join(row) + " |")
+                rows.append([_fmt(eps), "K"] + [text(eps, l, "K", True) for l in self.levels])
+                rows.append(["", "K_1"] + [text(eps, l, "K_1") for l in self.levels])
+        else:  # level rows x eps columns (contrast sweep layout)
+            header = ["level"] + [f"eps={_fmt(e)}" for e in self.eps_list]
+            rows = [[str(l)] + [text(e, l, "K", True) for e in self.eps_list]
+                    for l in self.levels]
+        lines = [f"# {self.name}", "", "| " + " | ".join(header) + " |",
+                 "|" + "---|" * len(header)]
+        lines += ["| " + " | ".join(row) + " |" for row in rows]
         return "\n".join(lines) + "\n"
 
-    def _md_precond_grid(self):
-        lines = [f"# {self.name}", ""]
-        header = ["eps", "quantity"] + [f"level {l}" for l in self.levels]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for eps in self.eps_list:
-            krow, k1row = [], []
-            for lvl in self.levels:
-                krow.append(self._cell_text(eps, lvl, "K", with_iters=True))
-                k1row.append(self._cell_text(eps, lvl, "K_1", with_iters=False))
-            lines.append("| " + " | ".join([_fmt(eps), "K"] + krow) + " |")
-            lines.append("| " + " | ".join(["", "K_1"] + k1row) + " |")
-        return "\n".join(lines) + "\n"
-
-    def _cell_text(self, eps, level, key, with_iters):
+    def _cell_text(self, eps, level, key, with_iters=False):
         try:
             c = self.cell(eps, level)
         except KeyError:
@@ -170,6 +167,13 @@ class TableResult:
         with open(base + ".md", "w") as fh:
             fh.write(self.to_markdown())
         return [base + ext for ext in (".json", ".csv", ".md")]
+
+
+def _lookup(entries, eps, level):
+    """Value of the first ((eps, level), value) entry at this level whose eps
+    is within a relative 1e-12 of eps, else None."""
+    return next((v for (e, lvl), v in entries
+                 if lvl == level and math.isclose(e, eps, rel_tol=1e-12)), None)
 
 
 def _fmt(x):
@@ -284,35 +288,41 @@ def _cr_block(cfg, hier, eps):
     return extract_blocks(p.A, p.basis).A_vv
 
 
-def run_two_level_table(cfg):
-    """PCG on the Crouzeix-Raviart block with the additive two-level
-    preconditioner; coarse mesh is log2(cfg.ratio) levels below the fine one."""
-    if cfg.ratio not in (1, 2, 4):
-        raise ValueError("ratio must be 1, 2 or 4")
-    steps = int(round(math.log2(cfg.ratio)))
+def _cr_precond(cfg, hier, A_vv, kind):
+    """The kind (one of CR_PRECONDS) of preconditioner of the CR block A_vv
+    on the finest mesh of hier; the two-level coarse mesh is at
+    cfg.coarse_level."""
+    if kind not in CR_PRECONDS:
+        raise ValueError(f"precond must be one of {CR_PRECONDS}, got {kind!r}")
+    if kind == "bpx":
+        return bpx(A_vv, hier, cfg.smoother_spec())
+    P = cr_prolongation(hier, cfg.coarse_level(hier.finest.level))
+    return two_level(A_vv, P, cfg.smoother_spec())
 
+
+def _cr_table(cfg, kind, name, stream):
     def cell(hier, eps, i):
         lvl = hier.finest.level
-        if lvl < steps:
+        if kind == "two-level" and cfg.coarse_level(lvl) < 0:
             return {"infeasible": True}
         A_vv = _cr_block(cfg, hier, eps)
-        P = cr_prolongation(hier, lvl - steps)
-        B = two_level(A_vv, P, cfg.smoother_spec())
-        return _measure(cfg, A_vv, B, (2 + steps, lvl, i), eps)
+        B = _cr_precond(cfg, hier, A_vv, kind)
+        return _measure(cfg, A_vv, B, (stream, lvl, i), eps)
 
-    return _sweep(cfg, f"two-level-w{cfg.ratio}", (0, 1, 2, 3, 4), cell)
+    return _sweep(cfg, name, (0, 1, 2, 3, 4), cell)
+
+
+def run_two_level_table(cfg):
+    """PCG on the Crouzeix-Raviart block with the additive two-level
+    preconditioner; the coarse mesh is at cfg.coarse_level of each level."""
+    # table streams 2, 3, 4 for ratios 1, 2, 4
+    return _cr_table(cfg, "two-level", f"two-level-w{cfg.ratio}", 2 - cfg.coarse_level(0))
 
 
 def run_bpx_table(cfg):
     """PCG on the Crouzeix-Raviart block with the additive multilevel
     preconditioner."""
-
-    def cell(hier, eps, i):
-        A_vv = _cr_block(cfg, hier, eps)
-        B = bpx(A_vv, hier, cfg.smoother_spec())
-        return _measure(cfg, A_vv, B, (5, hier.finest.level, i), eps)
-
-    return _sweep(cfg, "bpx", (0, 1, 2, 3, 4), cell)
+    return _cr_table(cfg, "bpx", "bpx", 5)
 
 
 def block_jacobi_system(p, spec=None):
@@ -372,14 +382,7 @@ def dump_spectrum(cfg, eps, level, out_path, precond="two-level", deep_k=300):
     the tables read."""
     hier = build_hierarchy(level)
     A_vv = _cr_block(cfg, hier, eps)
-    if precond == "two-level":
-        steps = int(round(math.log2(cfg.ratio)))
-        P = cr_prolongation(hier, level - steps)
-        B = two_level(A_vv, P, cfg.smoother_spec())
-    elif precond == "bpx":
-        B = bpx(A_vv, hier, cfg.smoother_spec())
-    else:
-        raise ValueError("precond must be 'two-level' or 'bpx'")
+    B = _cr_precond(cfg, hier, A_vv, precond)
     eigs = estimate_spectrum(
         A_vv, B, k=max(deep_k, cfg.lanczos_k), seed=cfg.seed,
         dense_limit=cfg.dense_limit, rtol=0.0,
@@ -637,16 +640,9 @@ def compare_to_golden(table):
     for cell in table.cells:
         if cell.get("infeasible"):
             continue
-        key = None
-        for gkey in golden:
-            if gkey[1] == cell["level"] and math.isclose(
-                gkey[0], cell["eps"], rel_tol=1e-12
-            ):
-                key = gkey
-                break
-        if key is None:
+        ref = _lookup(golden.items(), cell["eps"], cell["level"])
+        if ref is None:
             continue
-        ref = golden[key]
         for qty, rule in rules.items():
             ref_val = ref.get(qty)
             measured = cell.get("iterations" if qty == "iters" else qty)

@@ -29,9 +29,9 @@ class SmootherSpec:
 
     def __post_init__(self):
         if self.kind not in (JACOBI, SYM_GS):
-            raise ValueError("kind must be 'jacobi' or 'sym_gs'")
+            raise ValueError(f"smoother must be 'jacobi' or 'sym_gs', got {self.kind!r}")
         if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
 
 
 def _scale(d, r):

@@ -17,7 +17,6 @@ from dgprecond.assembly import (
     assemble_dg,
     assemble_conforming,
     assemble_rhs,
-    energy_norm,
     symmetric_part,
     drop_tiny,
     export_coordinate,
@@ -218,27 +217,6 @@ def test_rhs_converges_for_smooth_f():
                     exact[3 * t + i] += area * qw * f(x, y) * lam[i]
         errs.append(np.abs(b - exact).max())
     assert errs[1] < errs[0] / 8.0  # at least cubic local decay
-
-
-def test_energy_norm_matches_quadratic_form(setting):
-    mesh, coeff, weights = setting
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal(mesh.n_dofs)
-    # full jumps dominate projected jumps
-    assert energy_norm(mesh, coeff, weights, u, "DG1") >= energy_norm(
-        mesh, coeff, weights, u, "DG0"
-    )
-    with pytest.raises(ValueError):
-        energy_norm(mesh, coeff, weights, u, "DG2")
-    # conforming injection: both variants reduce to the weighted H1 seminorm
-    vi = mesh.interior_vertices
-    nodal = np.zeros(mesh.n_vertices)
-    nodal[vi] = rng.standard_normal(len(vi))
-    uc = nodal[mesh.triangles].ravel()
-    A_c = assemble_conforming(mesh, coeff)
-    ref = np.sqrt(nodal[vi] @ (A_c @ nodal[vi]))
-    assert energy_norm(mesh, coeff, weights, uc, "DG0") == pytest.approx(ref, rel=1e-12)
-    assert energy_norm(mesh, coeff, weights, uc, "DG1") == pytest.approx(ref, rel=1e-12)
 
 
 def test_variant_guards(setting):

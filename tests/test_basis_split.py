@@ -10,8 +10,6 @@ from dgprecond.basis_split import (
     from_split,
     extract_blocks,
     split_matrix,
-    star_product,
-    star_diagonal,
 )
 from dgprecond.experiments import build_problem
 
@@ -124,18 +122,6 @@ def test_vv_block_independent_of_theta(setting):
             ref = V
         else:
             assert np.allclose(V, ref, atol=1e-12 * np.abs(ref).max())
-
-
-def test_star_product(setting):
-    mesh, _, weights, _ = setting
-    rng = np.random.default_rng(8)
-    z1 = rng.standard_normal(mesh.n_edges)
-    z2 = rng.standard_normal(mesh.n_edges)
-    D = star_diagonal(mesh, weights)
-    assert star_product(z1, z2, mesh, weights) == pytest.approx(z1 @ (D @ z2))
-    assert star_product(z1, z1, mesh, weights) > 0
-    with pytest.raises(ValueError):
-        star_product(z1[:-1], z2[:-1], mesh, weights)
 
 
 def test_shape_guards(setting):

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from dgprecond import cli
 from dgprecond.cli import main
-from dgprecond.experiments import EPS_DEFAULT
+from dgprecond.experiments import EPS_DEFAULT, ExperimentConfig
 
 
 def run(capsys, *argv):
@@ -170,9 +172,18 @@ def test_config_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [("--level", "-1"), ("--eps", "nan")])
-def test_rejected_input_is_one_error_line(capsys, flags):
-    code = main(["solve", *flags])
+@pytest.mark.parametrize("flags", [
+    ("--level", "-1"), ("--eps", "nan"), ("--tol", "0"), ("--levels", "-1"),
+    # a dict is the content of a --config file
+    {"ratio": 3}, {"sweeps": 0}, {"theta": 5}, {"tol": -1},
+])
+def test_rejected_input_is_one_error_line(capsys, tmp_path, flags):
+    if isinstance(flags, dict):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(flags))
+        code = main(["--config", str(cfgfile), "solve"])
+    else:
+        code = main(["solve", *flags])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -198,3 +209,12 @@ def test_bad_arguments_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_defaults_keep_no_experiment_config_default():
+    # every option is either the CLI's own or an ExperimentConfig field,
+    # whose default the dataclass alone holds
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(cli._DEFAULTS) == set(cli._CLI_ONLY) | set(cli._FIELDS)
+    assert set(cli._FIELDS.values()) <= fields
+    assert all(cli._DEFAULTS[key] is None for key in cli._FIELDS)

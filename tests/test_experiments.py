@@ -213,3 +213,32 @@ def test_dump_spectrum(tmp_path):
     assert vals == sorted(vals)
     with pytest.raises(ValueError):
         dump_spectrum(cfg, 1.0, 0, path, precond="amg")
+
+
+def test_markdown_layouts_are_pinned():
+    # K with iterations by level (cells without K_1)
+    t = TableResult("zz", {}, [1e-5, 1.0], [0, 1])
+    t.add_cell(1e-5, 0, K=1.734, iterations=14)
+    t.add_cell(1.0, 0, K=1.72, iterations=9)
+    t.add_cell(1e-5, 1, infeasible=True)
+    assert t.to_markdown() == (
+        "# zz\n\n| level | eps=1e-05 | eps=1 |\n|---|---|---|\n"
+        "| 0 | 1.73 (14) | 1.72 (9) |\n| 1 | X | X |\n")
+    # K and K_1 by eps
+    t = TableResult("bpx", {}, [1e-5, 1.0], [0, 1])
+    t.add_cell(1e-5, 0, K=30012.5, K_1=4.521, iterations=12)
+    t.add_cell(1.0, 0, K=2.16, K_1=2.07, iterations=8)
+    t.add_cell(1e-5, 1, infeasible=True)
+    t.add_cell(1.0, 1, K=3.32, K_1=3.17, iterations=13)
+    assert t.to_markdown() == (
+        "# bpx\n\n| eps | quantity | level 0 | level 1 |\n|---|---|---|---|\n"
+        "| 1e-05 | K | 3e+04 (12) | X |\n|  | K_1 | 4.52 | X |\n"
+        "| 1 | K | 2.16 (8) | 3.32 (13) |\n|  | K_1 | 2.07 | 3.17 |\n")
+    # norm by eps
+    t = TableResult("iipg-propagator", {}, [1e-5, 1.0], [0, 1])
+    t.add_cell(1e-5, 0, norm=0.1312)
+    t.add_cell(1.0, 0, norm=0.2)
+    t.add_cell(1e-5, 1, norm=0.14)
+    assert t.to_markdown() == (
+        "# iipg-propagator\n\n| eps | level 0 | level 1 |\n|---|---|---|\n"
+        "| 1e-05 | 0.131 | 0.14 |\n| 1 | 0.2 | X |\n")
