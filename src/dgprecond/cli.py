@@ -44,6 +44,7 @@ from .experiments import (
     dump_spectrum,
     compare_to_golden,
     format_comparison,
+    table_params,
 )
 
 # unused here, but perfbench/pipeline.py wraps these names in this module
@@ -122,6 +123,9 @@ def _resolve(args):
         raise ValueError(f"level must be >= 0, got {opts['level']}")
     if opts["precond"] not in CR_PRECONDS:
         raise ValueError(f"precond must be one of {CR_PRECONDS}, got {opts['precond']!r}")
+    if args.command == "table":
+        # rejects a method the table cannot run, before the table starts
+        table_params(opts["name"], cfg)
     if (args.command == "spectrum" and opts["precond"] == "two-level"
             and cfg.coarse_level(opts["level"]) < 0):
         raise ValueError(f"ratio {cfg.ratio} puts the coarse mesh below "

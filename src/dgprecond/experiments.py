@@ -225,14 +225,36 @@ def build_problem(hier, eps, params):
     return Problem(hier, coeff, weights, params, A)
 
 
-def _sweep(cfg, name, default_levels, cell, eps_list=None):
-    """Table of cell(hier, eps, i_eps) -> dict over levels x eps.
+def table_params(name, cfg):
+    """The method the table runner RUNNERS[name] assembles with, which its
+    JSON config records.  zz runs cfg.theta and raises ValueError for a
+    variant other than IP0; every other table fixes theta and variant."""
+    if name == "zz" and cfg.variant != IP0:
+        raise ValueError(f"the zz table is defined for the weakly penalized "
+                         f"variant {IP0}, got {cfg.variant!r}")
+    # the CR block is theta independent and assembled with theta=-1; the
+    # iipg penalty is 4 times the baseline (alpha* = 8 assumed; the table's
+    # config records this assumption)
+    theta, alpha, variant = {
+        "zz": (cfg.theta, cfg.alpha, IP0),
+        "two-level": (-1, cfg.alpha, IP0),
+        "bpx": (-1, cfg.alpha, IP0),
+        "sipg1": (-1, cfg.alpha, IP1),
+        "iipg-propagator": (0, 4.0 * cfg.alpha, IP1),
+    }[name]
+    return MethodParams(theta, alpha, variant)
+
+
+def _sweep(cfg, name, default_levels, cell, params, eps_list=None):
+    """Table of cell(hier, eps, i_eps) -> dict over levels x eps, whose
+    config records the theta and variant of params.
 
     One hierarchy is built at the finest level and truncated for the others
     (meshes do not depend on the coefficient)."""
     eps_list = cfg.eps_list if eps_list is None else eps_list
     levels = cfg.levels if cfg.levels is not None else default_levels
-    table = TableResult(name, cfg.to_dict(), list(eps_list), list(levels))
+    config = {**cfg.to_dict(), "theta": params.theta, "variant": params.variant}
+    table = TableResult(name, config, list(eps_list), list(levels))
     full = build_hierarchy(max(levels))
     for lvl in levels:
         hier = full.truncated(lvl)
@@ -270,21 +292,18 @@ def _measure(cfg, A, B, stream, eps):
 
 def run_zz_table(cfg):
     """Diagonally preconditioned PCG on the complement-space block."""
-    if cfg.variant != IP0:
-        raise ValueError("zz table is defined for the weakly penalized variant")
-    params = MethodParams(cfg.theta, cfg.alpha, IP0)
+    params = table_params("zz", cfg)
 
     def cell(hier, eps, i):
         p = build_problem(hier, eps, params)
         A_zz = extract_blocks(p.A, p.basis).A_zz
         return _measure(cfg, A_zz, DiagonalPrecond(A_zz), (1, p.mesh.level, i), eps)
 
-    return _sweep(cfg, "zz", (0, 1, 2, 3), cell)
+    return _sweep(cfg, "zz", (0, 1, 2, 3), cell, params)
 
 
-def _cr_block(cfg, hier, eps):
-    # the CR block is theta independent; assemble with theta=-1
-    p = build_problem(hier, eps, MethodParams(-1, cfg.alpha, IP0))
+def _cr_block(hier, eps, params):
+    p = build_problem(hier, eps, params)
     return extract_blocks(p.A, p.basis).A_vv
 
 
@@ -292,8 +311,6 @@ def _cr_precond(cfg, hier, A_vv, kind):
     """The kind (one of CR_PRECONDS) of preconditioner of the CR block A_vv
     on the finest mesh of hier; the two-level coarse mesh is at
     cfg.coarse_level."""
-    if kind not in CR_PRECONDS:
-        raise ValueError(f"precond must be one of {CR_PRECONDS}, got {kind!r}")
     if kind == "bpx":
         return bpx(A_vv, hier, cfg.smoother_spec())
     P = cr_prolongation(hier, cfg.coarse_level(hier.finest.level))
@@ -301,15 +318,17 @@ def _cr_precond(cfg, hier, A_vv, kind):
 
 
 def _cr_table(cfg, kind, name, stream):
+    params = table_params(kind, cfg)
+
     def cell(hier, eps, i):
         lvl = hier.finest.level
         if kind == "two-level" and cfg.coarse_level(lvl) < 0:
             return {"infeasible": True}
-        A_vv = _cr_block(cfg, hier, eps)
+        A_vv = _cr_block(hier, eps, params)
         B = _cr_precond(cfg, hier, A_vv, kind)
         return _measure(cfg, A_vv, B, (stream, lvl, i), eps)
 
-    return _sweep(cfg, name, (0, 1, 2, 3, 4), cell)
+    return _sweep(cfg, name, (0, 1, 2, 3, 4), cell, params)
 
 
 def run_two_level_table(cfg):
@@ -343,31 +362,29 @@ def block_jacobi_system(p, spec=None):
 def run_sipg1_blockjacobi_table(cfg):
     """Full fully penalized symmetric DG system, block-Jacobi preconditioner
     (see block_jacobi_system)."""
-    params = MethodParams(-1, cfg.alpha, IP1)
+    params = table_params("sipg1", cfg)
 
     def cell(hier, eps, i):
         p = build_problem(hier, eps, params)
         S, B = block_jacobi_system(p, cfg.smoother_spec())
         return _measure(cfg, S, B, (6, p.mesh.level, i), eps)
 
-    return _sweep(cfg, "sipg1", (0, 1, 2, 3), cell)
+    return _sweep(cfg, "sipg1", (0, 1, 2, 3), cell, params)
 
 
 def run_iipg_propagator_table(cfg):
     """Contraction factor of the stationary iteration preconditioned by the
-    symmetric part, for the fully penalized nonsymmetric (theta=0) method.
-
-    The penalty is 4 times the baseline value (alpha* = 8 assumed; the
-    experiment metadata records this assumption).
+    symmetric part, for the fully penalized nonsymmetric (theta=0) method,
+    with 4 times the baseline penalty (see table_params).
     """
     eps_list = cfg.eps_list if cfg.eps_list != EPS_DEFAULT else EPS_SWEEP_11
-    params = MethodParams(0, 4.0 * cfg.alpha, IP1)
+    params = table_params("iipg-propagator", cfg)
 
     def cell(hier, eps, i):
         A = build_problem(hier, eps, params).A
         return {"norm": error_propagator_norm(A, seed=cfg.seed + i)}
 
-    table = _sweep(cfg, "iipg-propagator", (0, 1, 2, 3), cell, eps_list)
+    table = _sweep(cfg, "iipg-propagator", (0, 1, 2, 3), cell, params, eps_list)
     table.config["alpha_effective"] = params.alpha
     table.config["assumption"] = "alpha* = 8 taken as the coercivity baseline"
     return table
@@ -380,8 +397,10 @@ def dump_spectrum(cfg, eps, level, out_path, precond="two-level", deep_k=300):
     Lanczos runs max(deep_k, cfg.lanczos_k) steps with its stopping test off
     (rtol=0), so the file holds the whole Ritz spectrum, not only the values
     the tables read."""
+    if precond not in CR_PRECONDS:
+        raise ValueError(f"precond must be one of {CR_PRECONDS}, got {precond!r}")
     hier = build_hierarchy(level)
-    A_vv = _cr_block(cfg, hier, eps)
+    A_vv = _cr_block(hier, eps, table_params(precond, cfg))
     B = _cr_precond(cfg, hier, A_vv, precond)
     eigs = estimate_spectrum(
         A_vv, B, k=max(deep_k, cfg.lanczos_k), seed=cfg.seed,

