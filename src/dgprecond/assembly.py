@@ -96,8 +96,55 @@ def _jump_at(traces, points):
 
 
 def assemble_dg(mesh, coeff, weights, params):
-    """Stiffness matrix of the IP(beta) form in the nodal DG basis."""
-    n = mesh.n_dofs
+    """Stiffness matrix of the IP(beta) form in the nodal DG basis.
+
+    Every dof belongs to one triangle, so the matrix is made of 3 x 3 blocks:
+    one diagonal block per triangle, its element stiffness plus the self
+    blocks of its edges added in local edge order 0, 1, 2, and the two
+    off-diagonal blocks of each interior edge.  The CSR arrays are written
+    on this pattern directly, block columns ascending in each block row,
+    with int32 indices.
+    """
+    edge_blocks = _edge_blocks(mesh, weights, params).reshape(-1, 2, 3, 2, 3)
+    nt = mesh.n_triangles
+    tri = np.arange(nt)
+    edges = mesh.tri_edges
+    plus, minus = mesh.edge_plus[edges], mesh.edge_minus[edges]
+    side = (plus != tri[:, None]).astype(np.intp)  # 0 where the triangle is plus
+    # block columns: the triangle, then its neighbour across each local edge
+    # (nt, which sorts last, across a boundary edge)
+    nbr = np.where(mesh.boundary_edge_mask[edges], nt, plus + minus - tri[:, None])
+    cols = np.column_stack([tri, nbr])
+    order = np.argsort(cols, axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+
+    # (triangle, row, block in ascending column order, column)
+    vals = np.empty((nt, 3, 4, 3))
+    diag = element_stiffness(mesh, coeff)
+    for i in range(3):
+        diag += edge_blocks[edges[:, i], side[:, i], :, side[:, i], :]
+    vals[tri, :, rank[:, 0], :] = diag
+    for i in range(3):
+        vals[tri, :, rank[:, i + 1], :] = edge_blocks[edges[:, i], side[:, i], :,
+                                                      1 - side[:, i], :]
+    # free each array once it is copied on, to bound the peak memory
+    del edge_blocks
+    row_len = np.repeat(3 * (cols < nt).sum(axis=1), 3)
+    kept = np.arange(12) < row_len[:, None]  # blocks across the boundary sort last
+    data = vals.reshape(-1, 12)[kept]
+    del vals
+    first_col = 3 * np.take_along_axis(cols, order, axis=1).astype(np.int32)
+    indices = np.broadcast_to(first_col[:, None, :, None] + np.arange(3, dtype=np.int32),
+                              (nt, 3, 4, 3)).reshape(-1, 12)[kept]
+    indptr = np.zeros(3 * nt + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    return drop_tiny(sp.csr_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt)))
+
+
+def _edge_blocks(mesh, weights, params):
+    """(ne, 6, 6) edge terms of the form on the plus then the minus dofs of
+    each edge (see edge_traces); only the plus-plus block of a boundary edge
+    is nonzero."""
     dofs, traces = edge_traces(mesh)
     length = mesh.edge_length
     ke = weights.kappa_e
@@ -108,25 +155,20 @@ def assemble_dg(mesh, coeff, weights, params):
                             mesh.edge_normal)
     flux = np.repeat(ke[:, None] * side, 3, axis=1) * normal_grad
     jump_mid = 0.5 * (traces[:, 0] + traces[:, 1])
+    points, wts = _PENALTY_RULE[params.variant]
+    jumps = _jump_at(traces, points)
+    # the blocks are the largest arrays here: free the other ones first
+    del dofs, traces, normal_grad
     # -<{kappa grad v}, [w]> + theta <[v], {kappa grad w}>
     edge_blocks = length[:, None, None] * (
         -jump_mid[:, :, None] * flux[:, None, :]
         + params.theta * flux[:, :, None] * jump_mid[:, None, :]
     )
-    points, wts = _PENALTY_RULE[params.variant]
-    jumps = _jump_at(traces, points)
+    del flux, jump_mid
     # h_e = |e| in the penalty alpha / h_e kappa_e |e|
     pen = params.alpha / length * ke * length
     edge_blocks += np.einsum("q,e,eqi,eqj->eij", wts, pen, jumps, jumps)
-
-    tri_dofs = np.arange(n).reshape(-1, 3)
-    rows = np.concatenate([np.repeat(tri_dofs, 3, axis=1).ravel(),
-                           np.repeat(dofs, 6, axis=1).ravel()])
-    cols = np.concatenate([np.tile(tri_dofs, 3).ravel(), np.tile(dofs, 6).ravel()])
-    vals = np.concatenate([element_stiffness(mesh, coeff).ravel(), edge_blocks.ravel()])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    A.sum_duplicates()
-    return drop_tiny(A)
+    return edge_blocks
 
 
 def assemble_conforming(mesh, coeff):
@@ -169,13 +211,19 @@ def symmetric_part(A):
 
 
 def drop_tiny(A, rel=1e-14):
-    """Drop stored entries below rel * max|entry|."""
+    """Drop stored entries below rel * max|entry|.
+
+    The result's data and indices hold exactly nnz entries: scipy's
+    eliminate_zeros leaves views of the old buffers unless they shrink by
+    half, which would keep the dropped entries' memory alive."""
     A = A.tocsr()
     if A.nnz == 0:
         return A
     cut = rel * np.abs(A.data).max()
     A.data[np.abs(A.data) < cut] = 0.0
     A.eliminate_zeros()
+    if A.data.base is not None and A.data.size < A.data.base.size:
+        A.data, A.indices = A.data.copy(), A.indices.copy()
     return A
 
 

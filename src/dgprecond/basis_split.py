@@ -24,10 +24,12 @@ class SplitBasis:
     """Sparse transform from split coefficients [z; v] to nodal DG dofs.
 
     Columns 0..n_edges-1 are the z-block (all edges, in edge order); the
-    remaining columns are the CR hats of the interior edges.
+    remaining columns are the CR hats of the interior edges.  The transform
+    is CSC, so its transpose, which every product T^t A T starts with, is
+    CSR like A.
     """
 
-    transform: sp.csr_matrix
+    transform: sp.csc_matrix
     n_z: int
     n_v: int
     interior_edges: np.ndarray  # edge index of each v-column
@@ -43,18 +45,23 @@ def build_transform(mesh, weights):
     On each side of an edge its CR hat is 1 at the edge's endpoints and -1 at
     the opposite vertex.  The z-function of an edge is beta times the hat on
     the plus side and -(1 - beta) times it on the minus side; beta = 1 on a
-    boundary edge leaves the plus-side hat alone.
+    boundary edge leaves the plus-side hat alone, so its column has 3 entries
+    and every other column 6.  The CSC arrays are written directly, rows
+    ascending in each column.
     """
     dofs, traces = edge_traces(mesh)
     hat = 2.0 * np.abs(traces).sum(axis=1) - 1.0
-    bp = np.where(mesh.boundary_edge_mask, 1.0, weights.beta)
+    bnd = mesh.boundary_edge_mask
+    bp = np.where(bnd, 1.0, weights.beta)
     z_vals = np.repeat(np.column_stack([bp, -(1.0 - bp)]), 3, axis=1) * hat
+    z_kept = np.repeat(np.column_stack([np.ones_like(bnd), ~bnd]), 3, axis=1)
     interior = mesh.interior_edges
     n_z, n_v = mesh.n_edges, len(interior)
-    rows = np.concatenate([dofs.ravel(), dofs[interior].ravel()])
-    cols = np.repeat(np.arange(n_z + n_v), 6)
-    vals = np.concatenate([z_vals.ravel(), hat[interior].ravel()])
-    T = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_dofs, n_z + n_v))
+    counts = np.concatenate([z_kept.sum(axis=1), np.full(n_v, 6)])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = np.concatenate([dofs[z_kept], dofs[interior].ravel()]).astype(np.int32)
+    data = np.concatenate([z_vals[z_kept], hat[interior].ravel()])
+    T = sp.csc_matrix((data, indices, indptr), shape=(mesh.n_dofs, n_z + n_v))
     return SplitBasis(T, n_z, n_v, interior)
 
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from dgprecond.mesh import (
     BOUNDARY,
@@ -19,7 +22,10 @@ from dgprecond.assembly import (
     assemble_rhs,
     symmetric_part,
     drop_tiny,
+    edge_traces,
+    element_stiffness,
     export_coordinate,
+    _edge_blocks,
 )
 
 # degree-5 quadrature on the reference triangle (barycentric points, weights)
@@ -246,9 +252,72 @@ def test_drop_tiny_and_export(tmp_path, setting):
     rows = np.loadtxt(path)
     assert rows.shape[1] == 3
     assert len(rows) == A.nnz
-    import scipy.sparse as sp
-
     A2 = sp.csr_matrix(
         (rows[:, 2], (rows[:, 0].astype(int), rows[:, 1].astype(int))), shape=A.shape
     )
     assert abs(A - A2).max() < 1e-15 * np.abs(A).max()
+
+
+def _owns_exactly(a):
+    """a is not a view of a larger buffer."""
+    return a.base is None or a.base.nbytes == a.nbytes
+
+
+def reference_assemble_dg(mesh, coeff, weights, params):
+    """The DG matrix by a COO scatter of every element and edge block at
+    its nodal dofs, duplicates summed by scipy."""
+    n = mesh.n_dofs
+    dofs, _ = edge_traces(mesh)
+    tri_dofs = np.arange(n).reshape(-1, 3)
+    rows = np.concatenate([np.repeat(tri_dofs, 3, axis=1).ravel(),
+                           np.repeat(dofs, 6, axis=1).ravel()])
+    cols = np.concatenate([np.tile(tri_dofs, 3).ravel(), np.tile(dofs, 6).ravel()])
+    vals = np.concatenate([element_stiffness(mesh, coeff).ravel(),
+                           _edge_blocks(mesh, weights, params).ravel()])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    A.sum_duplicates()
+    return drop_tiny(A)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
+@pytest.mark.parametrize("variant", [IP0, IP1])
+@pytest.mark.parametrize("theta", [-1, 0, 1])
+def test_block_pattern_matches_coo_scatter(theta, variant, eps):
+    mesh = build_hierarchy(2).finest
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    params = MethodParams(theta, 8.0, variant)
+    A = assemble_dg(mesh, coeff, weights, params)
+    ref = reference_assemble_dg(mesh, coeff, weights, params)
+    assert A.has_canonical_format
+    assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def test_assembly_memory_stays_near_its_result():
+    mesh = build_hierarchy(4).finest
+    coeff = assign_coefficient(mesh, 1e-5)
+    weights = edge_weights(mesh, coeff)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = (A.data, A.indices, A.indptr)
+    assert all(_owns_exactly(a) for a in arrays)
+    assert peak <= 4 * sum(a.nbytes for a in arrays)
+
+
+def test_drop_tiny_returns_arrays_sized_to_nnz():
+    # 3 of 10 entries dropped: scipy's eliminate_zeros alone would keep views
+    # of the 10-entry buffers
+    vals = np.array([1.0, 1e-20, 2.0, 3.0, 1e-20, 4.0, 5.0, 1e-20, 6.0, 7.0])
+    A = sp.csr_matrix((vals, (np.arange(10) // 2, np.arange(10) % 5)), shape=(5, 5))
+    B = drop_tiny(A)
+    assert B.nnz == 7
+    assert len(B.data) == len(B.indices) == 7
+    assert _owns_exactly(B.data) and _owns_exactly(B.indices)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dgprecond.mesh import build_hierarchy
-from dgprecond.assembly import IP0, IP1, MethodParams, assemble_dg
+from dgprecond.assembly import IP0, IP1, MethodParams, assemble_dg, edge_traces
 from dgprecond.basis_split import (
     BlockStructureError,
     to_split,
@@ -27,6 +27,31 @@ def test_transform_is_square_and_invertible(setting):
     assert basis.n_z == mesh.n_edges
     assert basis.n_v == len(mesh.interior_edges)
     assert np.linalg.matrix_rank(T.toarray()) == mesh.n_dofs
+
+
+def test_transform_csc_matches_coo_scatter(setting):
+    # the columns of every basis function scattered at their nodal dofs;
+    # a boundary z-column's minus half is 0 and gets summed away
+    mesh, _, weights, basis = setting
+    dofs, traces = edge_traces(mesh)
+    hat = 2.0 * np.abs(traces).sum(axis=1) - 1.0
+    bp = np.where(mesh.boundary_edge_mask, 1.0, weights.beta)
+    z_vals = np.repeat(np.column_stack([bp, -(1.0 - bp)]), 3, axis=1) * hat
+    interior = mesh.interior_edges
+    ref = sp.csc_matrix(
+        (np.concatenate([z_vals.ravel(), hat[interior].ravel()]),
+         (np.concatenate([dofs.ravel(), dofs[interior].ravel()]),
+          np.repeat(np.arange(basis.n_dofs), 6))),
+        shape=(mesh.n_dofs, basis.n_dofs))
+    ref.sum_duplicates()
+    T = basis.transform
+    assert T.format == "csc" and T.has_canonical_format
+    assert np.array_equal(np.diff(T.indptr)[: basis.n_z],
+                          np.where(mesh.boundary_edge_mask, 3, 6))
+    assert np.all(np.diff(T.indptr)[basis.n_z:] == 6)
+    assert np.array_equal(T.indptr, ref.indptr)
+    assert np.array_equal(T.indices, ref.indices)
+    assert np.array_equal(T.data, ref.data)
 
 
 def test_split_roundtrip(setting):
