@@ -211,20 +211,29 @@ def symmetric_part(A):
 
 
 def drop_tiny(A, rel=1e-14):
-    """Drop stored entries below rel * max|entry|.
+    """A as CSR without its stored entries below rel * max|entry| and its
+    exact zeros; A itself is left unchanged, and returned when nothing is
+    dropped.
 
-    The result's data and indices hold exactly nnz entries: scipy's
-    eliminate_zeros leaves views of the old buffers unless they shrink by
-    half, which would keep the dropped entries' memory alive."""
+    The kept entries stay in A's order, in data and indices arrays that
+    hold exactly nnz entries."""
     A = A.tocsr()
-    if A.nnz == 0:
+    data = A.data
+    cut = rel * max(data.max(initial=0.0), -data.min(initial=0.0))
+    # |a| < cut or a == 0, by in-place masks: no temporary of data's size
+    drop = data < cut
+    drop &= data > -cut
+    drop |= data == 0
+    if not drop.any():
         return A
-    cut = rel * np.abs(A.data).max()
-    A.data[np.abs(A.data) < cut] = 0.0
-    A.eliminate_zeros()
-    if A.data.base is not None and A.data.size < A.data.base.size:
-        A.data, A.indices = A.data.copy(), A.indices.copy()
-    return A
+    indptr = A.indptr.copy()
+    dropped_rows = np.searchsorted(A.indptr, np.flatnonzero(drop), side="right") - 1
+    indptr[1:] -= np.cumsum(np.bincount(dropped_rows, minlength=A.shape[0]),
+                            dtype=indptr.dtype)
+    # boolean indexing, not np.compress: compress builds an index array of
+    # the kept entries first
+    keep = np.logical_not(drop, out=drop)
+    return sp.csr_matrix((data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
 def export_coordinate(A, path):

@@ -34,7 +34,7 @@ from .precond import (
     cr_prolongation,
     forward_substitution_solve,
 )
-from .krylov import pcg, stationary_iteration
+from .krylov import BreakdownError, pcg, stationary_iteration
 from .experiments import (
     CR_PRECONDS,
     RUNNERS,
@@ -170,22 +170,27 @@ def cmd_solve(opts, cfg):
     p = _problem(opts, cfg)
     mesh, A = p.mesh, p.A
     b = assemble_rhs(mesh, lambda x, y: 1.0)
-    if p.params.variant == IP0:
-        blocks = extract_blocks(A, p.basis)
-        f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
-        u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.basis)
-        report = {"method": "block-forward-substitution"}
-    elif p.params.theta == -1:
-        S, B = block_jacobi_system(p, cfg.smoother_spec())
-        x, rep = pcg(S, p.basis.transform.T @ b, B, tol=cfg.tol, maxit=2000)
-        u = p.basis.transform @ x
-        report = {"method": "pcg-block-jacobi", "iterations": rep.iterations,
-                  "converged": rep.converged}
-    else:
-        u, rep = stationary_iteration(A, DirectSolve(symmetric_part(A)), b,
-                                      tol=cfg.tol, maxit=500)
-        report = {"method": "stationary-symmetric-part",
-                  "iterations": rep.iterations, "converged": rep.converged}
+    report = {}
+    try:
+        if p.params.variant == IP0:
+            report["method"] = "block-forward-substitution"
+            blocks = extract_blocks(A, p.basis)
+            f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
+            u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.basis)
+        elif p.params.theta == -1:
+            report["method"] = "pcg-block-jacobi"
+            S, B = block_jacobi_system(p, cfg.smoother_spec())
+            x, rep = pcg(S, p.basis.transform.T @ b, B, tol=cfg.tol, maxit=2000)
+            u = p.basis.transform @ x
+        else:
+            report["method"] = "stationary-symmetric-part"
+            u, rep = stationary_iteration(A, DirectSolve(symmetric_part(A)), b,
+                                          tol=cfg.tol, maxit=500)
+    except BreakdownError as exc:
+        print(f"error: {report['method']}: {exc}", file=sys.stderr)
+        return 1
+    if report["method"] != "block-forward-substitution":
+        report.update(iterations=rep.iterations, converged=rep.converged)
     report["rel_residual"] = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
     report["dofs"] = mesh.n_dofs
     print(json.dumps(report, sort_keys=True))

@@ -74,74 +74,28 @@ class DirectSolve:
         return self.lu.solve(r)
 
 
-def _wavefronts(A):
-    """Unknowns of the CSR matrix A grouped into Gauss-Seidel wavefronts, in
-    sweep order.
-
-    Unknown k must wait for unknown j < k when A_jk or A_kj is stored, i.e. on
-    the pattern of tril(A, -1) + triu(A, 1)^t.  A wavefront holds the
-    unknowns whose longest chain of predecessors has the same length, so no
-    two unknowns of one wavefront are coupled.  Fronts are peeled off one at
-    a time (Kahn's algorithm): each front's rows of A and A^t are read once,
-    plus one pass over the unknowns per front.
-    """
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    off = rows != A.indices
-    waiting = np.bincount(np.maximum(rows, A.indices)[off], minlength=n)
-    # rows j and n + j of (ptr, coupled) are rows j of A and of A^t: the
-    # unknowns coupled to j
-    At = A.T.tocsr()
-    ptr = np.concatenate([A.indptr, At.indptr[1:] + A.indptr[-1]])
-    sizes = np.diff(ptr)
-    coupled = np.concatenate([A.indices, At.indices])
-    front = np.flatnonzero(waiting == 0)
-    fronts = []
-    while front.size:
-        fronts.append(front)
-        waiting[front] = -1
-        both = np.concatenate([front, front + n])
-        starts, counts = ptr[both], sizes[both]
-        ends = np.cumsum(counts)
-        # predecessors and the front itself, done already, only sink further
-        # below zero
-        waiting -= np.bincount(coupled[np.repeat(starts - ends + counts, counts)
-                                       + np.arange(ends[-1])], minlength=n)
-        front = np.flatnonzero(waiting == 0)
-    return fronts
-
-
-def _sweep_operators(A, inv_diag, bounds):
-    """-D^{-1} L and -D^{-1} U for the CSR matrix A = D + L + U, whose rows
-    and columns are in wavefront order (wavefront l holds rows bounds[l] to
-    bounds[l + 1]).  Each is the row slice (start, end, indptr view) of every
-    wavefront that stores an entry, then the CSR indices and data; the
-    backward one lists its wavefronts last to first."""
+def _strict_lower(A, inv_diag):
+    """-D^{-1} L for the CSR matrix A = D + L + U, as CSR arrays (indptr,
+    indices, data) with each row's entries in A's stored order."""
     n = A.shape[0]
     rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    scaled = A.data * -inv_diag[rows]
-    ops = []
-    for keep in (A.indices < rows, A.indices > rows):
-        ptr = np.zeros(n + 1, dtype=A.indices.dtype)
-        np.cumsum(np.bincount(np.compress(keep, rows), minlength=n), out=ptr[1:])
-        levels = [(s, e, ptr[s:e + 1]) for s, e in zip(bounds[:-1], bounds[1:])
-                  if ptr[s] < ptr[e]]
-        ops.append((levels, np.compress(keep, A.indices), np.compress(keep, scaled)))
-    forward, (levels, indices, data) = ops
-    return forward, (levels[::-1], indices, data)
+    keep = A.indices < rows
+    ptr = np.zeros(n + 1, dtype=A.indices.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=ptr[1:])
+    return ptr, A.indices[keep], A.data[keep] * -inv_diag[rows[keep]]
 
 
-def _substitute(levels, indices, data, x):
-    """x_l += T_l x for every wavefront l in turn, in place; T_l reads only
-    wavefronts already done.  x is a vector or a C-ordered block of columns."""
+def _substitute(ptr, indices, data, x):
+    """x <- x + T x row by row, in place, for the strictly lower CSR matrix
+    T: scipy's csr_matvec forms row i from x as it stands, every row before
+    i already written, so one product with the same x as input and output is
+    the forward substitution.  x is a vector or a C-ordered block of
+    columns."""
     n = x.shape[0]
     if x.ndim == 1:
-        for s, e, ptr in levels:
-            _sparsetools.csr_matvec(e - s, n, ptr, indices, data, x, x[s:e])
+        _sparsetools.csr_matvec(n, n, ptr, indices, data, x, x)
     else:
-        for s, e, ptr in levels:
-            _sparsetools.csr_matvecs(e - s, n, x.shape[1], ptr, indices, data,
-                                     x, x[s:e])
+        _sparsetools.csr_matvecs(n, n, x.shape[1], ptr, indices, data, x, x)
 
 
 class Smoother:
@@ -153,15 +107,13 @@ class Smoother:
     operator (I - E^s) A^{-1} with E = I - M^{-1} A is symmetric positive
     definite for a convergent sweep.
 
-    Gauss-Seidel runs by wavefronts (_wavefronts): the unknowns are permuted
-    once, at setup, into wavefront order, in which the strict lower triangle
-    L of A is block lower and the strict upper triangle U block upper, so the
-    forward substitution walks the wavefronts in order and the backward one
-    walks them in reverse, each wavefront being one product with a row slice
-    of -D^{-1} L or -D^{-1} U.  The sweeps run in Eisenstat's form (Eisenstat
-    1981): with h = D^{-1} U x, a sweep is x' = (D + L)^{-1} (r - D h),
-    x'' = (D + U)^{-1} D (h + x') and h <- h + x' - x'', so no sweep
-    multiplies by A.
+    Each half-sweep of Gauss-Seidel is one in-place product (_substitute):
+    the forward one with -D^{-1} L, the backward one with -D^{-1} U stored
+    with its rows and columns reversed, on a reversed copy of the iterate,
+    so that it too is a forward substitution.  The sweeps run in Eisenstat's
+    form (Eisenstat 1981): with h = D^{-1} U x, a sweep is
+    x' = (D + L)^{-1} (r - D h), x'' = (D + U)^{-1} D (h + x') and
+    h <- h + x' - x'', so no sweep multiplies by A.
     """
 
     def __init__(self, A, spec=None):
@@ -176,32 +128,29 @@ class Smoother:
             # sweeps are damped by 1/2 to guarantee a convergent splitting
             self._inv_diag = (1.0 if spec.sweeps == 1 else 0.5) / d
             return
-        fronts = _wavefronts(self.A)
-        self._perm = np.concatenate(fronts)
         n = len(d)
-        where = np.empty(n, dtype=self.A.indices.dtype)
-        where[self._perm] = np.arange(n)
-        # A and its inverse diagonal with rows and columns in wavefront order
-        A = sp.csr_matrix((self.A.data, where[self.A.indices], self.A.indptr),
-                          shape=(n, n))[self._perm]
-        self._inv_diag = 1.0 / d[self._perm]
-        bounds = np.cumsum([0] + [len(f) for f in fronts])
-        self._forward, self._backward = _sweep_operators(A, self._inv_diag, bounds)
+        self._inv_diag = 1.0 / d
+        self._forward = _strict_lower(self.A, self._inv_diag)
+        # -D^{-1} U in reversed numbering is the strict lower part of A with
+        # rows and columns reversed; row slicing keeps each row's entry order
+        flipped = sp.csr_matrix((self.A.data, n - 1 - self.A.indices, self.A.indptr),
+                                shape=(n, n))[::-1]
+        self._backward = _strict_lower(flipped, self._inv_diag[::-1])
 
     def _sym_gs(self, r):
-        b = np.asarray(r, dtype=float)[self._perm]
-        b = _scale(self._inv_diag, b)
+        # the in-place products need C order; a Fortran-ordered block would
+        # keep its order through _scale
+        b = np.ascontiguousarray(_scale(self._inv_diag, np.asarray(r, dtype=float)))
         h = np.zeros_like(b)
         for _ in range(self.spec.sweeps):
             x = b - h
             _substitute(*self._forward, x)
-            y = h + x
+            y = h[::-1] + x[::-1]
             _substitute(*self._backward, y)
             h += x
-            h -= y
-        out = np.empty_like(y)
-        out[self._perm] = y
-        return out
+            h -= y[::-1]
+        # in the unknowns' own order and C-ordered, like the input
+        return y[::-1].copy()
 
     def apply(self, r):
         if self.spec.kind == SYM_GS:
@@ -281,14 +230,16 @@ class AdditivePrecond:
     which equal P_l^t A_vv P_l with the composite P_l = T_1 ... T_l.  The
     last level is solved exactly; A_vv and every other level are smoothed by
     one Smoother on block_diag(A_0, ..., A_{L-1}): Gauss-Seidel on a
-    block-diagonal matrix sweeps each block on its own, so the levels share
-    its wavefronts.  An apply restricts the residual one transfer at a time,
-    r_l = T_l^t r_{l-1}, and prolongs the corrections back the same way,
-    y_{l-1} = x_{l-1} + T_l y_l, so it never forms the composite P_l.
+    block-diagonal matrix sweeps each block on its own.  An apply restricts
+    the residual one transfer at a time, r_l = T_l^t r_{l-1}, and prolongs
+    the corrections back the same way, y_{l-1} = x_{l-1} + T_l y_l, so it
+    never forms the composite P_l.
     """
 
     def __init__(self, A_vv, transfers, spec=None):
         self.transfers = [T.tocsr() for T in transfers]
+        # T^t as CSR once: a transposed view would be rebuilt on every apply
+        self.restrictions = [T.T.tocsr() for T in self.transfers]
         self.A_levels = [A_vv]
         for T in self.transfers:
             self.A_levels.append((T.T @ self.A_levels[-1] @ T).tocsr())
@@ -299,8 +250,8 @@ class AdditivePrecond:
 
     def apply(self, r):
         residuals = [r]
-        for T in self.transfers:
-            residuals.append(T.T @ residuals[-1])
+        for R in self.restrictions:
+            residuals.append(R @ residuals[-1])
         x = np.split(self.smoother.apply(np.concatenate(residuals[:-1])),
                      self.splits)
         y = self.coarse.apply(residuals[-1])

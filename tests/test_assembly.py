@@ -321,3 +321,18 @@ def test_drop_tiny_returns_arrays_sized_to_nnz():
     assert B.nnz == 7
     assert len(B.data) == len(B.indices) == 7
     assert _owns_exactly(B.data) and _owns_exactly(B.indices)
+
+
+def test_drop_tiny_leaves_its_argument_unchanged():
+    # a CSR argument with a tiny entry and an exact zero stored: both are
+    # dropped from the result, and the argument keeps all of its entries
+    vals = np.array([1.0, 1e-20, 2.0, 0.0, 3.0, -1e-20, 4.0])
+    rows = np.array([0, 0, 1, 1, 2, 3, 3])
+    cols = np.array([0, 3, 1, 2, 2, 0, 3])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(4, 4))
+    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    B = drop_tiny(A)
+    assert [a.tolist() for a in (A.data, A.indices, A.indptr)] == [a.tolist() for a in before]
+    assert B.indptr.tolist() == [0, 1, 2, 3, 4]
+    assert B.indices.tolist() == [0, 1, 2, 3]
+    assert B.data.tolist() == [1.0, 2.0, 3.0, 4.0]

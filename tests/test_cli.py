@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +94,22 @@ def test_solve_nonsymmetric_stationary(capsys):
     rep = json.loads(out)
     assert rep["method"] == "stationary-symmetric-part"
     assert rep["converged"]
+
+
+def test_solve_breakdown_is_one_error_line():
+    # the stationary iteration diverges for NIPG at this contrast; run as a
+    # process, so that its exit code and its whole stderr are seen
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dgprecond.cli", "solve", "--level", "3", "--eps",
+         "1e-5", "--variant", "IP1", "--theta", "1"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: stationary-symmetric-part: stationary iteration diverged"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_table_zz(tmp_path, capsys):

@@ -131,8 +131,8 @@ def test_many_sgs_sweeps_approach_exact_inverse():
 
 
 def test_factored_sym_gs_sweep_matches_triangular_solves():
-    # one sweep in wavefront order equals forward then backward substitution
-    # with the triangles of the matrix itself
+    # one sweep equals forward then backward substitution with the triangles
+    # of the matrix itself
     _, _, _, blocks = _vv_block(2, 1e-5)
     A = blocks.A_vv.tocsr()
     n = A.shape[0]
@@ -148,29 +148,28 @@ def test_factored_sym_gs_sweep_matches_triangular_solves():
         assert x.shape == r.shape
         assert np.array_equal(r, r_in)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-    # the wavefront schedule: in the permuted order every stored entry of a
-    # wavefront's rows of -D^-1 L points to an earlier wavefront and every
-    # entry of -D^-1 U to a later one, and together the rows hold exactly
-    # the strict triangles of A
-    perm = sm._perm
-    assert np.array_equal(np.sort(perm), np.arange(n))
+    # the operators, on A with each row's entries shuffled: forward holds
+    # -D^-1 tril(A, -1), backward -D^-1 triu(A, 1) with rows and columns
+    # reversed, each row's entries in A's stored order, and every stored
+    # entry points to an earlier row
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    order = np.lexsort((rng.random(A.nnz), rows))
+    A = sp.csr_matrix((A.data[order], A.indices[order], A.indptr), shape=(n, n))
+    sm = Smoother(A, SmootherSpec(SYM_GS, 1))
     Dinv = sp.diags(1.0 / A.diagonal())
-    for (levels, indices, data), T, later in (
-            (sm._forward, sp.tril(A, -1), False), (sm._backward, sp.triu(A, 1), True)):
-        starts = [s for s, _, _ in levels]
-        assert starts == sorted(starts, reverse=later)
-        rows, cols, vals = [], [], []
-        for s, e, ptr in levels:
-            c = indices[ptr[0]:ptr[-1]]
-            assert np.all(c >= e) if later else np.all(c < s)
-            rows.append(np.repeat(np.arange(s, e), np.diff(ptr)))
-            cols.append(c)
-            vals.append(data[ptr[0]:ptr[-1]])
-        stored = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                       np.concatenate(cols))), shape=(n, n))
-        expected = -(Dinv @ T).tocsr()[perm][:, perm]
-        assert sum(len(v) for v in vals) == T.nnz
-        assert abs(stored - expected).max() <= 1e-15 * abs(expected).max()
+    cols = np.split(A.indices, A.indptr[1:-1])
+    rev = np.arange(n)[::-1]
+    for (ptr, indices, data), T, numbering, entry_cols in (
+            (sm._forward, sp.tril(A, -1), np.arange(n),
+             [c[c < i] for i, c in enumerate(cols)]),
+            (sm._backward, sp.triu(A, 1), rev,
+             [n - 1 - c[c > i] for i, c in enumerate(cols)][::-1])):
+        stored = sp.csr_matrix((data, indices, ptr), shape=(n, n))
+        expected = -(Dinv @ T).tocsr()[numbering][:, numbering]
+        assert stored.nnz == T.nnz
+        assert (stored != expected).nnz == 0
+        assert np.array_equal(indices, np.concatenate(entry_cols))
+        assert np.all(indices < np.repeat(np.arange(n), np.diff(ptr)))
 
 
 def _sym_gs_reference(A, r, sweeps):
@@ -203,6 +202,19 @@ def test_sym_gs_block_apply_equals_vector_applies():
     for j in range(R.shape[1]):
         x = sm.apply(R[:, j])
         assert np.linalg.norm(X[:, j] - x) <= 1e-15 * np.linalg.norm(x)
+
+
+def test_sym_gs_block_apply_ignores_memory_order():
+    # the in-place substitutions need a C-ordered block; Fortran-ordered and
+    # strided input give the same bits and stay as they were
+    _, _, _, blocks = _vv_block(2, 1e-5)
+    sm = Smoother(blocks.A_vv, SmootherSpec(SYM_GS, 5))
+    R = np.random.default_rng(23).standard_normal((blocks.A_vv.shape[0], 8))
+    X = sm.apply(R[:, ::2].copy())
+    for r in (np.asfortranarray(R[:, ::2]), R[:, ::2]):
+        r_in = r.copy()
+        assert np.array_equal(sm.apply(r), X)
+        assert np.array_equal(r, r_in)
 
 
 @pytest.mark.parametrize("drop", ["lower", "upper"])
@@ -371,6 +383,17 @@ def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
         got = B.apply(x)
         assert got.shape == x.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_bpx_stored_restrictions_match_transposed_transfers():
+    hier, mesh, coeff, blocks = _vv_block(3, 1e-5)
+    B = bpx(blocks.A_vv, hier, SmootherSpec(SYM_GS, 5))
+    assert len(B.restrictions) == len(B.transfers) == hier.levels
+    rng = np.random.default_rng(24)
+    for T, R in zip(B.transfers, B.restrictions):
+        assert R.format == "csr"
+        for r in (rng.standard_normal(T.shape[0]), rng.standard_normal((T.shape[0], 3))):
+            assert np.array_equal(R @ r, T.T @ r)
 
 
 def test_bpx_spd():
