@@ -40,20 +40,17 @@ def p1_gradients(mesh):
     """Per-triangle gradients of the three nodal P1 basis functions.
 
     Returns (nt, 3, 2) array; row i is grad of the basis that is 1 at local
-    vertex i.
+    vertex i.  The triangles are counterclockwise, so the edge from vertex
+    i+1 to vertex i+2, turned by +90 degrees, points toward vertex i.
     """
     p = mesh.vertices[mesh.triangles]
     nt = mesh.n_triangles
     grads = np.empty((nt, 3, 2))
     areas = mesh.triangle_areas()
     for i in range(3):
-        # edge opposite vertex i, rotated to point toward vertex i
-        a = p[:, (i + 1) % 3]
-        b = p[:, (i + 2) % 3]
-        t = b - a
+        t = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         n = np.column_stack([-t[:, 1], t[:, 0]])
-        sgn = np.sign(np.einsum("ij,ij->i", n, p[:, i] - a))
-        grads[:, i, :] = sgn[:, None] * n / (2.0 * areas)[:, None]
+        grads[:, i, :] = n / (2.0 * areas)[:, None]
     return grads
 
 
@@ -129,8 +126,15 @@ def assemble_dg(mesh, coeff, weights, params):
                                                       1 - side[:, i], :]
     # free each array once it is copied on, to bound the peak memory
     del edge_blocks
-    row_len = np.repeat(3 * (cols < nt).sum(axis=1), 3)
-    kept = np.arange(12) < row_len[:, None]  # blocks across the boundary sort last
+    # blocks across the boundary sort last
+    kept = np.repeat(np.arange(12) < 3 * (cols < nt).sum(axis=1)[:, None], 3,
+                     axis=0).reshape(nt, 3, 4, 3)
+    # row i (the vertex opposite local edge i) of the neighbour's block across
+    # edge i is zero at the neighbour's opposite vertex: both vanish on the edge
+    opposite = 3 - mesh.edge_local[edges, 1 - side].sum(axis=2)
+    kept[tri[:, None], np.arange(3), rank[:, 1:], opposite] = False
+    kept = kept.reshape(-1, 12)
+    row_len = kept.sum(axis=1)
     data = vals.reshape(-1, 12)[kept]
     del vals
     first_col = 3 * np.take_along_axis(cols, order, axis=1).astype(np.int32)

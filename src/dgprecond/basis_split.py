@@ -32,11 +32,6 @@ class SplitBasis:
     transform: sp.csc_matrix
     n_z: int
     n_v: int
-    interior_edges: np.ndarray  # edge index of each v-column
-
-    @property
-    def n_dofs(self):
-        return self.n_z + self.n_v
 
 
 def build_transform(mesh, weights):
@@ -62,7 +57,7 @@ def build_transform(mesh, weights):
     indices = np.concatenate([dofs[z_kept], dofs[interior].ravel()]).astype(np.int32)
     data = np.concatenate([z_vals[z_kept], hat[interior].ravel()])
     T = sp.csc_matrix((data, indices, indptr), shape=(mesh.n_dofs, n_z + n_v))
-    return SplitBasis(T, n_z, n_v, interior)
+    return SplitBasis(T, n_z, n_v)
 
 
 def to_split(u, mesh, weights):

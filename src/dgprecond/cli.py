@@ -37,6 +37,7 @@ from .precond import (
 from .krylov import BreakdownError, pcg, stationary_iteration
 from .experiments import (
     CR_PRECONDS,
+    MAX_LEVEL,
     RUNNERS,
     ExperimentConfig,
     block_jacobi_system,
@@ -119,8 +120,8 @@ def _resolve(args):
     if opts["levels"] is not None:
         fields["levels"] = tuple(range(opts["levels"] + 1))
     cfg = ExperimentConfig(**fields)
-    if opts["level"] < 0:
-        raise ValueError(f"level must be >= 0, got {opts['level']}")
+    if not 0 <= opts["level"] <= MAX_LEVEL:
+        raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {opts['level']}")
     if opts["precond"] not in CR_PRECONDS:
         raise ValueError(f"precond must be one of {CR_PRECONDS}, got {opts['precond']!r}")
     if args.command == "table":

@@ -21,7 +21,6 @@ from .mesh import (CoefficientField, EdgeWeights, MeshHierarchy,
 from .assembly import IP0, IP1, MethodParams, assemble_dg
 from .basis_split import build_transform, extract_blocks, split_matrix
 from .precond import (
-    SYM_GS,
     SmootherSpec,
     DiagonalPrecond,
     cr_prolongation,
@@ -29,12 +28,15 @@ from .precond import (
     bpx,
     block_jacobi_dg,
 )
-from .krylov import pcg, estimate_spectrum, condition_numbers, error_propagator_norm
+from .krylov import DENSE_LIMIT, pcg, estimate_spectrum, condition_numbers, error_propagator_norm
 
 EPS_DEFAULT = (1e-5, 1e-3, 1e-1, 1.0, 1e1, 1e3, 1e5)
 EPS_SWEEP_11 = tuple(10.0**k for k in range(-5, 6))
 INFEASIBLE = "X"
 CR_PRECONDS = ("two-level", "bpx")
+# the finest refinement level a run accepts: the largest whose memory has
+# been sized; a higher one is refused before anything is allocated
+MAX_LEVEL = 7
 
 
 @dataclass
@@ -49,20 +51,21 @@ class ExperimentConfig:
     alpha: float = 8.0
     variant: str = IP0
     ratio: int = 1
-    smoother_kind: str = SYM_GS
-    sweeps: int = 5
+    smoother_kind: str = SmootherSpec.kind
+    sweeps: int = SmootherSpec.sweeps
     tol: float = 1e-7
     m: int = 1
     seed: int = 7
-    dense_limit: int = 2500
+    dense_limit: int = DENSE_LIMIT
     lanczos_k: int = 120
 
     def __post_init__(self):
         for eps in self.eps_list:
             if not (math.isfinite(eps) and eps > 0):
                 raise ValueError(f"eps must be finite and positive, got {eps}")
-        if self.levels is not None and not (self.levels and min(self.levels) >= 0):
-            raise ValueError(f"levels must be one or more levels >= 0, got {self.levels}")
+        if self.levels is not None and not (self.levels and 0 <= min(self.levels)
+                                            and max(self.levels) <= MAX_LEVEL):
+            raise ValueError(f"levels must be one or more in 0..{MAX_LEVEL}, got {self.levels}")
         if self.ratio not in (1, 2, 4):
             raise ValueError(f"ratio must be 1, 2 or 4, got {self.ratio}")
         if not self.tol > 0:
@@ -128,16 +131,12 @@ class TableResult:
             header = ["eps"] + [f"level {l}" for l in self.levels]
             rows = [[_fmt(eps)] + [text(eps, l, "norm") for l in self.levels]
                     for eps in self.eps_list]
-        elif any("K_1" in c for c in self.cells):
+        else:
             header = ["eps", "quantity"] + [f"level {l}" for l in self.levels]
             rows = []
             for eps in self.eps_list:
                 rows.append([_fmt(eps), "K"] + [text(eps, l, "K", True) for l in self.levels])
                 rows.append(["", "K_1"] + [text(eps, l, "K_1") for l in self.levels])
-        else:  # level rows x eps columns (contrast sweep layout)
-            header = ["level"] + [f"eps={_fmt(e)}" for e in self.eps_list]
-            rows = [[str(l)] + [text(e, l, "K", True) for e in self.eps_list]
-                    for l in self.levels]
         lines = [f"# {self.name}", "", "| " + " | ".join(header) + " |",
                  "|" + "---|" * len(header)]
         lines += ["| " + " | ".join(row) + " |" for row in rows]
@@ -297,7 +296,7 @@ def run_zz_table(cfg):
     def cell(hier, eps, i):
         p = build_problem(hier, eps, params)
         A_zz = extract_blocks(p.A, p.basis).A_zz
-        return _measure(cfg, A_zz, DiagonalPrecond(A_zz), (1, p.mesh.level, i), eps)
+        return _measure(cfg, A_zz, DiagonalPrecond(A_zz.diagonal()), (1, p.mesh.level, i), eps)
 
     return _sweep(cfg, "zz", (0, 1, 2, 3), cell, params)
 
@@ -353,10 +352,8 @@ def block_jacobi_system(p, spec=None):
     stay level-independent, which is what the reference values show)."""
     S = split_matrix(p.A, p.basis)
     nz = p.basis.n_z
-    S_zz = S[:nz, :nz].tocsr()
-    S_vv = S[nz:, nz:].tocsr()
     P = cr_prolongation(p.hier, p.mesh.level)
-    return S, block_jacobi_dg(S_zz, two_level(S_vv, P, spec))
+    return S, block_jacobi_dg(S.diagonal()[:nz], two_level(S[nz:, nz:].tocsr(), P, spec))
 
 
 def run_sipg1_blockjacobi_table(cfg):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import symmetric_part
@@ -50,11 +49,10 @@ def _as_apply(B):
     return lambda r: B @ r
 
 
-def pcg(A, b, B=None, tol=1e-7, maxit=1000, x0=None):
-    """Preconditioned conjugate gradients; stops when ||r_k|| / ||r_0|| < tol."""
+def pcg(A, b, B=None, tol=1e-7, maxit=1000):
+    """Preconditioned conjugate gradients from x = 0; stops at ||r_k|| / ||r_0|| < tol."""
     apply_B = _as_apply(B)
-    n = len(b)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(len(b))
     r = b - A @ x
     r0_norm = np.linalg.norm(r)
     report = SolveReport(rel_residual_history=[1.0])
@@ -93,7 +91,7 @@ def pcg(A, b, B=None, tol=1e-7, maxit=1000, x0=None):
 
 def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
                       rtol=RTOL):
-    """Ascending eigenvalue estimates of B*A for SPD A and SPD B.
+    """Ascending eigenvalue estimates of B*A for sparse SPD A and SPD B.
 
     Dense path (dim <= dense_limit): factor A = L L^t and return the full
     spectrum of the symmetric L^t B L, B applied to the columns of L.  This
@@ -111,7 +109,7 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
     apply_B = _as_apply(B)
     n = A.shape[0]
     if n <= dense_limit:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
+        Ad = A.toarray()
         L = scipy.linalg.cholesky(0.5 * (Ad + Ad.T), lower=True)
         M = L.T @ np.asarray(apply_B(L))
         return scipy.linalg.eigvalsh(0.5 * (M + M.T))
@@ -191,10 +189,10 @@ def condition_numbers(eigs, m_list=(0, 1)):
     return {"K": out.get(0), "K_m": out}
 
 
-def stationary_iteration(A, B, f, u0=None, maxit=200, tol=1e-7):
-    """u_{k+1} = u_k + B(f - A u_k); stop on relative residual."""
+def stationary_iteration(A, B, f, maxit=200, tol=1e-7):
+    """u_{k+1} = u_k + B(f - A u_k) from u_0 = 0; stop on relative residual."""
     apply_B = _as_apply(B)
-    u = np.zeros(A.shape[0]) if u0 is None else np.array(u0, dtype=float)
+    u = np.zeros(A.shape[0])
     r = f - A @ u
     r0 = np.linalg.norm(r)
     report = SolveReport(rel_residual_history=[1.0])

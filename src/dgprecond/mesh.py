@@ -34,7 +34,8 @@ class Mesh:
     ----------
     level : refinement level (0 = coarsest).
     vertices : (nv, 2) float array.
-    triangles : (nt, 3) int array, counterclockwise vertex indices.
+    triangles : (nt, 3) int array, counterclockwise vertex indices (refine
+        keeps the orientation of the level-0 triangles).
     edge_vertices : (ne, 2) int array, endpoint indices with v0 < v1.
     edge_midpoint : (ne, 2) float array.
     edge_length : (ne,) float array.
@@ -98,35 +99,12 @@ class Mesh:
         on_bnd[self.edge_vertices[self.boundary_edge_mask].ravel()] = True
         return np.flatnonzero(~on_bnd)
 
-    def triangle_area(self, t):
-        p = self.vertices[self.triangles[t]]
-        return 0.5 * abs(_cross2(p[1] - p[0], p[2] - p[0]))
-
     def triangle_areas(self):
         p = self.vertices[self.triangles]
         return 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
 
     def barycenters(self):
         return self.vertices[self.triangles].mean(axis=1)
-
-    def dump(self):
-        """Plain-text dump: VERTICES / TRIANGLES / EDGES sections, 0-based."""
-        lines = ["VERTICES"]
-        for x, y in self.vertices:
-            lines.append(f"{x:.17g} {y:.17g}")
-        lines.append("TRIANGLES")
-        for tri in self.triangles:
-            lines.append(" ".join(str(v) for v in tri))
-        lines.append("EDGES")
-        for e in range(self.n_edges):
-            v0, v1 = self.edge_vertices[e]
-            mx, my = self.edge_midpoint[e]
-            nx, ny = self.edge_normal[e]
-            lines.append(
-                f"{v0} {v1} {mx:.17g} {my:.17g} {self.edge_length[e]:.17g} "
-                f"{self.edge_plus[e]} {self.edge_minus[e]} {nx:.17g} {ny:.17g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -161,9 +139,6 @@ class CoefficientField:
 
     kappa: np.ndarray
     epsilon: float
-
-    def jump_ratio(self):
-        return float(self.kappa.max() / self.kappa.min())
 
 
 @dataclass
@@ -230,10 +205,6 @@ def _build_edges(vertices, triangles):
 def _make_mesh(level, vertices, triangles):
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    # enforce counterclockwise orientation
-    p = vertices[triangles]
-    flip = _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return Mesh(level, vertices, triangles, *_build_edges(vertices, triangles))
 
 

@@ -42,10 +42,9 @@ def _scale(d, r):
 
 
 class DiagonalPrecond:
-    """Inverse of the matrix diagonal (or of an explicitly given diagonal)."""
+    """Inverse of a positive diagonal d."""
 
-    def __init__(self, A=None, diag=None):
-        d = A.diagonal() if diag is None else np.asarray(diag, dtype=float)
+    def __init__(self, d):
         if np.any(d <= 0):
             raise ValueError("diagonal must be positive")
         self.inv_diag = 1.0 / d
@@ -276,10 +275,10 @@ class BlockJacobiPrecond:
     """Block-diagonal operator for the full split system ordered [z; v]:
     inverse diagonal on the z block, any preconditioner on the v block."""
 
-    def __init__(self, zz_diag, v_precond, n_z):
-        self.z_prec = DiagonalPrecond(diag=zz_diag)
+    def __init__(self, zz_diag, v_precond):
+        self.z_prec = DiagonalPrecond(zz_diag)
         self.v_prec = v_precond
-        self.n_z = n_z
+        self.n_z = len(zz_diag)
 
     def apply(self, r):
         return np.concatenate(
@@ -287,10 +286,10 @@ class BlockJacobiPrecond:
         )
 
 
-def block_jacobi_dg(A1_zz, B_cr):
-    """Block-Jacobi preconditioner for the full split system: literal matrix
-    diagonal on the z block, B_cr (typically multilevel) on the CR block."""
-    return BlockJacobiPrecond(A1_zz.diagonal(), B_cr, A1_zz.shape[0])
+def block_jacobi_dg(zz_diag, B_cr):
+    """Block-Jacobi preconditioner for the full split system: the inverse of
+    zz_diag on the z block, B_cr (typically multilevel) on the CR block."""
+    return BlockJacobiPrecond(zz_diag, B_cr)
 
 
 def forward_substitution_solve(blocks, f_z, f_v):

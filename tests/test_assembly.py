@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from dgprecond import assembly
 from dgprecond.mesh import (
     BOUNDARY,
     build_initial_mesh,
@@ -61,7 +62,7 @@ def oracle_form(mesh, coeff, weights, params, u, w):
         pts = mesh.vertices[mesh.triangles[t]]
         co_u[t] = _p1_coeffs(pts, u[3 * t : 3 * t + 3])
         co_w[t] = _p1_coeffs(pts, w[3 * t : 3 * t + 3])
-        area = mesh.triangle_area(t)
+        area = 0.5 * abs(np.linalg.det(np.column_stack([pts, np.ones(3)])))
         grad_dot = co_u[t][:2] @ co_w[t][:2]
         for _, qw in TRI_QUAD:
             total += coeff.kappa[t] * area * qw * grad_dot
@@ -199,7 +200,7 @@ def test_rhs_exact_for_linear_f():
     exact = np.zeros(mesh.n_dofs)
     for t in range(mesh.n_triangles):
         pts = mesh.vertices[mesh.triangles[t]]
-        area = mesh.triangle_area(t)
+        area = 0.5 * abs(np.linalg.det(np.column_stack([pts, np.ones(3)])))
         for lam, qw in TRI_QUAD:
             x, y = np.asarray(lam) @ pts
             for i in range(3):
@@ -216,7 +217,7 @@ def test_rhs_converges_for_smooth_f():
         exact = np.zeros(mesh.n_dofs)
         for t in range(mesh.n_triangles):
             pts = mesh.vertices[mesh.triangles[t]]
-            area = mesh.triangle_area(t)
+            area = 0.5 * abs(np.linalg.det(np.column_stack([pts, np.ones(3)])))
             for lam, qw in TRI_QUAD:
                 x, y = np.asarray(lam) @ pts
                 for i in range(3):
@@ -294,6 +295,27 @@ def test_block_pattern_matches_coo_scatter(theta, variant, eps):
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
     assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("variant", [IP0, IP1])
+@pytest.mark.parametrize("theta", [-1, 1])
+def test_block_pattern_stores_no_structural_zeros(monkeypatch, theta, variant):
+    # the entries that couple the two vertices opposite an interior edge are
+    # left out of the pattern, so for theta = -1 and 1 drop_tiny returns its
+    # argument (theta = 0 has further exact zeros)
+    returned_own = []
+
+    def spy(A):
+        B = drop_tiny(A)
+        returned_own.append(B is A)
+        return B
+
+    monkeypatch.setattr(assembly, "drop_tiny", spy)
+    mesh = build_hierarchy(2).finest
+    for eps in (1e-5, 1.0, 1e5):
+        coeff = assign_coefficient(mesh, eps)
+        assemble_dg(mesh, coeff, edge_weights(mesh, coeff), MethodParams(theta, 8.0, variant))
+    assert returned_own == [True] * 3
 
 
 def test_assembly_memory_stays_near_its_result():

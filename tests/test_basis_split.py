@@ -41,8 +41,8 @@ def test_transform_csc_matches_coo_scatter(setting):
     ref = sp.csc_matrix(
         (np.concatenate([z_vals.ravel(), hat[interior].ravel()]),
          (np.concatenate([dofs.ravel(), dofs[interior].ravel()]),
-          np.repeat(np.arange(basis.n_dofs), 6))),
-        shape=(mesh.n_dofs, basis.n_dofs))
+          np.repeat(np.arange(basis.n_z + basis.n_v), 6))),
+        shape=(mesh.n_dofs, basis.n_z + basis.n_v))
     ref.sum_duplicates()
     T = basis.transform
     assert T.format == "csc" and T.has_canonical_format
@@ -67,7 +67,7 @@ def test_to_split_inverts_transform(setting):
     # coefficients of a split-basis expansion are recovered exactly
     mesh, _, weights, basis = setting
     rng = np.random.default_rng(6)
-    c = rng.standard_normal(basis.n_dofs)
+    c = rng.standard_normal(basis.n_z + basis.n_v)
     u = basis.transform @ c
     z, v = to_split(u, mesh, weights)
     assert np.allclose(np.concatenate([z, v]), c, atol=1e-12)

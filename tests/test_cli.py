@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dgprecond import cli
+from dgprecond import cli, experiments
 from dgprecond.cli import main
 from dgprecond.experiments import EPS_DEFAULT, ExperimentConfig
 
@@ -207,6 +207,29 @@ def test_rejected_input_is_one_error_line(capsys, tmp_path, flags):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--level", "8"], ["table", "bpx", "--levels", "8"],
+    # a dict is the content of a --config file
+    {"level": 8}, {"levels": 8},
+])
+def test_level_above_max_is_refused_before_any_mesh(capsys, tmp_path, monkeypatch, argv):
+    def no_mesh(level):
+        raise AssertionError(f"a hierarchy of level {level} was built")
+
+    monkeypatch.setattr(cli, "build_hierarchy", no_mesh)
+    monkeypatch.setattr(experiments, "build_hierarchy", no_mesh)
+    if isinstance(argv, dict):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(argv))
+        argv = ["--config", str(cfgfile), "solve"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "0..7" in lines[0]
 
 
 def test_spectrum_coarse_level_below_zero_is_one_error_line(capsys):

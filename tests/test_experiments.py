@@ -227,14 +227,15 @@ def test_dump_spectrum(tmp_path):
 
 
 def test_markdown_layouts_are_pinned():
-    # K with iterations by level (cells without K_1)
-    t = TableResult("zz", {}, [1e-5, 1.0], [0, 1])
-    t.add_cell(1e-5, 0, K=1.734, iterations=14)
-    t.add_cell(1.0, 0, K=1.72, iterations=9)
-    t.add_cell(1e-5, 1, infeasible=True)
+    # every cell infeasible: K and K_1 by eps
+    t = TableResult("two-level-w4", {}, [1e-5, 1.0], [0, 1])
+    for eps in (1e-5, 1.0):
+        for level in (0, 1):
+            t.add_cell(eps, level, infeasible=True)
     assert t.to_markdown() == (
-        "# zz\n\n| level | eps=1e-05 | eps=1 |\n|---|---|---|\n"
-        "| 0 | 1.73 (14) | 1.72 (9) |\n| 1 | X | X |\n")
+        "# two-level-w4\n\n| eps | quantity | level 0 | level 1 |\n|---|---|---|---|\n"
+        "| 1e-05 | K | X | X |\n|  | K_1 | X | X |\n"
+        "| 1 | K | X | X |\n|  | K_1 | X | X |\n")
     # K and K_1 by eps
     t = TableResult("bpx", {}, [1e-5, 1.0], [0, 1])
     t.add_cell(1e-5, 0, K=30012.5, K_1=4.521, iterations=12)

@@ -115,7 +115,8 @@ def test_refinement_nesting():
         children = np.arange(4 * t, 4 * t + 4)
         allowed = set(coarse.triangles[t]) | set(nv + coarse.tri_edges[t])
         assert set(fine.triangles[children].ravel()) == allowed
-        assert np.isclose(areas[children].sum(), coarse.triangle_area(t))
+        pts = coarse.vertices[coarse.triangles[t]]
+        assert np.isclose(areas[children].sum(), 0.5 * abs(np.linalg.det(np.column_stack([pts, np.ones(3)]))))
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -155,7 +156,7 @@ def test_coefficient_assignment(level):
     c = assign_coefficient(m, 1e-3)
     assert np.sum(c.kappa == 1.0) == 4 * 4**level
     assert np.sum(c.kappa == 1e-3) == m.n_triangles - 4 * 4**level
-    assert c.jump_ratio() == pytest.approx(1e3)
+    assert c.kappa.max() / c.kappa.min() == pytest.approx(1e3)
     # inclusion triangles have barycenters inside the two squares
     bary = m.barycenters()
     inside = ((bary[:, 0] > -0.5) & (bary[:, 0] < 0) & (bary[:, 1] > -0.5) & (bary[:, 1] < 0)) | (
@@ -220,14 +221,3 @@ def test_truncated_hierarchy_equals_fresh_build():
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
     with pytest.raises(ValueError):
         full.truncated(5)
-
-
-def test_dump_roundtrip_format():
-    m = build_initial_mesh()
-    text = m.dump()
-    assert text.startswith("VERTICES\n")
-    sections = text.split("TRIANGLES\n")
-    assert len(sections) == 2
-    body = sections[1].split("EDGES\n")
-    assert len(body[0].strip().splitlines()) == m.n_triangles
-    assert len(body[1].strip().splitlines()) == m.n_edges
