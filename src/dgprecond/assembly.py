@@ -98,9 +98,9 @@ def assemble_dg(mesh, coeff, weights, params):
     Every dof belongs to one triangle, so the matrix is made of 3 x 3 blocks:
     one diagonal block per triangle, its element stiffness plus the self
     blocks of its edges added in local edge order 0, 1, 2, and the two
-    off-diagonal blocks of each interior edge.  The CSR arrays are written
-    on this pattern directly, block columns ascending in each block row,
-    with int32 indices.
+    off-diagonal blocks of each interior edge.  The CSR arrays hold the
+    entries of this pattern computed as nonzero, with no magnitude cut,
+    block columns ascending in each block row, with int32 indices.
     """
     edge_blocks = _edge_blocks(mesh, weights, params).reshape(-1, 2, 3, 2, 3)
     nt = mesh.n_triangles
@@ -116,7 +116,7 @@ def assemble_dg(mesh, coeff, weights, params):
     rank = np.argsort(order, axis=1)
 
     # (triangle, row, block in ascending column order, column)
-    vals = np.empty((nt, 3, 4, 3))
+    vals = np.zeros((nt, 3, 4, 3))
     diag = element_stiffness(mesh, coeff)
     for i in range(3):
         diag += edge_blocks[edges[:, i], side[:, i], :, side[:, i], :]
@@ -126,14 +126,7 @@ def assemble_dg(mesh, coeff, weights, params):
                                                       1 - side[:, i], :]
     # free each array once it is copied on, to bound the peak memory
     del edge_blocks
-    # blocks across the boundary sort last
-    kept = np.repeat(np.arange(12) < 3 * (cols < nt).sum(axis=1)[:, None], 3,
-                     axis=0).reshape(nt, 3, 4, 3)
-    # row i (the vertex opposite local edge i) of the neighbour's block across
-    # edge i is zero at the neighbour's opposite vertex: both vanish on the edge
-    opposite = 3 - mesh.edge_local[edges, 1 - side].sum(axis=2)
-    kept[tri[:, None], np.arange(3), rank[:, 1:], opposite] = False
-    kept = kept.reshape(-1, 12)
+    kept = vals.reshape(-1, 12) != 0
     row_len = kept.sum(axis=1)
     data = vals.reshape(-1, 12)[kept]
     del vals
@@ -142,7 +135,7 @@ def assemble_dg(mesh, coeff, weights, params):
                               (nt, 3, 4, 3)).reshape(-1, 12)[kept]
     indptr = np.zeros(3 * nt + 1, dtype=np.int32)
     np.cumsum(row_len, out=indptr[1:])
-    return drop_tiny(sp.csr_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt)))
+    return sp.csr_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt))
 
 
 def _edge_blocks(mesh, weights, params):
@@ -187,8 +180,8 @@ def assemble_conforming(mesh, coeff):
     n = len(interior)
     A = sp.csr_matrix((element_stiffness(mesh, coeff)[keep], (rows[keep], cols[keep])),
                       shape=(n, n))
-    A.sum_duplicates()
-    return drop_tiny(A)
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_rhs(mesh, f):
@@ -212,32 +205,6 @@ def symmetric_part(A):
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     return ((A + A.T) * 0.5).tocsr()
-
-
-def drop_tiny(A, rel=1e-14):
-    """A as CSR without its stored entries below rel * max|entry| and its
-    exact zeros; A itself is left unchanged, and returned when nothing is
-    dropped.
-
-    The kept entries stay in A's order, in data and indices arrays that
-    hold exactly nnz entries."""
-    A = A.tocsr()
-    data = A.data
-    cut = rel * max(data.max(initial=0.0), -data.min(initial=0.0))
-    # |a| < cut or a == 0, by in-place masks: no temporary of data's size
-    drop = data < cut
-    drop &= data > -cut
-    drop |= data == 0
-    if not drop.any():
-        return A
-    indptr = A.indptr.copy()
-    dropped_rows = np.searchsorted(A.indptr, np.flatnonzero(drop), side="right") - 1
-    indptr[1:] -= np.cumsum(np.bincount(dropped_rows, minlength=A.shape[0]),
-                            dtype=indptr.dtype)
-    # boolean indexing, not np.compress: compress builds an index array of
-    # the kept entries first
-    keep = np.logical_not(drop, out=drop)
-    return sp.csr_matrix((data[keep], A.indices[keep], indptr), shape=A.shape)
 
 
 def export_coordinate(A, path):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import drop_tiny, edge_traces
+from .assembly import edge_traces
 
 
 class BlockStructureError(RuntimeError):
@@ -40,16 +40,16 @@ def build_transform(mesh, weights):
     On each side of an edge its CR hat is 1 at the edge's endpoints and -1 at
     the opposite vertex.  The z-function of an edge is beta times the hat on
     the plus side and -(1 - beta) times it on the minus side; beta = 1 on a
-    boundary edge leaves the plus-side hat alone, so its column has 3 entries
-    and every other column 6.  The CSC arrays are written directly, rows
-    ascending in each column.
+    boundary edge leaves the plus-side hat alone.  Only nonzero values are
+    stored, so a boundary z-column has 3 entries and every other column 6.
+    The CSC arrays are written directly, rows ascending in each column.
     """
     dofs, traces = edge_traces(mesh)
     hat = 2.0 * np.abs(traces).sum(axis=1) - 1.0
     bnd = mesh.boundary_edge_mask
     bp = np.where(bnd, 1.0, weights.beta)
     z_vals = np.repeat(np.column_stack([bp, -(1.0 - bp)]), 3, axis=1) * hat
-    z_kept = np.repeat(np.column_stack([np.ones_like(bnd), ~bnd]), 3, axis=1)
+    z_kept = z_vals != 0
     interior = mesh.interior_edges
     n_z, n_v = mesh.n_edges, len(interior)
     counts = np.concatenate([z_kept.sum(axis=1), np.full(n_v, 6)])
@@ -86,6 +86,32 @@ def from_split(z, v, basis):
     return basis.transform @ np.concatenate([z, v])
 
 
+def drop_tiny(A, rel=1e-14):
+    """A as CSR without its stored entries below rel * max|entry| and its
+    exact zeros; A itself is left unchanged, and returned when nothing is
+    dropped.
+
+    The kept entries stay in A's order, in data and indices arrays that
+    hold exactly nnz entries."""
+    A = A.tocsr()
+    data = A.data
+    cut = rel * max(data.max(initial=0.0), -data.min(initial=0.0))
+    # |a| < cut or a == 0, by in-place masks: no temporary of data's size
+    drop = data < cut
+    drop &= data > -cut
+    drop |= data == 0
+    if not drop.any():
+        return A
+    indptr = A.indptr.copy()
+    dropped_rows = np.searchsorted(A.indptr, np.flatnonzero(drop), side="right") - 1
+    indptr[1:] -= np.cumsum(np.bincount(dropped_rows, minlength=A.shape[0]),
+                            dtype=indptr.dtype)
+    # boolean indexing, not np.compress: compress builds an index array of
+    # the kept entries first
+    keep = np.logical_not(drop, out=drop)
+    return sp.csr_matrix((data[keep], A.indices[keep], indptr), shape=A.shape)
+
+
 @dataclass
 class BlockOperator:
     """Split-basis stiffness blocks; the structurally-zero block is checked
@@ -106,16 +132,19 @@ def extract_blocks(A_nodal, basis, zero_tol=1e-11):
     T = basis.transform
     S = (T.T @ A_nodal @ T).tocsr()
     nz = basis.n_z
-    A_zv = S[:nz, nz:]
+    A_vz = S[nz:, :nz]
     scale = np.abs(A_nodal.data).max()
-    worst = np.abs(A_zv.data).max() if A_zv.nnz else 0.0
+    worst = np.abs(S[:nz, nz:].data).max(initial=0.0)
     if worst > zero_tol * scale:
         raise BlockStructureError(
             f"CR-to-z coupling {worst:.3e} exceeds {zero_tol:.1e} * {scale:.3e}"
         )
+    # A_vz is zero by structure for theta = -1: store none of its round-off
+    if np.abs(A_vz.data).max(initial=0.0) <= zero_tol * scale:
+        A_vz = sp.csr_matrix(A_vz.shape)
     return BlockOperator(
         A_zz=drop_tiny(S[:nz, :nz].tocsr()),
-        A_vz=drop_tiny(S[nz:, :nz].tocsr()),
+        A_vz=drop_tiny(A_vz.tocsr()),
         A_vv=drop_tiny(S[nz:, nz:].tocsr()),
     )
 

@@ -34,7 +34,7 @@ from .precond import (
     cr_prolongation,
     forward_substitution_solve,
 )
-from .krylov import BreakdownError, pcg, stationary_iteration
+from .krylov import pcg, stationary_iteration
 from .experiments import (
     CR_PRECONDS,
     MAX_LEVEL,
@@ -106,9 +106,11 @@ def _resolve(args):
     if args.config:
         with open(args.config) as fh:
             file_opts = json.load(fh)
+        if not isinstance(file_opts, dict):
+            raise ValueError(f"config file is a JSON {type(file_opts).__name__}, not an object")
         unknown = set(file_opts) - set(_DEFAULTS)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         opts.update(file_opts)
     opts.update((k, v) for k, v in vars(args).items() if v is not None)
     env_out = os.environ.get("DG_PRECOND_OUT")
@@ -187,7 +189,8 @@ def cmd_solve(opts, cfg):
             report["method"] = "stationary-symmetric-part"
             u, rep = stationary_iteration(A, DirectSolve(symmetric_part(A)), b,
                                           tol=cfg.tol, maxit=500)
-    except BreakdownError as exc:
+    # a BreakdownError of the iteration, or a singular factorization
+    except RuntimeError as exc:
         print(f"error: {report['method']}: {exc}", file=sys.stderr)
         return 1
     if report["method"] != "block-forward-substitution":

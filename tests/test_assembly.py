@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from dgprecond import assembly
 from dgprecond.mesh import (
     BOUNDARY,
     build_initial_mesh,
@@ -22,12 +21,12 @@ from dgprecond.assembly import (
     assemble_conforming,
     assemble_rhs,
     symmetric_part,
-    drop_tiny,
     edge_traces,
     element_stiffness,
     export_coordinate,
     _edge_blocks,
 )
+from dgprecond.basis_split import drop_tiny
 
 # degree-5 quadrature on the reference triangle (barycentric points, weights)
 _A = (6.0 - np.sqrt(15.0)) / 21.0
@@ -298,24 +297,26 @@ def test_block_pattern_matches_coo_scatter(theta, variant, eps):
 
 
 @pytest.mark.parametrize("variant", [IP0, IP1])
-@pytest.mark.parametrize("theta", [-1, 1])
-def test_block_pattern_stores_no_structural_zeros(monkeypatch, theta, variant):
-    # the entries that couple the two vertices opposite an interior edge are
-    # left out of the pattern, so for theta = -1 and 1 drop_tiny returns its
-    # argument (theta = 0 has further exact zeros)
-    returned_own = []
-
-    def spy(A):
-        B = drop_tiny(A)
-        returned_own.append(B is A)
-        return B
-
-    monkeypatch.setattr(assembly, "drop_tiny", spy)
+@pytest.mark.parametrize("theta", [-1, 0, 1])
+def test_block_pattern_stores_no_structural_zeros(theta, variant):
     mesh = build_hierarchy(2).finest
     for eps in (1e-5, 1.0, 1e5):
         coeff = assign_coefficient(mesh, eps)
-        assemble_dg(mesh, coeff, edge_weights(mesh, coeff), MethodParams(theta, 8.0, variant))
-    assert returned_own == [True] * 3
+        A = assemble_dg(mesh, coeff, edge_weights(mesh, coeff), MethodParams(theta, 8.0, variant))
+        assert np.all(A.data != 0)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e14])
+def test_extreme_contrast_keeps_every_computed_entry(eps):
+    # no entry is cut for its magnitude: the pattern is the one at eps = 1
+    mesh = build_hierarchy(2).finest
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    for theta, nnz in ((-1, 16384), (0, 13440)):
+        A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
+        assert A.nnz == nnz
+        assert np.all(A.diagonal() != 0)
+    assert assemble_conforming(mesh, coeff).nnz == 1065
 
 
 def test_assembly_memory_stays_near_its_result():

@@ -100,12 +100,14 @@ def test_ip0_block_lower_triangular(setting, theta):
 
 
 def test_sipg0_fully_decouples(setting):
-    # theta = -1 kills the remaining coupling block as well
+    # theta = -1 kills the remaining coupling block as well, and none of its
+    # round-off is stored; theta = 0 and 1 keep it
     mesh, coeff, weights, basis = setting
-    A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    blocks = extract_blocks(A, basis)
-    scale = np.abs(A.data).max()
-    assert blocks.A_vz.nnz == 0 or abs(blocks.A_vz).max() < 1e-11 * scale
+    for theta in (-1, 0, 1):
+        A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
+        blocks = extract_blocks(A, basis)
+        assert blocks.A_vz.shape == (basis.n_v, basis.n_z)
+        assert (blocks.A_vz.nnz == 0) == (theta == -1)
 
 
 def test_iipg0_zz_block_is_diagonal(setting):

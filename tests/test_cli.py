@@ -112,6 +112,22 @@ def test_solve_breakdown_is_one_error_line():
     assert "Traceback" not in proc.stderr
 
 
+def test_solve_singular_factorization_is_one_error_line():
+    # eps = 1e-16 is past what double precision resolves: the LU of the
+    # split blocks is exactly singular
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dgprecond.cli", "solve", "--level", "2", "--eps",
+         "1e-16"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: block-forward-substitution: ")
+
+
 def test_table_zz(tmp_path, capsys):
     code, out = run(capsys, "table", "zz", "--eps", "1", "--levels", "1",
                     "--out-dir", str(tmp_path))
@@ -177,11 +193,24 @@ def test_config_file(tmp_path, capsys):
     assert "triangles=32" in out
 
 
-def test_config_unknown_key(tmp_path):
+def _config_error(capsys, tmp_path, content):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"nonsense": 1}))
-    with pytest.raises(SystemExit):
-        main(["--config", str(cfgfile), "mesh-info"])
+    cfgfile.write_text(json.dumps(content))
+    code = main(["--config", str(cfgfile), "mesh-info"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    return captured.err.splitlines()
+
+
+def test_config_unknown_key(capsys, tmp_path):
+    lines = _config_error(capsys, tmp_path, {"nonsense": 1})
+    assert lines == ["error: unknown config keys: ['nonsense']"]
+
+
+def test_config_that_is_not_an_object(capsys, tmp_path):
+    lines = _config_error(capsys, tmp_path, [1, 2])
+    assert lines == ["error: config file is a JSON list, not an object"]
 
 
 def test_config_missing_file(capsys):
