@@ -13,7 +13,6 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assembly import symmetric_part
-from .precond import DirectSolve
 
 DENSE_LIMIT = 2500
 # relative accuracy at which Lanczos certifies the Ritz values it is asked for
@@ -223,6 +222,9 @@ def error_propagator_norm(A, seed=0):
     ARPACK (eigsh) with one DirectSolve of A_S for every A_S^{-1}; the start
     vector comes from default_rng(seed).
     """
+    # imported here: precond imports pcg from this module
+    from .precond import DirectSolve
+
     A = A.tocsr()
     A_S = symmetric_part(A).tocsc()
     S = ((A.T - A) * 0.5).tocsr()

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dgprecond import cli, experiments
+from dgprecond import cli, experiments, krylov, precond
 from dgprecond.cli import main
 from dgprecond.experiments import EPS_DEFAULT, ExperimentConfig
 
@@ -113,19 +113,33 @@ def test_solve_breakdown_is_one_error_line():
 
 
 def test_solve_singular_factorization_is_one_error_line():
-    # eps = 1e-16 is past what double precision resolves: the LU of the
-    # split blocks is exactly singular
+    # eps = 1e-16 and 1e14 are past what double precision resolves: the
+    # split blocks have zero diagonals, so the complement block solve refuses
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "dgprecond.cli", "solve", "--level", "2", "--eps",
-         "1e-16"],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: block-forward-substitution: ")
+    for eps in ("1e-16", "1e14"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dgprecond.cli", "solve", "--level", "2",
+             "--eps", eps],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: block-forward-substitution: ")
+
+
+def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatch):
+    def stalled(A, b, B=None, tol=1e-7, maxit=1000):
+        return np.zeros(len(b)), krylov.SolveReport(iterations=maxit)
+
+    monkeypatch.setattr(precond, "pcg", stalled)
+    assert main(["solve", "--level", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: block-forward-substitution: complement block solve missed "
+        "1e-14 after 1000 iterations"]
 
 
 def test_table_zz(tmp_path, capsys):

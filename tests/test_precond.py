@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import pathlib
 
@@ -8,9 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from dgprecond import precond
+from dgprecond import krylov, precond
 from dgprecond.mesh import build_hierarchy, assign_coefficient
-from dgprecond.assembly import IP0, MethodParams, assemble_conforming
+from dgprecond.assembly import IP0, MethodParams, assemble_conforming, assemble_rhs
 from dgprecond.basis_split import extract_blocks
 from dgprecond.experiments import build_problem
 from dgprecond.krylov import estimate_spectrum
@@ -427,6 +428,59 @@ def test_forward_substitution_solves_split_system():
     z, v = forward_substitution_solve(blocks, f_z, f_v)
     assert np.allclose(blocks.A_zz @ z, f_z, atol=1e-9)
     assert np.allclose(blocks.A_vz @ z + blocks.A_vv @ v, f_v, atol=1e-9)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_complement_block_solve_is_robust(level, monkeypatch):
+    # the paper's claim behind the z solve: A_zz is symmetric and spectrally
+    # equivalent to its diagonal, uniformly in the contrast and the level, so
+    # diagonally preconditioned CG reaches ZZ_RTOL in a few iterations
+    hier = build_hierarchy(level)
+    b = assemble_rhs(hier.finest, lambda x, y: 1.0)
+    reports = []
+
+    def spy(*args, **kwargs):
+        x, rep = krylov.pcg(*args, **kwargs)
+        reports.append(rep)
+        return x, rep
+
+    monkeypatch.setattr(precond, "pcg", spy)
+    for eps in (1e-5, 1.0, 1e5):
+        for theta in (-1, 0, 1):
+            p = build_problem(hier, eps, MethodParams(theta, 8.0, IP0))
+            blocks = extract_blocks(p.A, p.basis)
+            A = blocks.A_zz
+            assert abs(A - A.T).max() <= 1e-15 * abs(A).max()
+            f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
+            z, _ = forward_substitution_solve(blocks, f_z, f_v)
+            assert reports[-1].iterations <= 20
+            assert np.linalg.norm(A @ z - f_z) <= 1e-14 * np.linalg.norm(f_z)
+    assert len(reports) == 9
+
+
+def test_complement_block_solve_fails_loudly(monkeypatch):
+    _, _, _, blocks = _vv_block(1, 1e-3)
+    f_z = np.ones(blocks.A_zz.shape[0])
+    f_v = np.ones(blocks.A_vv.shape[0])
+
+    def stalled(A, b, B=None, tol=1e-7, maxit=1000):
+        return np.zeros(len(b)), krylov.SolveReport(iterations=maxit)
+
+    monkeypatch.setattr(precond, "pcg", stalled)
+    with pytest.raises(RuntimeError, match="missed"):
+        forward_substitution_solve(blocks, f_z, f_v)
+
+    # a recurrence that claims convergence but a wrong answer
+    def wrong(A, b, B=None, tol=1e-7, maxit=1000):
+        return np.zeros(len(b)), krylov.SolveReport(iterations=1, converged=True)
+
+    monkeypatch.setattr(precond, "pcg", wrong)
+    with pytest.raises(RuntimeError, match="missed"):
+        forward_substitution_solve(blocks, f_z, f_v)
+
+    negative = dataclasses.replace(blocks, A_zz=-blocks.A_zz)
+    with pytest.raises(RuntimeError, match="not positive"):
+        forward_substitution_solve(negative, f_z, f_v)
 
 
 def test_smoother_largest_eigenvalue_stable_across_coefficients():
