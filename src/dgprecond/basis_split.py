@@ -86,30 +86,18 @@ def from_split(z, v, basis):
     return basis.transform @ np.concatenate([z, v])
 
 
-def drop_tiny(A, rel=1e-14):
-    """A as CSR without its stored entries below rel * max|entry| and its
-    exact zeros; A itself is left unchanged, and returned when nothing is
-    dropped.
+def drop_tiny(A):
+    """A new CSR copy of A without its stored entries below 1e-14 times the
+    largest magnitude and without its exact zeros.
 
     The kept entries stay in A's order, in data and indices arrays that
     hold exactly nnz entries."""
-    A = A.tocsr()
-    data = A.data
-    cut = rel * max(data.max(initial=0.0), -data.min(initial=0.0))
-    # |a| < cut or a == 0, by in-place masks: no temporary of data's size
-    drop = data < cut
-    drop &= data > -cut
-    drop |= data == 0
-    if not drop.any():
-        return A
-    indptr = A.indptr.copy()
-    dropped_rows = np.searchsorted(A.indptr, np.flatnonzero(drop), side="right") - 1
-    indptr[1:] -= np.cumsum(np.bincount(dropped_rows, minlength=A.shape[0]),
-                            dtype=indptr.dtype)
-    # boolean indexing, not np.compress: compress builds an index array of
-    # the kept entries first
-    keep = np.logical_not(drop, out=drop)
-    return sp.csr_matrix((data[keep], A.indices[keep], indptr), shape=A.shape)
+    A = A.tocsr(copy=True)
+    mag = np.abs(A.data)
+    A.data[mag < 1e-14 * mag.max(initial=0.0)] = 0.0
+    A.eliminate_zeros()
+    # eliminate_zeros leaves views of the full-size buffers
+    return A.copy()
 
 
 @dataclass

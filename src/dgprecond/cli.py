@@ -189,8 +189,9 @@ def cmd_solve(opts, cfg):
             report["method"] = "stationary-symmetric-part"
             u, rep = stationary_iteration(A, DirectSolve(symmetric_part(A)), b,
                                           tol=cfg.tol, maxit=500)
-    # a BreakdownError of the iteration, or a singular factorization
-    except RuntimeError as exc:
+    # a BreakdownError of the iteration, a singular factorization, or a
+    # preconditioner refusing a nonpositive diagonal
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {report['method']}: {exc}", file=sys.stderr)
         return 1
     if report["method"] != "block-forward-substitution":
@@ -302,7 +303,13 @@ def main(argv=None):
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return COMMANDS[args.command][1](opts, cfg)
+    try:
+        return COMMANDS[args.command][1](opts, cfg)
+    # the numerics refusing a problem past what double precision resolves:
+    # a singular factorization, a nonpositive diagonal, a PCG that stalls
+    except (RuntimeError, ValueError) as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Each runner sweeps (coefficient contrast, refinement level) cells, solves the
 relevant system with PCG, estimates the spectrum of the preconditioned
 operator and reports the condition number K, the effective condition number
-K_m (m smallest eigenvalues discarded) and the PCG iteration count.  Results
+K_1 (smallest eigenvalue discarded) and the PCG iteration count.  Results
 serialize to JSON/CSV/markdown; a comparison harness checks measured values
 against stored reference values with per-quantity tolerance bands.
 """
@@ -28,11 +28,13 @@ from .precond import (
     bpx,
     block_jacobi_dg,
 )
-from .krylov import DENSE_LIMIT, pcg, estimate_spectrum, condition_numbers, error_propagator_norm
+from .krylov import TOL, pcg, estimate_spectrum, condition_numbers, error_propagator_norm
 
 EPS_DEFAULT = (1e-5, 1e-3, 1e-1, 1.0, 1e1, 1e3, 1e5)
 EPS_SWEEP_11 = tuple(10.0**k for k in range(-5, 6))
 INFEASIBLE = "X"
+# Lanczos steps of a spectrum dump (dense path: every eigenvalue)
+SPECTRUM_STEPS = 300
 CR_PRECONDS = ("two-level", "bpx")
 # the finest refinement level a run accepts: the largest whose memory has
 # been sized; a higher one is refused before anything is allocated
@@ -53,11 +55,8 @@ class ExperimentConfig:
     ratio: int = 1
     smoother_kind: str = SmootherSpec.kind
     sweeps: int = SmootherSpec.sweeps
-    tol: float = 1e-7
-    m: int = 1
+    tol: float = TOL
     seed: int = 7
-    dense_limit: int = DENSE_LIMIT
-    lanczos_k: int = 120
 
     def __post_init__(self):
         for eps in self.eps_list:
@@ -277,12 +276,8 @@ def _measure(cfg, A, B, stream, eps):
         raise RuntimeError(
             f"PCG did not converge in {where}: relative residual "
             f"{rep.rel_residual_history[-1]:.3g} after {rep.iterations} iterations")
-    eigs = estimate_spectrum(
-        A, B, k=cfg.lanczos_k, seed=int(rng.integers(2**31)),
-        dense_limit=cfg.dense_limit, m=cfg.m,
-    )
-    cond = condition_numbers(eigs, m_list=(0, cfg.m))
-    K, K_1 = cond["K"], cond["K_m"][cfg.m]
+    cond = condition_numbers(estimate_spectrum(A, B, seed=int(rng.integers(2**31))))
+    K, K_1 = cond["K"], cond["K_m"][1]
     if not all(math.isfinite(v) and v > 0 for v in (K, K_1)):
         raise RuntimeError(f"condition number not finite and positive in {where}: "
                            f"K={K:.3g}, K_1={K_1:.3g}")
@@ -387,22 +382,19 @@ def run_iipg_propagator_table(cfg):
     return table
 
 
-def dump_spectrum(cfg, eps, level, out_path, precond="two-level", deep_k=300):
+def dump_spectrum(cfg, eps, level, out_path, precond="two-level"):
     """Write the ascending spectrum of the preconditioned CR block as
     index,value CSV lines.
 
-    Lanczos runs max(deep_k, cfg.lanczos_k) steps with its stopping test off
-    (rtol=0), so the file holds the whole Ritz spectrum, not only the values
-    the tables read."""
+    Lanczos runs SPECTRUM_STEPS steps with its stopping test off (rtol=0),
+    so the file holds the whole Ritz spectrum, not only the values the
+    tables read."""
     if precond not in CR_PRECONDS:
         raise ValueError(f"precond must be one of {CR_PRECONDS}, got {precond!r}")
     hier = build_hierarchy(level)
     A_vv = _cr_block(hier, eps, table_params(precond, cfg))
     B = _cr_precond(cfg, hier, A_vv, precond)
-    eigs = estimate_spectrum(
-        A_vv, B, k=max(deep_k, cfg.lanczos_k), seed=cfg.seed,
-        dense_limit=cfg.dense_limit, rtol=0.0,
-    )
+    eigs = estimate_spectrum(A_vv, B, k=SPECTRUM_STEPS, seed=cfg.seed, rtol=0.0)
     with open(out_path, "w") as fh:
         fh.write("index,value\n")
         for i, v in enumerate(eigs):

@@ -15,6 +15,8 @@ import scipy.sparse.linalg as spla
 from .assembly import symmetric_part
 
 DENSE_LIMIT = 2500
+# relative residual at which pcg and stationary_iteration stop by default
+TOL = 1e-7
 # relative accuracy at which Lanczos certifies the Ritz values it is asked for
 RTOL = 1e-6
 # At an invariant Krylov space the next Lanczos residual is round-off, and its
@@ -48,7 +50,7 @@ def _as_apply(B):
     return lambda r: B @ r
 
 
-def pcg(A, b, B=None, tol=1e-7, maxit=1000):
+def pcg(A, b, B=None, tol=TOL, maxit=1000):
     """Preconditioned conjugate gradients from x = 0; stops at ||r_k|| / ||r_0|| < tol."""
     apply_B = _as_apply(B)
     x = np.zeros(len(b))
@@ -188,7 +190,7 @@ def condition_numbers(eigs, m_list=(0, 1)):
     return {"K": out.get(0), "K_m": out}
 
 
-def stationary_iteration(A, B, f, maxit=200, tol=1e-7):
+def stationary_iteration(A, B, f, maxit=200, tol=TOL):
     """u_{k+1} = u_k + B(f - A u_k) from u_0 = 0; stop on relative residual."""
     apply_B = _as_apply(B)
     u = np.zeros(A.shape[0])

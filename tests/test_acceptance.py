@@ -101,8 +101,7 @@ def test_criterion_4_two_level_w1(cfg, two_level_tables):
     p = build_problem(hier, 1e-5, MethodParams(-1, 8.0, IP0))
     A_vv = extract_blocks(p.A, p.basis).A_vv
     B = two_level(A_vv, cr_prolongation(hier, 4), cfg.smoother_spec())
-    eigs = estimate_spectrum(A_vv, B, k=cfg.lanczos_k, seed=cfg.seed,
-                             dense_limit=cfg.dense_limit)
+    eigs = estimate_spectrum(A_vv, B, seed=cfg.seed)
     n_isolated = int(np.sum(eigs < eigs[-1] / 1000.0))
     iter_checks = [c for c in compare_to_golden(table)["checks"]
                    if c["quantity"] == "iters"]

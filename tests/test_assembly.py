@@ -245,7 +245,7 @@ def test_method_params_validation():
 def test_drop_tiny_and_export(tmp_path, setting):
     mesh, coeff, weights = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    B = drop_tiny(A.copy(), rel=1e-14)
+    B = drop_tiny(A.copy())
     assert np.abs((A - B).toarray()).max() <= 1e-14 * np.abs(A).max()
     path = tmp_path / "A.txt"
     export_coordinate(A, path)

@@ -165,3 +165,16 @@ def test_split_works_on_refined_mesh():
     u = np.random.default_rng(9).standard_normal(mesh.n_dofs)
     z, v = to_split(u, mesh, weights)
     assert np.allclose(from_split(z, v, basis), u, atol=1e-12)
+
+
+# (A_zz, A_vz, A_vv) nonzeros at level 2: the entries that are nonzero in
+# exact arithmetic.  theta = -1 makes A_vz vanish by structure, theta = 0
+# makes A_zz diagonal; the CR block A_vv does not depend on theta.
+@pytest.mark.parametrize("theta, nnz", [(-1, (2848, 0, 2656)),
+                                        (0, (800, 1984, 2656)),
+                                        (1, (2848, 1984, 2656))])
+@pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
+def test_split_block_patterns_are_pinned(eps, theta, nnz):
+    p = build_problem(build_hierarchy(2), eps, MethodParams(theta, 8.0, IP0))
+    blocks = extract_blocks(p.A, p.basis)
+    assert (blocks.A_zz.nnz, blocks.A_vz.nnz, blocks.A_vv.nnz) == nnz

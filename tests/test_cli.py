@@ -142,6 +142,23 @@ def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatc
         "1e-14 after 1000 iterations"]
 
 
+@pytest.mark.parametrize("argv, first", [
+    # past what double precision resolves, each preconditioner or
+    # factorization refuses the matrix
+    (["table", "bpx", "--eps", "1e-14", "--levels", "1"], "error: table: "),
+    (["table", "zz", "--eps", "1e14", "--levels", "1"], "error: table: "),
+    (["spectrum", "--eps", "1e14", "--level", "1"], "error: spectrum: "),
+    (["solve", "--variant", "IP1", "--eps", "1e14", "--level", "1"],
+     "error: pcg-block-jacobi: "),
+], ids=["table-bpx", "table-zz", "spectrum", "solve-IP1"])
+def test_numerical_failure_is_one_error_line(tmp_path, capsys, argv, first):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first)
+
+
 def test_table_zz(tmp_path, capsys):
     code, out = run(capsys, "table", "zz", "--eps", "1", "--levels", "1",
                     "--out-dir", str(tmp_path))

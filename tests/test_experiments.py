@@ -201,13 +201,14 @@ def test_runner_builds_one_hierarchy_per_table(name, monkeypatch):
     assert [c["level"] for c in table.cells] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("level, deep_k, rows", [(0, 300, 40), (1, 300, 176), (1, 50, 50)])
-def test_dump_spectrum_lanczos_path_writes_min_k_n_rows(tmp_path, level, deep_k, rows):
-    # the dump wants the whole Ritz spectrum: Lanczos runs all
-    # min(max(deep_k, lanczos_k), n) steps, with no early stop
-    cfg = ExperimentConfig(eps_list=(1e-5,), dense_limit=0, lanczos_k=20)
+@pytest.mark.parametrize("level, rows", [(0, 40), (1, 176), (3, 300)])
+def test_dump_spectrum_writes_min_k_n_rows(tmp_path, level, rows):
+    # the dump wants the whole spectrum: all n eigenvalues on the dense path
+    # (levels 0 and 1), and all 300 Lanczos steps (SPECTRUM_STEPS), with no
+    # early stop, at level 3, whose 3008 unknowns are above DENSE_LIMIT
+    cfg = ExperimentConfig(eps_list=(1e-5,))
     path = tmp_path / "spec.csv"
-    eigs = dump_spectrum(cfg, 1e-5, level, path, precond="bpx", deep_k=deep_k)
+    eigs = dump_spectrum(cfg, 1e-5, level, path, precond="bpx")
     lines = path.read_text().strip().splitlines()
     assert len(eigs) == rows
     assert len(lines) == rows + 1
