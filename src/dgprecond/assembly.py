@@ -43,10 +43,13 @@ def p1_gradients(mesh):
     vertex i.  The triangles are counterclockwise, so the edge from vertex
     i+1 to vertex i+2, turned by +90 degrees, points toward vertex i.
     """
+    return _gradients(mesh, mesh.triangle_areas())
+
+
+def _gradients(mesh, areas):
+    """p1_gradients with the triangle areas given."""
     p = mesh.vertices[mesh.triangles]
-    nt = mesh.n_triangles
-    grads = np.empty((nt, 3, 2))
-    areas = mesh.triangle_areas()
+    grads = np.empty((mesh.n_triangles, 3, 2))
     for i in range(3):
         t = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         n = np.column_stack([-t[:, 1], t[:, 0]])
@@ -56,8 +59,13 @@ def p1_gradients(mesh):
 
 def element_stiffness(mesh, coeff):
     """(nt, 3, 3) element blocks kappa_T |T| grad phi_i . grad phi_j."""
-    grads = p1_gradients(mesh)
-    scaled = (coeff.kappa * mesh.triangle_areas())[:, None, None] * grads
+    areas = mesh.triangle_areas()
+    return _stiffness(_gradients(mesh, areas), coeff.kappa * areas)
+
+
+def _stiffness(grads, kappa_area):
+    """element_stiffness from the gradients and kappa_T |T|."""
+    scaled = kappa_area[:, None, None] * grads
     return scaled @ grads.transpose(0, 2, 1)
 
 
@@ -98,74 +106,94 @@ def assemble_dg(mesh, coeff, weights, params):
     Every dof belongs to one triangle, so the matrix is made of 3 x 3 blocks:
     one diagonal block per triangle, its element stiffness plus the self
     blocks of its edges added in local edge order 0, 1, 2, and the two
-    off-diagonal blocks of each interior edge.  The CSR arrays hold the
-    entries of this pattern computed as nonzero, with no magnitude cut,
-    block columns ascending in each block row, with int32 indices.
+    off-diagonal blocks of each interior edge.  Each edge block is computed
+    once, for the one slot it fills.  The CSR arrays hold the entries of
+    this pattern computed as nonzero, with no magnitude cut, block columns
+    ascending in each block row, with int32 indices.
     """
-    edge_blocks = _edge_blocks(mesh, weights, params).reshape(-1, 2, 3, 2, 3)
     nt = mesh.n_triangles
+    areas = mesh.triangle_areas()
+    grads = _gradients(mesh, areas)
+    edge_block = _edge_blocks(mesh, weights, params, grads)
+    diag = _stiffness(grads, coeff.kappa * areas)
+    del grads, areas
     tri = np.arange(nt)
     edges = mesh.tri_edges
     plus, minus = mesh.edge_plus[edges], mesh.edge_minus[edges]
-    side = (plus != tri[:, None]).astype(np.intp)  # 0 where the triangle is plus
+    side = (plus != tri[:, None]).astype(np.int32)  # 0 where the triangle is plus
     # block columns: the triangle, then its neighbour across each local edge
     # (nt, which sorts last, across a boundary edge)
-    nbr = np.where(mesh.boundary_edge_mask[edges], nt, plus + minus - tri[:, None])
-    cols = np.column_stack([tri, nbr])
+    cols = np.column_stack([tri, np.where(mesh.boundary_edge_mask[edges], nt,
+                                          plus + minus - tri[:, None])])
+    del plus, minus
     order = np.argsort(cols, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
+    rank = np.argsort(order, axis=1).astype(np.int32)
+    first_col = 3 * np.take_along_axis(cols, order, axis=1).astype(np.int32)
+    del cols, order
 
+    for i in range(3):
+        diag += edge_block(edges[:, i], side[:, i], side[:, i])
     # (triangle, row, block in ascending column order, column)
     vals = np.zeros((nt, 3, 4, 3))
-    diag = element_stiffness(mesh, coeff)
-    for i in range(3):
-        diag += edge_blocks[edges[:, i], side[:, i], :, side[:, i], :]
     vals[tri, :, rank[:, 0], :] = diag
+    del diag
     for i in range(3):
-        vals[tri, :, rank[:, i + 1], :] = edge_blocks[edges[:, i], side[:, i], :,
-                                                      1 - side[:, i], :]
-    # free each array once it is copied on, to bound the peak memory
-    del edge_blocks
-    kept = vals.reshape(-1, 12) != 0
-    row_len = kept.sum(axis=1)
-    data = vals.reshape(-1, 12)[kept]
+        vals[tri, :, rank[:, i + 1], :] = edge_block(edges[:, i], side[:, i], 1 - side[:, i])
+    # free the per-edge arrays before the compress step, to bound the peak
+    # memory
+    del edge_block, side, rank
+    kept = vals != 0
+    data = vals[kept]
     del vals
-    first_col = 3 * np.take_along_axis(cols, order, axis=1).astype(np.int32)
     indices = np.broadcast_to(first_col[:, None, :, None] + np.arange(3, dtype=np.int32),
-                              (nt, 3, 4, 3)).reshape(-1, 12)[kept]
+                              kept.shape)[kept]
     indptr = np.zeros(3 * nt + 1, dtype=np.int32)
-    np.cumsum(row_len, out=indptr[1:])
+    np.cumsum(kept.sum(axis=(2, 3)).ravel(), out=indptr[1:])
     return sp.csr_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt))
 
 
-def _edge_blocks(mesh, weights, params):
-    """(ne, 6, 6) edge terms of the form on the plus then the minus dofs of
-    each edge (see edge_traces); only the plus-plus block of a boundary edge
-    is nonzero."""
+def _edge_blocks(mesh, weights, params, grads):
+    """The edge terms of the form, as a function edge_block(e, rows, cols)
+    of edges e and, for each, the side whose dofs are the rows (test
+    functions) and the side whose dofs are the columns (trial functions),
+    0 for plus and 1 for minus (see edge_traces); it returns the
+    (len(e), 3, 3) blocks -<{kappa grad v}, [w]> + theta <[v], {kappa grad w}>
+    plus the penalty.  The minus side of a boundary edge gives zeros."""
     dofs, traces = edge_traces(mesh)
+    ne = mesh.n_edges
     length = mesh.edge_length
     ke = weights.kappa_e
     # weighted flux average {kappa grad v}_beta . n+ = kappa_e {grad v} . n+;
     # on a boundary edge the plus side's kappa grad v . n (kappa_e = kappa+)
     side = np.where(mesh.boundary_edge_mask[:, None], (1.0, 0.0), (0.5, 0.5))
-    normal_grad = np.einsum("edk,ek->ed", p1_gradients(mesh).reshape(-1, 2)[dofs],
-                            mesh.edge_normal)
-    flux = np.repeat(ke[:, None] * side, 3, axis=1) * normal_grad
-    jump_mid = 0.5 * (traces[:, 0] + traces[:, 1])
+    normal_grad = np.einsum("edk,ek->ed", grads.reshape(-1, 2)[dofs], mesh.edge_normal)
+    del dofs
+    # column 2 e + s of each array below holds side s of edge e, so that the
+    # products run along the edges
+    flux = (np.repeat(ke[:, None] * side, 3, axis=1) * normal_grad).reshape(2 * ne, 3).T.copy()
+    del normal_grad
+    jump_mid = (0.5 * (traces[:, 0] + traces[:, 1])).reshape(2 * ne, 3).T.copy()
     points, wts = _PENALTY_RULE[params.variant]
-    jumps = _jump_at(traces, points)
-    # the blocks are the largest arrays here: free the other ones first
-    del dofs, traces, normal_grad
-    # -<{kappa grad v}, [w]> + theta <[v], {kappa grad w}>
-    edge_blocks = length[:, None, None] * (
-        -jump_mid[:, :, None] * flux[:, None, :]
-        + params.theta * flux[:, :, None] * jump_mid[:, None, :]
-    )
-    del flux, jump_mid
+    q = len(points)
+    jumps = _jump_at(traces, points).reshape(ne, q, 2, 3).transpose(1, 3, 0, 2)
+    jumps = jumps.reshape(q, 3, 2 * ne)
+    del traces
     # h_e = |e| in the penalty alpha / h_e kappa_e |e|
     pen = params.alpha / length * ke * length
-    edge_blocks += np.einsum("q,e,eqi,eqj->eij", wts, pen, jumps, jumps)
-    return edge_blocks
+    theta = params.theta
+
+    def edge_block(e, rows, cols):
+        r, c = 2 * e + rows, 2 * e + cols
+        blk = -jump_mid.take(r, axis=1)[:, None] * flux.take(c, axis=1)
+        blk += theta * flux.take(r, axis=1)[:, None] * jump_mid.take(c, axis=1)
+        blk *= length[e]
+        # the penalty: its terms at the quadrature points, summed from 0 in
+        # order, added as one
+        blk += sum(((w * pen[e]) * j_r)[:, None] * j_c
+                   for w, j_r, j_c in zip(wts, jumps.take(r, axis=2), jumps.take(c, axis=2)))
+        return blk.transpose(2, 0, 1)
+
+    return edge_block
 
 
 def assemble_conforming(mesh, coeff):

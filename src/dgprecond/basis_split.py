@@ -44,18 +44,26 @@ def build_transform(mesh, weights):
     stored, so a boundary z-column has 3 entries and every other column 6.
     The CSC arrays are written directly, rows ascending in each column.
     """
-    dofs, traces = edge_traces(mesh)
-    hat = 2.0 * np.abs(traces).sum(axis=1) - 1.0
     bnd = mesh.boundary_edge_mask
-    bp = np.where(bnd, 1.0, weights.beta)
-    z_vals = np.repeat(np.column_stack([bp, -(1.0 - bp)]), 3, axis=1) * hat
-    z_kept = z_vals != 0
     interior = mesh.interior_edges
     n_z, n_v = mesh.n_edges, len(interior)
-    counts = np.concatenate([z_kept.sum(axis=1), np.full(n_v, 6)])
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    indices = np.concatenate([dofs[z_kept], dofs[interior].ravel()]).astype(np.int32)
-    data = np.concatenate([z_vals[z_kept], hat[interior].ravel()])
+    bp = np.where(bnd, 1.0, weights.beta)
+    scale = np.column_stack([bp, -(1.0 - bp)])
+    # a hat is never 0, so a side stores its z-values where its scale is not
+    kept = scale != 0
+    indptr = np.zeros(n_z + n_v + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([3 * kept.sum(axis=1), np.full(n_v, 6)]), out=indptr[1:])
+    sides = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
+    dofs = 3 * sides[:, :, None].astype(np.int32) + np.arange(3, dtype=np.int32)
+    indices = np.concatenate([dofs[kept].ravel(), dofs[interior].ravel()])
+    del sides, dofs
+    # the CR hat on each side: 1 at the edge's endpoints, -1 at the opposite
+    # vertex
+    hat = np.full((n_z, 2, 3), -1.0)
+    hat[np.arange(n_z)[:, None, None], np.arange(2)[:, None], mesh.edge_local] = 1.0
+    v_vals = hat[interior].ravel()
+    hat *= scale[:, :, None]
+    data = np.concatenate([hat[kept].ravel(), v_vals])
     T = sp.csc_matrix((data, indices, indptr), shape=(mesh.n_dofs, n_z + n_v))
     return SplitBasis(T, n_z, n_v)
 
@@ -111,30 +119,54 @@ class BlockOperator:
 
 
 def extract_blocks(A_nodal, basis, zero_tol=1e-11):
-    """Form T^t A T and partition into blocks, verifying the zero block.
+    """The blocks T_a^t A T_b of the split-basis matrix, verifying the zero
+    block.
 
     With trial functions indexing columns, the coupling of CR-trial with
     z-test sits in the upper-right block, which must vanish for every IP0
-    method.
+    method.  Each block is a product of the column slices T_z and T_v of T,
+    so neither T^t A nor the whole T^t A T is held.  scipy forms each row of
+    a product from the same terms in the same order as that row of the whole
+    product, so every block equals its slice of (T^t A) T byte for byte.
     """
     T = basis.transform
-    S = (T.T @ A_nodal @ T).tocsr()
     nz = basis.n_z
-    A_vz = S[nz:, :nz]
-    scale = np.abs(A_nodal.data).max()
-    worst = np.abs(S[:nz, nz:].data).max(initial=0.0)
+    T_z, T_v = _columns(T, 0, nz), _columns(T, nz, T.shape[1])
+    scale = _max_abs(A_nodal)
+    # a product's arrays are sized to its pattern, exact zeros included:
+    # T_a^t A, which outlives two products, is copied to the nnz it holds
+    TzA = (T_z.T @ A_nodal).copy()
+    worst = _max_abs(TzA @ T_v)
     if worst > zero_tol * scale:
         raise BlockStructureError(
             f"CR-to-z coupling {worst:.3e} exceeds {zero_tol:.1e} * {scale:.3e}"
         )
+    A_zz = drop_tiny(TzA @ T_z)
+    del TzA
+    TvA = (T_v.T @ A_nodal).copy()
+    A_vz = TvA @ T_z
     # A_vz is zero by structure for theta = -1: store none of its round-off
-    if np.abs(A_vz.data).max(initial=0.0) <= zero_tol * scale:
+    if _max_abs(A_vz) <= zero_tol * scale:
         A_vz = sp.csr_matrix(A_vz.shape)
-    return BlockOperator(
-        A_zz=drop_tiny(S[:nz, :nz].tocsr()),
-        A_vz=drop_tiny(A_vz.tocsr()),
-        A_vv=drop_tiny(S[nz:, nz:].tocsr()),
-    )
+    A_vz = drop_tiny(A_vz)
+    return BlockOperator(A_zz=A_zz, A_vz=A_vz, A_vv=drop_tiny(TvA @ T_v))
+
+
+def _columns(T, lo, hi):
+    """Columns lo:hi of the CSC matrix T on views of its data and indices.
+
+    The arrays are set after construction, because scipy's constructor
+    copies a view that holds less than half of its base array."""
+    a, b = T.indptr[lo], T.indptr[hi]
+    cols = sp.csc_matrix((T.shape[0], hi - lo))
+    cols.data, cols.indices, cols.indptr = T.data[a:b], T.indices[a:b], T.indptr[lo:hi + 1] - a
+    return cols
+
+
+def _max_abs(A):
+    """Largest magnitude stored in A, 0 if none, without an array of the
+    magnitudes."""
+    return max(A.data.max(initial=0.0), -A.data.min(initial=0.0))
 
 
 def split_matrix(A_nodal, basis):

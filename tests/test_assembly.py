@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import dgprecond.assembly as assembly
 from dgprecond.mesh import (
     BOUNDARY,
     build_initial_mesh,
@@ -263,6 +264,15 @@ def _owns_exactly(a):
     return a.base is None or a.base.nbytes == a.nbytes
 
 
+def edge_blocks_6x6(mesh, weights, params):
+    """(ne, 6, 6) edge terms on the plus then the minus dofs of each edge."""
+    edge_block = _edge_blocks(mesh, weights, params, p1_gradients(mesh))
+    e = np.arange(mesh.n_edges)
+    return np.concatenate(
+        [np.concatenate([edge_block(e, np.full_like(e, a), np.full_like(e, b)) for b in (0, 1)],
+                        axis=2) for a in (0, 1)], axis=1)
+
+
 def reference_assemble_dg(mesh, coeff, weights, params):
     """The DG matrix by a COO scatter of every element and edge block at
     its nodal dofs, duplicates summed by scipy."""
@@ -273,7 +283,7 @@ def reference_assemble_dg(mesh, coeff, weights, params):
                            np.repeat(dofs, 6, axis=1).ravel()])
     cols = np.concatenate([np.tile(tri_dofs, 3).ravel(), np.tile(dofs, 6).ravel()])
     vals = np.concatenate([element_stiffness(mesh, coeff).ravel(),
-                           _edge_blocks(mesh, weights, params).ravel()])
+                           edge_blocks_6x6(mesh, weights, params).ravel()])
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()
     return drop_tiny(A)
@@ -332,7 +342,27 @@ def test_assembly_memory_stays_near_its_result():
         tracemalloc.stop()
     arrays = (A.data, A.indices, A.indptr)
     assert all(_owns_exactly(a) for a in arrays)
-    assert peak <= 4 * sum(a.nbytes for a in arrays)
+    # 1.99 times at level 4; building the (ne, 6, 6) edge blocks took 2.97
+    assert peak <= 2.5 * sum(a.nbytes for a in arrays)
+
+
+def test_assembly_computes_areas_and_gradients_once(monkeypatch):
+    mesh = build_hierarchy(1).finest
+    coeff = assign_coefficient(mesh, 1e-5)
+    weights = edge_weights(mesh, coeff)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(type(mesh), "triangle_areas",
+                        counted("areas", type(mesh).triangle_areas))
+    monkeypatch.setattr(assembly, "_gradients", counted("gradients", assembly._gradients))
+    assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP1))
+    assert sorted(calls) == ["areas", "gradients"]
 
 
 def test_drop_tiny_returns_arrays_sized_to_nnz():

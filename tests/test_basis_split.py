@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgprecond.mesh import build_hierarchy
+from dgprecond.mesh import assign_coefficient, build_hierarchy, edge_weights
 from dgprecond.assembly import IP0, IP1, MethodParams, assemble_dg, edge_traces
 from dgprecond.basis_split import (
     BlockStructureError,
+    build_transform,
+    drop_tiny,
     to_split,
     from_split,
     extract_blocks,
@@ -178,3 +182,89 @@ def test_split_block_patterns_are_pinned(eps, theta, nnz):
     p = build_problem(build_hierarchy(2), eps, MethodParams(theta, 8.0, IP0))
     blocks = extract_blocks(p.A, p.basis)
     assert (blocks.A_zz.nnz, blocks.A_vz.nnz, blocks.A_vv.nnz) == nnz
+
+
+def _same_bytes(A, B):
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in zip((A.data, A.indices, A.indptr), (B.data, B.indices, B.indptr)))
+
+
+@pytest.fixture(scope="module")
+def hierarchy3():
+    return build_hierarchy(3)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
+@pytest.mark.parametrize("theta", [-1, 0, 1])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_blocks_are_the_slices_of_the_whole_product(hierarchy3, level, theta, eps):
+    # the blocks, formed from column slices of T, against the four slices of
+    # the whole (T^t A) T, byte for byte
+    mesh = hierarchy3.meshes[level]
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    basis = build_transform(mesh, weights)
+    A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
+    T, nz = basis.transform, basis.n_z
+    S = (T.T @ A) @ T
+    blocks = extract_blocks(A, basis)
+    assert _same_bytes(blocks.A_zz, drop_tiny(S[:nz, :nz]))
+    assert _same_bytes(blocks.A_vv, drop_tiny(S[nz:, nz:]))
+    if theta == -1:
+        assert blocks.A_vz.nnz == 0
+        assert abs(S[nz:, :nz]).max() <= 1e-11 * np.abs(A.data).max()
+    else:
+        assert _same_bytes(blocks.A_vz, drop_tiny(S[nz:, :nz]))
+    assert abs(S[:nz, nz:]).max() <= 1e-11 * np.abs(A.data).max()
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_ip1_error_reports_the_coupling_of_the_whole_product(hierarchy3, level):
+    mesh = hierarchy3.meshes[level]
+    coeff = assign_coefficient(mesh, 1e-5)
+    weights = edge_weights(mesh, coeff)
+    basis = build_transform(mesh, weights)
+    A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP1))
+    T, nz = basis.transform, basis.n_z
+    worst = np.abs(((T.T @ A) @ T)[:nz, nz:].data).max()
+    scale = np.abs(A.data).max()
+    with pytest.raises(BlockStructureError) as err:
+        extract_blocks(A, basis)
+    assert str(err.value) == f"CR-to-z coupling {worst:.3e} exceeds {1e-11:.1e} * {scale:.3e}"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _nbytes(*matrices):
+    return sum(a.nbytes for M in matrices for a in (M.data, M.indices, M.indptr))
+
+
+@pytest.fixture(scope="module")
+def level4():
+    mesh = build_hierarchy(4).finest
+    coeff = assign_coefficient(mesh, 1e-5)
+    return mesh, coeff, edge_weights(mesh, coeff)
+
+
+def test_transform_memory_stays_near_its_result(level4):
+    mesh, _, weights = level4
+    basis, peak = _traced_peak(build_transform, mesh, weights)
+    # 2.19 times at level 4; building it from edge_traces took 3.49
+    assert peak <= 2.5 * _nbytes(basis.transform)
+
+
+def test_extraction_memory_stays_near_its_result(level4):
+    mesh, coeff, weights = level4
+    basis = build_transform(mesh, weights)
+    A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
+    blocks, peak = _traced_peak(extract_blocks, A, basis)
+    # 4.80 times at level 4; slicing the whole T^t A T took 13.29
+    assert peak <= 6 * _nbytes(blocks.A_zz, blocks.A_vz, blocks.A_vv)
