@@ -198,14 +198,11 @@ def _edge_blocks(mesh, weights, params, grads):
 
 def assemble_conforming(mesh, coeff):
     """P1 conforming stiffness matrix on interior vertices (Dirichlet)."""
-    interior = mesh.interior_vertices
-    idx = -np.ones(mesh.n_vertices, dtype=np.int64)
-    idx[interior] = np.arange(len(interior))
-    gi = idx[mesh.triangles]
+    gi = mesh.interior_vertex_index()[mesh.triangles]
     rows = np.repeat(gi[:, :, None], 3, axis=2)
     cols = np.repeat(gi[:, None, :], 3, axis=1)
     keep = (rows >= 0) & (cols >= 0)
-    n = len(interior)
+    n = len(mesh.interior_vertices)
     A = sp.csr_matrix((element_stiffness(mesh, coeff)[keep], (rows[keep], cols[keep])),
                       shape=(n, n))
     A.eliminate_zeros()

@@ -16,43 +16,49 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .mesh import build_hierarchy
-from .assembly import (
-    IP0,
-    IP1,
-    MethodParams,
-    assemble_dg,
-    assemble_conforming,
-    assemble_rhs,
-    export_coordinate,
-    symmetric_part,
-)
+from .assembly import (IP0, IP1, MethodParams, assemble_dg, assemble_conforming,
+                       assemble_rhs, export_coordinate, symmetric_part)
 from .basis_split import BlockStructureError, extract_blocks, from_split
-from .precond import (
-    SYM_GS,
-    JACOBI,
-    DirectSolve,
-    cr_prolongation,
-    forward_substitution_solve,
-)
+from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
+                      forward_substitution_solve)
 from .krylov import pcg, stationary_iteration
-from .experiments import (
-    CR_PRECONDS,
-    MAX_LEVEL,
-    RUNNERS,
-    ExperimentConfig,
-    block_jacobi_system,
-    build_problem,
-    dump_spectrum,
-    compare_to_golden,
-    format_comparison,
-    table_params,
-)
+from .experiments import (CR_PRECONDS, MAX_LEVEL, RUNNERS, ExperimentConfig,
+                          block_jacobi_system, build_problem, dump_spectrum,
+                          compare_to_golden, format_comparison, table_params)
 
 # unused here, but perfbench/pipeline.py wraps these names in this module
 from .mesh import assign_coefficient, edge_weights  # noqa: F401
 from .basis_split import build_transform  # noqa: F401
 
 TABLES = tuple(RUNNERS)
+
+
+# every option: the argparse keywords of its flag --<name> (dashes for
+# underscores); a command takes only the options its COMMANDS entry names.
+# Bounds are checked by ExperimentConfig and _resolve, for flags and
+# config-file values alike
+_OPTIONS = {
+    "eps": dict(type=float, action="append", help="coefficient contrast (repeatable in table)"),
+    "levels": dict(type=int, help="finest refinement level"),
+    "level": dict(type=int, help="single refinement level"),
+    "theta": dict(type=int, help="-1, 0 or 1"), "alpha": dict(type=float),
+    "variant": dict(help=f"{IP0} or {IP1}"), "precond": dict(help=" or ".join(CR_PRECONDS)),
+    "ratio": dict(type=int, help="1, 2 or 4"), "sweeps": dict(type=int),
+    "smoother": dict(help=f"{SYM_GS} or {JACOBI}"), "tol": dict(type=float),
+    "seed": dict(type=int), "out_dir": dict(),
+}
+# the CLI's own options; eps None: tables sweep their runner's own
+# contrasts, single problems take eps = 1
+_CLI_ONLY = {"eps": None, "levels": None, "level": 0, "precond": "two-level",
+             "out_dir": "."}
+# every other option sets the ExperimentConfig field named here; unset
+# (None), it leaves the field's default
+_FIELDS = {"theta": "theta", "alpha": "alpha", "variant": "variant",
+           "ratio": "ratio", "smoother": "smoother_kind", "sweeps": "sweeps",
+           "tol": "tol", "seed": "seed"}
+# n x n float64 arrays of verify's dense eigensolve, n = 96 * 4**level: two
+# dense matrices and eigh's copies (traced peak 4.00 * 8n^2 bytes at L1, L2)
+_VERIFY_DENSE_ARRAYS = 4
 
 
 def _parser():
@@ -63,81 +69,66 @@ def _parser():
     )
     p.add_argument("--config", help="JSON file with flat option keys")
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (help_text, _) in COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+    for command, (help_text, _, names) in COMMANDS.items():
+        # no abbreviations: table's --levels must not take a --level
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         if command == "table":
             sp.add_argument("name", choices=TABLES)
-        # bounds are checked by ExperimentConfig and _resolve, for flags and
-        # config-file values alike
-        sp.add_argument("--eps", type=float, action="append",
-                        help="coefficient contrast (repeatable)")
-        sp.add_argument("--levels", type=int, help="finest refinement level")
-        sp.add_argument("--level", type=int, help="single refinement level")
-        sp.add_argument("--theta", type=int, help="-1, 0 or 1")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--variant", help=f"{IP0} or {IP1}")
-        sp.add_argument("--precond", help=" or ".join(CR_PRECONDS))
-        sp.add_argument("--ratio", type=int, help="1, 2 or 4")
-        sp.add_argument("--sweeps", type=int)
-        sp.add_argument("--smoother", help=f"{SYM_GS} or {JACOBI}")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out-dir", dest="out_dir")
+        for name in names:
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name])
     return p
-
-
-# the CLI's own options; eps None: tables sweep their runner's own
-# contrasts, single problems take eps = 1
-_CLI_ONLY = {"eps": None, "levels": None, "level": 0, "precond": "two-level",
-             "out_dir": "."}
-# every other option sets the ExperimentConfig field named here; unset
-# (None), it leaves the field's default
-_FIELDS = {"theta": "theta", "alpha": "alpha", "variant": "variant",
-           "ratio": "ratio", "smoother": "smoother_kind", "sweeps": "sweeps",
-           "tol": "tol", "seed": "seed"}
-_DEFAULTS = {**_CLI_ONLY, **dict.fromkeys(_FIELDS)}
 
 
 def _resolve(args):
     """Merge defaults, config file and explicit flags (flags win) into the
     options and the ExperimentConfig of the command; raise ValueError for an
-    option out of bounds."""
-    opts = dict(_DEFAULTS)
+    option the command does not take or one out of bounds."""
+    names = COMMANDS[args.command][2]
+    opts = {name: _CLI_ONLY.get(name) for name in names}
     if args.config:
         with open(args.config) as fh:
             file_opts = json.load(fh)
         if not isinstance(file_opts, dict):
             raise ValueError(f"config file is a JSON {type(file_opts).__name__}, not an object")
-        unknown = set(file_opts) - set(_DEFAULTS)
+        unknown = set(file_opts) - set(names)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         opts.update(file_opts)
     opts.update((k, v) for k, v in vars(args).items() if v is not None)
-    env_out = os.environ.get("DG_PRECOND_OUT")
-    if env_out:
+    if env_out := os.environ.get("DG_PRECOND_OUT"):
         opts["out_dir"] = env_out
-    fields = {_FIELDS[k]: opts[k] for k in _FIELDS if opts[k] is not None}
-    if opts["eps"] is not None:
+    fields = {_FIELDS[k]: opts[k] for k in _FIELDS if opts.get(k) is not None}
+    if opts.get("eps") is not None:
         fields["eps_list"] = tuple(opts["eps"])
-    if opts["levels"] is not None:
+    if opts.get("levels") is not None:
         fields["levels"] = tuple(range(opts["levels"] + 1))
     cfg = ExperimentConfig(**fields)
-    if not 0 <= opts["level"] <= MAX_LEVEL:
-        raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {opts['level']}")
-    if opts["precond"] not in CR_PRECONDS:
-        raise ValueError(f"precond must be one of {CR_PRECONDS}, got {opts['precond']!r}")
     if args.command == "table":
         # rejects a method the table cannot run, before the table starts
         table_params(opts["name"], cfg)
-    if (args.command == "spectrum" and opts["precond"] == "two-level"
-            and cfg.coarse_level(opts["level"]) < 0):
-        raise ValueError(f"ratio {cfg.ratio} puts the coarse mesh below "
-                         f"level 0 at level {opts['level']}")
+        return opts, cfg
+    if opts.get("eps") is not None and len(opts["eps"]) != 1:
+        raise ValueError(f"{args.command} takes one eps, got {len(opts['eps'])}")
+    level = opts["level"]
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {level}")
+    if args.command == "spectrum":
+        if opts["precond"] not in CR_PRECONDS:
+            raise ValueError(f"precond must be one of {CR_PRECONDS}, got {opts['precond']!r}")
+        if opts["precond"] == "two-level" and cfg.coarse_level(level) < 0:
+            raise ValueError(f"ratio {cfg.ratio} puts the coarse mesh below "
+                             f"level 0 at level {level}")
+    if args.command == "verify":
+        need = _VERIFY_DENSE_ARRAYS * 8 * (96 * 4**level) ** 2
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > free:
+            raise ValueError(f"verify at level {level} needs about {need / 1e9:.3g} GB "
+                             f"for its dense eigensolve; {free / 1e9:.3g} GB is free")
     return opts, cfg
 
 
 def _eps(opts):
-    """Contrast of a single-problem command: the first --eps, else 1."""
+    """Contrast of a single-problem command: its one --eps, else 1."""
     return opts["eps"][0] if opts["eps"] else 1.0
 
 
@@ -146,8 +137,7 @@ def _problem(opts, cfg):
 
 
 def cmd_mesh_info(opts, cfg):
-    level = opts["levels"] if opts["levels"] is not None else opts["level"]
-    mesh = build_hierarchy(level).finest
+    mesh = build_hierarchy(opts["level"]).finest
     print(f"level={mesh.level}")
     print(f"triangles={mesh.n_triangles}")
     print(f"dofs={mesh.n_dofs}")
@@ -277,20 +267,24 @@ def cmd_verify(opts, cfg):
     eigs = scipy.linalg.eigh(A1.toarray(), p.A.toarray(), eigvals_only=True)
     check("spectral equivalence lower bound", eigs[0] >= 1.0 - 1e-10,
           f"min generalized eigenvalue {eigs[0]:.12f}")
-    check("spectral equivalence upper bound", np.isfinite(eigs[-1]),
-          f"c0 = {eigs[-1]:.6g}")
-    print(f"{'PASS' if failures == 0 else 'FAIL'} aggregate: "
-          f"{failures} failed checks")
+    check("spectral equivalence upper bound", np.isfinite(eigs[-1]), f"c0 = {eigs[-1]:.6g}")
+    print(f"{'PASS' if failures == 0 else 'FAIL'} aggregate: {failures} failed checks")
     return 0 if failures == 0 else 1
 
 
+# each command: its help, its function and the options it reads, the only
+# ones its parser and its config file accept
 COMMANDS = {
-    "mesh-info": ("print mesh statistics", cmd_mesh_info),
-    "assemble": ("export the stiffness matrix", cmd_assemble),
-    "solve": ("solve one discretized problem", cmd_solve),
-    "table": ("run a condition-number table", cmd_table),
-    "spectrum": ("dump the preconditioned spectrum", cmd_spectrum),
-    "verify": ("run the structural property checks", cmd_verify),
+    "mesh-info": ("print mesh statistics", cmd_mesh_info, ("level",)),
+    "assemble": ("export the stiffness matrix", cmd_assemble,
+                 ("level", "eps", "theta", "alpha", "variant", "out_dir")),
+    "solve": ("solve one discretized problem", cmd_solve,
+              ("level", "eps", "theta", "alpha", "variant", "tol", "sweeps", "smoother")),
+    "table": ("run a condition-number table", cmd_table, ("eps", "levels", "theta", "alpha",
+              "variant", "ratio", "sweeps", "smoother", "tol", "seed", "out_dir")),
+    "spectrum": ("dump the preconditioned spectrum", cmd_spectrum, ("level", "eps", "precond",
+                 "alpha", "ratio", "sweeps", "smoother", "seed", "out_dir")),
+    "verify": ("run the structural property checks", cmd_verify, ("level", "eps", "alpha")),
 }
 
 
@@ -304,7 +298,13 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command][1](opts, cfg)
+        code = COMMANDS[args.command][1](opts, cfg)
+        sys.stdout.flush()
+        return code
+    # the reader closed stdout (`| head`): the rest goes to devnull, not to a traceback
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # the numerics refusing a problem past what double precision resolves:
     # a singular factorization, a nonpositive diagonal, a PCG that stalls
     except (RuntimeError, ValueError) as exc:

@@ -99,6 +99,14 @@ class Mesh:
         on_bnd[self.edge_vertices[self.boundary_edge_mask].ravel()] = True
         return np.flatnonzero(~on_bnd)
 
+    def interior_vertex_index(self):
+        """Number of every vertex among the interior vertices; -1 on the
+        boundary."""
+        interior = self.interior_vertices
+        idx = -np.ones(self.n_vertices, dtype=np.int64)
+        idx[interior] = np.arange(len(interior))
+        return idx
+
     def triangle_areas(self):
         p = self.vertices[self.triangles]
         return 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))

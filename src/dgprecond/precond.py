@@ -173,10 +173,8 @@ def conforming_prolongation(hier, j):
     """
     coarse = hier.meshes[j]
     nv = coarse.n_vertices
-    ci = coarse.interior_vertices
     fi = hier.meshes[j + 1].interior_vertices
-    cidx = -np.ones(nv, dtype=np.int64)
-    cidx[ci] = np.arange(len(ci))
+    cidx = coarse.interior_vertex_index()
     # the coarse parents of each fine vertex: itself twice, or an edge's ends
     parents = np.vstack([np.repeat(np.arange(nv)[:, None], 2, axis=1), coarse.edge_vertices])
     c = cidx[parents[fi]]
@@ -185,7 +183,8 @@ def conforming_prolongation(hier, j):
     keep[old, 1] = False
     rows = np.broadcast_to(np.arange(len(fi))[:, None], c.shape)[keep]
     vals = np.broadcast_to(np.where(old, 1.0, 0.5)[:, None], c.shape)[keep]
-    return sp.csr_matrix((vals, (rows, c[keep])), shape=(len(fi), len(ci)))
+    return sp.csr_matrix((vals, (rows, c[keep])),
+                         shape=(len(fi), len(coarse.interior_vertices)))
 
 
 def cr_from_conforming(mesh):
@@ -195,14 +194,11 @@ def cr_from_conforming(mesh):
     midpoint, i.e. the mean of the endpoint values.
     """
     interior_edges = mesh.interior_edges
-    vi = mesh.interior_vertices
-    vidx = -np.ones(mesh.n_vertices, dtype=np.int64)
-    vidx[vi] = np.arange(len(vi))
-    c = vidx[mesh.edge_vertices[interior_edges]]
+    c = mesh.interior_vertex_index()[mesh.edge_vertices[interior_edges]]
     keep = c >= 0
     rows = np.broadcast_to(np.arange(len(interior_edges))[:, None], c.shape)[keep]
     return sp.csr_matrix((np.full(keep.sum(), 0.5), (rows, c[keep])),
-                         shape=(len(interior_edges), len(vi)))
+                         shape=(len(interior_edges), len(mesh.interior_vertices)))
 
 
 def transfer_chain(hier, jc):

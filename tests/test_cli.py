@@ -19,7 +19,7 @@ def run(capsys, *argv):
 
 
 def test_mesh_info(capsys):
-    code, out = run(capsys, "mesh-info", "--levels", "2")
+    code, out = run(capsys, "mesh-info", "--level", "2")
     assert code == 0
     assert "triangles=512" in out
     assert "dofs=1536" in out
@@ -152,7 +152,9 @@ def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatc
      "error: pcg-block-jacobi: "),
 ], ids=["table-bpx", "table-zz", "spectrum", "solve-IP1"])
 def test_numerical_failure_is_one_error_line(tmp_path, capsys, argv, first):
-    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    if argv[0] != "solve":  # solve writes no file
+        argv = argv + ["--out-dir", str(tmp_path)]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -250,29 +252,40 @@ def test_config_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [
-    ("--level", "-1"), ("--eps", "nan"), ("--tol", "0"), ("--levels", "-1"),
-    # a dict is the content of a --config file
-    {"ratio": 3}, {"sweeps": 0}, {"theta": 5}, {"tol": -1},
-])
-def test_rejected_input_is_one_error_line(capsys, tmp_path, flags):
-    if isinstance(flags, dict):
+def _argv(tmp_path, items):
+    """The command line of items; a dict at its end is the content of a
+    --config file given to the command before it."""
+    argv = list(items)
+    if isinstance(argv[-1], dict):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(flags))
-        code = main(["--config", str(cfgfile), "solve"])
-    else:
-        code = main(["solve", *flags])
+        cfgfile.write_text(json.dumps(argv.pop()))
+        argv = ["--config", str(cfgfile), *argv]
+    return argv
+
+
+def _one_error_line(capsys):
     captured = capsys.readouterr()
-    assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("flags", [
+    ("solve", "--level", "-1"), ("solve", "--eps", "nan"), ("solve", "--tol", "0"),
+    ("table", "zz", "--levels", "-1"),
+    ("table", "zz", {"ratio": 3}), ("solve", {"sweeps": 0}), ("solve", {"theta": 5}),
+    ("solve", {"tol": -1}),
+])
+def test_rejected_input_is_one_error_line(capsys, tmp_path, flags):
+    assert main(_argv(tmp_path, flags)) == 2
+    # refused on its bound, by a command that reads the option
+    assert "unknown config keys" not in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--level", "8"], ["table", "bpx", "--levels", "8"],
-    # a dict is the content of a --config file
-    {"level": 8}, {"levels": 8},
+    ["solve", {"level": 8}], ["table", "bpx", {"levels": 8}],
 ])
 def test_level_above_max_is_refused_before_any_mesh(capsys, tmp_path, monkeypatch, argv):
     def no_mesh(level):
@@ -280,16 +293,71 @@ def test_level_above_max_is_refused_before_any_mesh(capsys, tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "build_hierarchy", no_mesh)
     monkeypatch.setattr(experiments, "build_hierarchy", no_mesh)
-    if isinstance(argv, dict):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(argv))
-        argv = ["--config", str(cfgfile), "solve"]
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "0..7" in lines[0]
+    assert main(_argv(tmp_path, argv)) == 2
+    assert "0..7" in _one_error_line(capsys)
+
+
+def test_verify_refuses_a_dense_eigensolve_past_memory(capsys, monkeypatch):
+    # level 6 has n = 393,216 unknowns: 4 dense n x n arrays take 4.9 TB
+    def no_mesh(level):
+        raise AssertionError(f"a hierarchy of level {level} was built")
+
+    monkeypatch.setattr(cli, "build_hierarchy", no_mesh)
+    assert main(["verify", "--level", "6"]) == 2
+    assert "dense eigensolve" in _one_error_line(capsys)
+
+
+def test_single_problem_command_takes_one_eps(capsys):
+    assert main(["solve", "--eps", "1e-5", "--eps", "1"]) == 2
+    assert _one_error_line(capsys) == "error: solve takes one eps, got 2"
+
+
+# the options each command reads, and so accepts; 38 of the 6 x 13 pairs
+OPTION_SETS = {
+    "mesh-info": {"level"},
+    "assemble": {"level", "eps", "theta", "alpha", "variant", "out_dir"},
+    "solve": {"level", "eps", "theta", "alpha", "variant", "tol", "sweeps", "smoother"},
+    "table": {"eps", "levels", "theta", "alpha", "variant", "ratio", "sweeps", "smoother",
+              "tol", "seed", "out_dir"},
+    "spectrum": {"level", "eps", "precond", "alpha", "ratio", "sweeps", "smoother", "seed",
+                 "out_dir"},
+    "verify": {"level", "eps", "alpha"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_SETS))
+def test_command_accepts_only_the_options_it_reads(capsys, tmp_path, command):
+    assert set(cli.COMMANDS) == set(OPTION_SETS)
+    assert sum(map(len, OPTION_SETS.values())) == 38
+    accepted = OPTION_SETS[command]
+    assert set(cli.COMMANDS[command][2]) == accepted
+    head = [command, "zz"] if command == "table" else [command]
+    parser = cli._parser()
+    for name in cli._OPTIONS:
+        flag = "--" + name.replace("_", "-")
+        if name in accepted:
+            assert getattr(parser.parse_args([*head, flag, "1"]), name) is not None
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main([*head, flag, "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(_argv(tmp_path, [*head, {name: 1}])) == 2
+        assert _one_error_line(capsys) == f"error: unknown config keys: ['{name}']"
+
+
+def test_closed_stdout_is_no_traceback(tmp_path):
+    # the reader is gone before the table prints, as with `| head -4`
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dgprecond.cli", "table", "zz", "--levels", "1",
+         "--eps", "1", "--out-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_spectrum_coarse_level_below_zero_is_one_error_line(capsys):
@@ -325,6 +393,12 @@ def test_cli_defaults_keep_no_experiment_config_default():
     # every option is either the CLI's own or an ExperimentConfig field,
     # whose default the dataclass alone holds
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(cli._DEFAULTS) == set(cli._CLI_ONLY) | set(cli._FIELDS)
+    assert set(cli._OPTIONS) == set(cli._CLI_ONLY) | set(cli._FIELDS)
+    assert not set(cli._CLI_ONLY) & set(cli._FIELDS)
     assert set(cli._FIELDS.values()) <= fields
-    assert all(cli._DEFAULTS[key] is None for key in cli._FIELDS)
+    # with no flag, every command runs on ExperimentConfig's own defaults
+    for command in cli.COMMANDS:
+        args = cli._parser().parse_args([command, "zz"] if command == "table" else [command])
+        opts, cfg = cli._resolve(args)
+        assert cfg == ExperimentConfig()
+        assert all(opts[key] is None for key in cli._FIELDS if key in opts)
