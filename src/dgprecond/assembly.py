@@ -7,6 +7,7 @@ integral is computed exactly (constant-gradient element formula, midpoint rule
 for projected jumps, 2-point Gauss for products of traces).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,30 +44,30 @@ def p1_gradients(mesh):
     vertex i.  The triangles are counterclockwise, so the edge from vertex
     i+1 to vertex i+2, turned by +90 degrees, points toward vertex i.
     """
-    return _gradients(mesh, mesh.triangle_areas())
+    return _gradients(mesh, mesh.triangle_areas()).transpose(2, 0, 1)
 
 
 def _gradients(mesh, areas):
-    """p1_gradients with the triangle areas given."""
-    p = mesh.vertices[mesh.triangles]
-    grads = np.empty((mesh.n_triangles, 3, 2))
+    """p1_gradients with the triangle areas given, as a (3, 2, nt) array:
+    the products of assembly run along the triangles."""
+    p = mesh.corners()
+    grads = np.empty((3, 2, mesh.n_triangles))
     for i in range(3):
-        t = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        n = np.column_stack([-t[:, 1], t[:, 0]])
-        grads[:, i, :] = n / (2.0 * areas)[:, None]
+        t = p[(i + 2) % 3] - p[(i + 1) % 3]
+        grads[i] = np.array([-t[:, 1], t[:, 0]]) / (2.0 * areas)
     return grads
 
 
 def element_stiffness(mesh, coeff):
     """(nt, 3, 3) element blocks kappa_T |T| grad phi_i . grad phi_j."""
     areas = mesh.triangle_areas()
-    return _stiffness(_gradients(mesh, areas), coeff.kappa * areas)
+    return _stiffness(_gradients(mesh, areas), coeff.kappa * areas).transpose(2, 0, 1)
 
 
 def _stiffness(grads, kappa_area):
-    """element_stiffness from the gradients and kappa_T |T|."""
-    scaled = kappa_area[:, None, None] * grads
-    return scaled @ grads.transpose(0, 2, 1)
+    """element_stiffness from _gradients and kappa_T |T|, as (3, 3, nt)."""
+    scaled = kappa_area * grads
+    return scaled[:, None, 0] * grads[None, :, 0] + scaled[:, None, 1] * grads[None, :, 1]
 
 
 def edge_traces(mesh):
@@ -83,21 +84,19 @@ def edge_traces(mesh):
     sides = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
     dofs = (3 * sides[:, :, None] + np.arange(3)).reshape(-1, 6)
     sign = np.column_stack([np.ones(len(bnd)), np.where(bnd, 0.0, -1.0)])
-    traces = np.zeros((mesh.n_edges, 2, 2, 3))
-    e, s, k = np.indices(mesh.edge_local.shape)
-    traces[e, k, s, mesh.edge_local] = sign[:, :, None]
+    # (edge, endpoint k, side, local dof): the side's sign at the local
+    # vertex of endpoint k
+    at_end = mesh.edge_local.transpose(0, 2, 1)[..., None] == np.arange(3)
+    traces = np.where(at_end, sign[:, None, :, None], 0.0)
     return dofs, traces.reshape(-1, 2, 6)
 
 
 # quadrature of the penalty on an edge: the projected jump (IP0) is the jump
 # at the midpoint, the full jump (IP1) is integrated by 2-point Gauss
 _PENALTY_RULE = {IP0: ((0.5,), (1.0,)), IP1: (_GAUSS_S, (0.5, 0.5))}
-
-
-def _jump_at(traces, points):
-    """(ne, q, ...) jump at the parameters s of points along each edge."""
-    s = np.asarray(points)[:, None]
-    return (1 - s) * traces[:, None, 0] + s * traces[:, None, 1]
+# triangles per chunk of assemble_dg, whose arrays then stay in a core's
+# L2 cache
+_CHUNK = 1024
 
 
 def assemble_dg(mesh, coeff, weights, params):
@@ -109,91 +108,125 @@ def assemble_dg(mesh, coeff, weights, params):
     off-diagonal blocks of each interior edge.  Each edge block is computed
     once, for the one slot it fills.  The CSR arrays hold the entries of
     this pattern computed as nonzero, with no magnitude cut, block columns
-    ascending in each block row, with int32 indices.
+    ascending in each block row, with int32 indices.  _CHUNK triangles at a
+    time, the blocks are computed along the triangles, gathered into CSR
+    order and compressed straight into those arrays.
     """
     nt = mesh.n_triangles
     areas = mesh.triangle_areas()
     grads = _gradients(mesh, areas)
-    edge_block = _edge_blocks(mesh, weights, params, grads)
-    diag = _stiffness(grads, coeff.kappa * areas)
-    del grads, areas
-    tri = np.arange(nt)
-    edges = mesh.tri_edges
-    plus, minus = mesh.edge_plus[edges], mesh.edge_minus[edges]
-    side = (plus != tri[:, None]).astype(np.int32)  # 0 where the triangle is plus
+    stiff = _stiffness(grads, coeff.kappa * areas)
+    sides, across, penalty = _edge_sides(mesh, weights, params.variant, grads)
+    own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
+    # h_e = |e| in the penalty alpha / h_e kappa_e |e|
+    pen = params.alpha / mesh.edge_length * weights.kappa_e * mesh.edge_length
     # block columns: the triangle, then its neighbour across each local edge
-    # (nt, which sorts last, across a boundary edge)
-    cols = np.column_stack([tri, np.where(mesh.boundary_edge_mask[edges], nt,
-                                          plus + minus - tri[:, None])])
-    del plus, minus
-    order = np.argsort(cols, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1).astype(np.int32)
-    first_col = 3 * np.take_along_axis(cols, order, axis=1).astype(np.int32)
-    del cols, order
-
-    for i in range(3):
-        diag += edge_block(edges[:, i], side[:, i], side[:, i])
-    # (triangle, row, block in ascending column order, column)
-    vals = np.zeros((nt, 3, 4, 3))
-    vals[tri, :, rank[:, 0], :] = diag
-    del diag
-    for i in range(3):
-        vals[tri, :, rank[:, i + 1], :] = edge_block(edges[:, i], side[:, i], 1 - side[:, i])
-    # free the per-edge arrays before the compress step, to bound the peak
-    # memory
-    del edge_block, side, rank
-    kept = vals != 0
-    data = vals[kept]
-    del vals
-    indices = np.broadcast_to(first_col[:, None, :, None] + np.arange(3, dtype=np.int32),
-                              kept.shape)[kept]
+    # (nt, which sorts last, across a boundary edge); a block's slot in its
+    # block row counts the lower columns and the equal ones before it
+    tri = np.arange(nt)
+    block_cols = [tri, *np.where(across < 3 * nt, across % nt, nt)]
+    order = np.empty((nt, 4), dtype=np.int64)
+    first_col = np.empty((nt, 4), dtype=np.int32)
+    for j, col in enumerate(block_cols):
+        slot = sum(c <= col if i < j else c < col for i, c in enumerate(block_cols) if i != j)
+        order[tri, slot] = j
+        first_col[tri, slot] = 3 * col
+    del grads, areas, block_cols, tri, slot
+    # room for every entry of the pattern, shrunk in place to those kept
+    data, indices = np.empty(36 * nt), np.empty(36 * nt, dtype=np.int32)
     indptr = np.zeros(3 * nt + 1, dtype=np.int32)
-    np.cumsum(kept.sum(axis=(2, 3)).ravel(), out=indptr[1:])
+    nnz = 0
+    for lo in range(0, nt, _CHUNK):
+        t = slice(lo, min(lo + _CHUNK, nt))
+        m = t.stop - lo
+        edges = mesh.tri_edges[t].T
+        block = functools.partial(_edge_block, own[..., t], theta=params.theta, penalty=penalty,
+                                  length=np.take(mesh.edge_length, edges), pen=np.take(pen, edges))
+        # (block, row, column, triangle), the blocks in local order: the
+        # triangle's own, then its neighbour's across local edge 0, 1 and 2
+        vals = np.empty((4, 3, 3, m))
+        self_blocks = block(own[..., t], np.empty((3, 3, 3, m)))
+        np.add(stiff[..., t], self_blocks[:, :, 0], out=vals[0])
+        vals[0] += self_blocks[:, :, 1]
+        vals[0] += self_blocks[:, :, 2]
+        # the blocks of a boundary edge's missing side are zero
+        block(np.take(sides, across[:, t], axis=2), vals[1:].transpose(1, 2, 0, 3))
+        counts = np.add.reduce(vals != 0, axis=(0, 2), dtype=np.int32)
+        indptr[3 * lo + 1:3 * t.stop + 1] = counts.T.ravel()
+        # gathered in CSR order (triangle, row, slot and column): row k,
+        # column c of the block in a slot is m (3 k + c) on in vals
+        start = (9 * m * order[t] + np.arange(m)[:, None])[:, :, None] + m * np.arange(3)
+        vals = np.take(vals, start.reshape(m, 1, 12) + 3 * m * np.arange(3)[:, None])
+        kept = vals != 0
+        n = counts.sum()
+        data[nnz:nnz + n] = vals[kept]
+        cols = (first_col[t, :, None] + np.arange(3, dtype=np.int32)).reshape(m, 1, 12)
+        indices[nnz:nnz + n] = np.repeat(cols, 3, axis=1)[kept]
+        nnz += n
+    np.cumsum(indptr, out=indptr)
+    # shrunk in place, without a copy: no view of either array is left
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
     return sp.csr_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt))
 
 
-def _edge_blocks(mesh, weights, params, grads):
-    """The edge terms of the form, as a function edge_block(e, rows, cols)
-    of edges e and, for each, the side whose dofs are the rows (test
-    functions) and the side whose dofs are the columns (trial functions),
-    0 for plus and 1 for minus (see edge_traces); it returns the
-    (len(e), 3, 3) blocks -<{kappa grad v}, [w]> + theta <[v], {kappa grad w}>
-    plus the penalty.  The minus side of a boundary edge gives zeros."""
-    dofs, traces = edge_traces(mesh)
-    ne = mesh.n_edges
-    length = mesh.edge_length
-    ke = weights.kappa_e
+def _edge_sides(mesh, weights, variant, grads):
+    """Triangle t's side of its local edge i, for every occurrence (t, i).
+
+    Returns ``sides`` (1 + p, 3, 3 nt + 1), whose column i nt + t holds,
+    over the dofs of t, the weighted flux average {kappa grad phi}_beta . n+
+    and the jump [phi] along n+ at the midpoint and at the other points of
+    the variant's penalty rule; the last column, zero, is the missing side
+    of a boundary edge.  ``across`` (3, nt) is the column of the other side
+    and ``penalty`` the (row of sides, weight) of each point of the rule.
+    """
+    nt = mesh.n_triangles
+    edges, bnd, local = mesh.tri_edges.T, mesh.boundary_edge_mask, mesh.edge_local
+    minus = np.take(mesh.edge_plus, edges) != np.arange(nt)
+    # the column of each side of an edge: its local edge index is the local
+    # vertex off the edge, 3 minus the two on it
+    side_col = ((3 - local[:, :, 0] - local[:, :, 1]) * nt
+                + np.column_stack([mesh.edge_plus, mesh.edge_minus]))
+    side_col[bnd, 1] = 3 * nt
+    across = np.where(minus, np.take(side_col[:, 0], edges), np.take(side_col[:, 1], edges))
+    rule_points, rule_weights = _PENALTY_RULE[variant]
+    points = list(dict.fromkeys((0.5, *rule_points)))
+    penalty = tuple((1 + points.index(s), w) for s, w in zip(rule_points, rule_weights))
+    sides = np.zeros((1 + len(points), 3, 3 * nt + 1))
+    own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
     # weighted flux average {kappa grad v}_beta . n+ = kappa_e {grad v} . n+;
     # on a boundary edge the plus side's kappa grad v . n (kappa_e = kappa+)
-    side = np.where(mesh.boundary_edge_mask[:, None], (1.0, 0.0), (0.5, 0.5))
-    normal_grad = np.einsum("edk,ek->ed", grads.reshape(-1, 2)[dofs], mesh.edge_normal)
-    del dofs
-    # column 2 e + s of each array below holds side s of edge e, so that the
-    # products run along the edges
-    flux = (np.repeat(ke[:, None] * side, 3, axis=1) * normal_grad).reshape(2 * ne, 3).T.copy()
-    del normal_grad
-    jump_mid = (0.5 * (traces[:, 0] + traces[:, 1])).reshape(2 * ne, 3).T.copy()
-    points, wts = _PENALTY_RULE[params.variant]
-    q = len(points)
-    jumps = _jump_at(traces, points).reshape(ne, q, 2, 3).transpose(1, 3, 0, 2)
-    jumps = jumps.reshape(q, 3, 2 * ne)
-    del traces
-    # h_e = |e| in the penalty alpha / h_e kappa_e |e|
-    pen = params.alpha / length * ke * length
-    theta = params.theta
+    kw = np.take(weights.kappa_e * np.where(bnd, 1.0, 0.5), edges)
+    n = [np.take(mesh.edge_normal[:, d], edges) for d in range(2)]
+    np.multiply(kw, grads[:, None, 0] * n[0] + grads[:, None, 1] * n[1], out=own[0])
+    # the jump at parameter s along the edge, from edge_vertices[e, 0] where
+    # it is 1 - s, times -1 on the minus side; local edge i runs from local
+    # vertex i + 1 to i + 2, and the jump is 0 at vertex i
+    sign = np.where(minus, -1.0, 1.0)
+    first = (mesh.triangles[:, [1, 2, 0]] < mesh.triangles[:, [2, 0, 1]]).T
+    for j, s in enumerate(points):
+        for i in range(3):
+            own[1 + j, (i + 1) % 3, i] = sign[i] * np.where(first[i], 1 - s, s)
+            own[1 + j, (i + 2) % 3, i] = sign[i] * np.where(first[i], s, 1 - s)
+    return sides, across, penalty
 
-    def edge_block(e, rows, cols):
-        r, c = 2 * e + rows, 2 * e + cols
-        blk = -jump_mid.take(r, axis=1)[:, None] * flux.take(c, axis=1)
-        blk += theta * flux.take(r, axis=1)[:, None] * jump_mid.take(c, axis=1)
-        blk *= length[e]
-        # the penalty: its terms at the quadrature points, summed from 0 in
-        # order, added as one
-        blk += sum(((w * pen[e]) * j_r)[:, None] * j_c
-                   for w, j_r, j_c in zip(wts, jumps.take(r, axis=2), jumps.take(c, axis=2)))
-        return blk.transpose(2, 0, 1)
 
-    return edge_block
+def _edge_block(rows, cols, out, *, theta, penalty, length, pen):
+    """The edge terms -<{kappa grad v}, [w]> + theta <[v], {kappa grad w}>
+    plus the penalty, v the dofs of side data rows and w those of cols (as
+    in the sides of _edge_sides), written to out (3, 3, ...)."""
+    np.multiply(-rows[1][:, None], cols[0][None], out=out)
+    term = np.multiply(theta * rows[0][:, None], cols[1][None])
+    out += term
+    out *= length
+    # the penalty: its terms at the quadrature points, summed in order, added
+    # as one
+    (r, w), *rest = penalty
+    np.multiply(((w * pen) * rows[r])[:, None], cols[r][None], out=term)
+    for r, w in rest:
+        term += ((w * pen) * rows[r])[:, None] * cols[r][None]
+    out += term
+    return out
 
 
 def assemble_conforming(mesh, coeff):
@@ -216,9 +249,9 @@ def assemble_rhs(mesh, f):
     coordinates, so it must work elementwise on arrays; a constant result
     broadcasts.
     """
-    p = mesh.vertices[mesh.triangles]
+    p = mesh.corners()
     # midpoint opposite local vertex i
-    mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
+    mids = np.stack([0.5 * (p[(i + 1) % 3] + p[(i + 2) % 3]) for i in range(3)], axis=1)
     fv = np.broadcast_to(f(mids[..., 0], mids[..., 1]), mids.shape[:2])
     contrib = (mesh.triangle_areas() / 3.0)[:, None] * fv * 0.5
     # P1 basis values at edge midpoints: 0 at the opposite one, 1/2 else

@@ -22,7 +22,7 @@ from .basis_split import BlockStructureError, extract_blocks, from_split
 from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
                       forward_substitution_solve)
 from .krylov import pcg, stationary_iteration
-from .experiments import (CR_PRECONDS, MAX_LEVEL, RUNNERS, ExperimentConfig,
+from .experiments import (CR_PRECONDS, MAX_LEVEL, RUNNERS, TABLE_FIELDS, ExperimentConfig,
                           block_jacobi_system, build_problem, dump_spectrum,
                           compare_to_golden, format_comparison, table_params)
 
@@ -82,9 +82,11 @@ def _parser():
 def _resolve(args):
     """Merge defaults, config file and explicit flags (flags win) into the
     options and the ExperimentConfig of the command; raise ValueError for an
-    option the command does not take or one out of bounds."""
+    option the command, or the table or preconditioner it runs, does not
+    read, and for one out of bounds."""
     names = COMMANDS[args.command][2]
     opts = {name: _CLI_ONLY.get(name) for name in names}
+    given = {k for k, v in vars(args).items() if v is not None and k in names}
     if args.config:
         with open(args.config) as fh:
             file_opts = json.load(fh)
@@ -94,6 +96,7 @@ def _resolve(args):
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         opts.update(file_opts)
+        given |= set(file_opts)
     opts.update((k, v) for k, v in vars(args).items() if v is not None)
     if env_out := os.environ.get("DG_PRECOND_OUT"):
         opts["out_dir"] = env_out
@@ -104,6 +107,7 @@ def _resolve(args):
         fields["levels"] = tuple(range(opts["levels"] + 1))
     cfg = ExperimentConfig(**fields)
     if args.command == "table":
+        _check_read(f"table {opts['name']}", opts["name"], given)
         # rejects a method the table cannot run, before the table starts
         table_params(opts["name"], cfg)
         return opts, cfg
@@ -115,6 +119,7 @@ def _resolve(args):
     if args.command == "spectrum":
         if opts["precond"] not in CR_PRECONDS:
             raise ValueError(f"precond must be one of {CR_PRECONDS}, got {opts['precond']!r}")
+        _check_read(f"spectrum --precond {opts['precond']}", opts["precond"], given)
         if opts["precond"] == "two-level" and cfg.coarse_level(level) < 0:
             raise ValueError(f"ratio {cfg.ratio} puts the coarse mesh below "
                              f"level 0 at level {level}")
@@ -125,6 +130,14 @@ def _resolve(args):
             raise ValueError(f"verify at level {level} needs about {need / 1e9:.3g} GB "
                              f"for its dense eigensolve; {free / 1e9:.3g} GB is free")
     return opts, cfg
+
+
+def _check_read(what, table, given):
+    """Raise ValueError for the given options that set an ExperimentConfig
+    field the table's runner does not read."""
+    ignored = sorted(k for k in given if k in _FIELDS and _FIELDS[k] not in TABLE_FIELDS[table])
+    if ignored:
+        raise ValueError(f"{what} does not read {', '.join(ignored)}")
 
 
 def _eps(opts):

@@ -223,6 +223,18 @@ def build_problem(hier, eps, params):
     return Problem(hier, coeff, weights, params, A)
 
 
+# the ExperimentConfig fields each runner of RUNNERS reads besides eps_list
+# and levels, which every one reads; the CLI refuses an option setting any
+# other field of a table
+TABLE_FIELDS = {
+    "zz": ("theta", "alpha", "variant", "tol", "seed"),
+    "two-level": ("alpha", "ratio", "smoother_kind", "sweeps", "tol", "seed"),
+    "bpx": ("alpha", "smoother_kind", "sweeps", "tol", "seed"),
+    "sipg1": ("alpha", "smoother_kind", "sweeps", "tol", "seed"),
+    "iipg-propagator": ("alpha", "seed"),
+}
+
+
 def table_params(name, cfg):
     """The method the table runner RUNNERS[name] assembles with, which its
     JSON config records.  zz runs cfg.theta and raises ValueError for a

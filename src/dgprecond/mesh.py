@@ -107,12 +107,20 @@ class Mesh:
         idx[interior] = np.arange(len(interior))
         return idx
 
+    def corners(self):
+        """The (nt, 2) coordinates of local vertex 0, 1 and 2 of every
+        triangle; np.take copies rows several times faster than fancy
+        indexing."""
+        return [np.take(self.vertices, self.triangles[:, i], axis=0) for i in range(3)]
+
     def triangle_areas(self):
-        p = self.vertices[self.triangles]
-        return 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+        p0, p1, p2 = self.corners()
+        return 0.5 * np.abs(_cross2(p1 - p0, p2 - p0))
 
     def barycenters(self):
-        return self.vertices[self.triangles].mean(axis=1)
+        p0, p1, p2 = self.corners()
+        # summed and divided as .mean(axis=1) of the stacked corners
+        return (p0 + p1 + p2) / 3
 
 
 @dataclass
@@ -161,6 +169,9 @@ class EdgeWeights:
     kappa_e: np.ndarray
 
 
+_LOCAL_ENDS = np.array([[1, 2], [2, 1], [2, 0], [0, 2], [0, 1], [1, 0]])
+
+
 def _build_edges(vertices, triangles):
     """Enumerate edges with adjacency; plus side is the smaller triangle index.
 
@@ -169,43 +180,50 @@ def _build_edges(vertices, triangles):
     edge), so the first occurrence of an edge is on its plus triangle.
     """
     nt = len(triangles)
-    local = np.array([[1, 2], [2, 0], [0, 1]])
-    # one row per (triangle, local edge): global endpoints in rising order
-    # and their local indices
-    ends = triangles[:, local].reshape(-1, 2)
-    pair = np.tile(local, (nt, 1))
-    swap = ends[:, 0] > ends[:, 1]
-    ends = np.where(swap[:, None], ends[:, ::-1], ends)
-    pair = np.where(swap[:, None], pair[:, ::-1], pair)
-
-    # np.unique numbers edges by sorted key; the rank of their first
-    # appearance renumbers them in the dof order of the split blocks
-    _, first, inverse = np.unique(ends[:, 0] * len(vertices) + ends[:, 1],
-                                  return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    occ_edge = np.argsort(order)[inverse]
-    first = first[order]
+    # per occurrence (triangle, local edge): local vertices i + 1 and i + 2
+    a, b = np.roll(triangles, -1, axis=1).ravel(), np.roll(triangles, -2, axis=1).ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # the local indices of the lower and the higher endpoint of local edge
+    # i, in row 2 i of _LOCAL_ENDS, or 2 i + 1 where vertex i + 1 is higher
+    local_ends = np.tile(np.arange(0, 6, 2, dtype=np.int8), nt) + (a > b)
+    del a, b
+    # a stable sort of the endpoint keys puts the two occurrences of an
+    # interior edge side by side, the first appearance in front
+    key = lo * len(vertices) + hi
+    srt = np.argsort(key, kind="stable")
+    repeat = np.diff(np.take(key, srt)) == 0
+    second, partner = srt[1:][repeat], srt[:-1][repeat]
+    is_first = np.ones(3 * nt, dtype=bool)
+    is_first[second] = False
+    first = np.flatnonzero(is_first)
+    # edges numbered by first appearance: the dof order of the split blocks
+    occ_edge = np.cumsum(is_first) - 1
+    occ_edge[second] = occ_edge[partner]
     tri_edges = occ_edge.reshape(nt, 3)
+    del key, srt, repeat, partner, is_first
 
-    edge_vertices = ends[first]
+    edge_vertices = np.column_stack([np.take(lo, first), np.take(hi, first)])
     edge_plus = first // 3
+    # the second occurrence of an interior edge is on its minus triangle
     edge_minus = np.full(len(first), BOUNDARY, dtype=np.int64)
-    edge_local = np.repeat(pair[first][:, None, :], 2, axis=1)
-    # the other occurrence of an interior edge is on its minus triangle
-    second = np.flatnonzero(first[occ_edge] != np.arange(3 * nt))
     edge_minus[occ_edge[second]] = second // 3
-    edge_local[occ_edge[second], 1] = pair[second]
-
-    p0 = vertices[edge_vertices[:, 0]]
-    p1 = vertices[edge_vertices[:, 1]]
+    edge_local = np.empty((len(first), 2, 2), dtype=np.int64)
+    edge_local[:, 0] = edge_local[:, 1] = np.take(_LOCAL_ENDS, np.take(local_ends, first), axis=0)
+    edge_local[occ_edge[second], 1] = np.take(_LOCAL_ENDS, np.take(local_ends, second), axis=0)
+    del lo, hi, local_ends, first, second
+    p0 = np.take(vertices, edge_vertices[:, 0], axis=0)
+    p1 = np.take(vertices, edge_vertices[:, 1], axis=0)
     edge_midpoint = 0.5 * (p0 + p1)
     tangent = p1 - p0
-    edge_length = np.linalg.norm(tangent, axis=1)
+    # the Euclidean norm, summed as np.linalg.norm sums it
+    edge_length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / edge_length[:, None]
+    del p0, p1, tangent
     # orient outward from the plus triangle
-    bary_plus = vertices[triangles[edge_plus]].mean(axis=1)
-    flip = np.einsum("ij,ij->i", normal, edge_midpoint - bary_plus) < 0
-    normal[flip] *= -1.0
+    c = [np.take(vertices, triangles[:, i], axis=0) for i in range(3)]
+    away = edge_midpoint - np.take((c[0] + c[1] + c[2]) / 3, edge_plus, axis=0)
+    del c
+    normal *= np.where(normal[:, 0] * away[:, 0] + normal[:, 1] * away[:, 1] < 0, -1.0, 1.0)[:, None]
     return (edge_vertices, edge_midpoint, edge_length, edge_plus, edge_minus, normal,
             tri_edges, edge_local)
 
@@ -277,9 +295,8 @@ def assign_coefficient(mesh, eps):
     inside = _in_inclusion(bary)
     # probe slightly inside the triangle at each corner; straddling the
     # interface means the mesh does not resolve the coefficient
-    corners = mesh.vertices[mesh.triangles]
-    probes = corners + 1e-9 * (bary[:, None, :] - corners)
-    straddle = np.flatnonzero((_in_inclusion(probes) != inside[:, None]).any(axis=1))
+    straddle = np.flatnonzero(np.logical_or.reduce(
+        [_in_inclusion(p + 1e-9 * (bary - p)) != inside for p in mesh.corners()]))
     if len(straddle):
         raise UnresolvedCoefficientError(
             f"triangle {straddle[0]} straddles the coefficient interface"

@@ -346,6 +346,53 @@ def test_command_accepts_only_the_options_it_reads(capsys, tmp_path, command):
         assert _one_error_line(capsys) == f"error: unknown config keys: ['{name}']"
 
 
+# the options each table reads besides eps, levels, alpha and out_dir, which
+# every table reads; a value for each of them
+TABLE_OPTION_SETS = {
+    "zz": {"theta", "variant", "tol", "seed"},
+    "two-level": {"ratio", "sweeps", "smoother", "tol", "seed"},
+    "bpx": {"sweeps", "smoother", "tol", "seed"},
+    "sipg1": {"sweeps", "smoother", "tol", "seed"},
+    "iipg-propagator": {"seed"},
+}
+TABLE_VALUES = {"theta": 1, "variant": "IP0", "ratio": 4, "sweeps": 2, "smoother": "jacobi",
+                "tol": 1e-6, "seed": 3}
+
+
+@pytest.mark.parametrize("table, option", [
+    (table, option) for table, reads in TABLE_OPTION_SETS.items()
+    for option in sorted(set(TABLE_VALUES) - reads)])
+def test_table_refuses_an_option_its_runner_does_not_read(capsys, tmp_path, monkeypatch,
+                                                          table, option):
+    def no_mesh(level):
+        raise AssertionError(f"a hierarchy of level {level} was built")
+
+    monkeypatch.setattr(experiments, "build_hierarchy", no_mesh)
+    value = TABLE_VALUES[option]
+    head = ["table", table, "--levels", "0", "--out-dir", str(tmp_path)]
+    assert main([*head, "--" + option, str(value)]) == 2
+    assert _one_error_line(capsys) == f"error: table {table} does not read {option}"
+    assert main(_argv(tmp_path, [*head, {option: value}])) == 2
+    assert _one_error_line(capsys) == f"error: table {table} does not read {option}"
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_OPTION_SETS))
+def test_table_takes_the_options_its_runner_reads(table):
+    assert set(cli.TABLES) == set(TABLE_OPTION_SETS)
+    for option in TABLE_OPTION_SETS[table] | {"eps", "levels", "alpha", "out_dir"}:
+        value = TABLE_VALUES.get(option, 1)
+        args = cli._parser().parse_args(["table", table, "--" + option.replace("_", "-"),
+                                         str(value)])
+        cli._resolve(args)
+
+
+def test_spectrum_with_bpx_refuses_a_ratio(capsys, tmp_path):
+    assert main(["spectrum", "--precond", "bpx", "--ratio", "4", "--level", "2"]) == 2
+    assert _one_error_line(capsys) == "error: spectrum --precond bpx does not read ratio"
+    assert main(_argv(tmp_path, ["spectrum", "--precond", "bpx", {"ratio": 4}])) == 2
+    assert _one_error_line(capsys) == "error: spectrum --precond bpx does not read ratio"
+
+
 def test_closed_stdout_is_no_traceback(tmp_path):
     # the reader is gone before the table prints, as with `| head -4`
     src = os.path.dirname(os.path.dirname(cli.__file__))

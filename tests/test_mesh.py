@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,16 +139,38 @@ def test_edges_numbered_by_first_appearance(level):
     assert np.all(np.diff(first) > 0)
 
 
+def _arrays(mesh):
+    """The array fields of mesh, by name."""
+    return {f.name: getattr(mesh, f.name) for f in dataclasses.fields(mesh)
+            if isinstance(getattr(mesh, f.name), np.ndarray)}
+
+
 def test_level3_edge_numbering_digest():
-    # pins the edge numbering and adjacency: the numbering is the split-block
-    # dof order and so the Gauss-Seidel sweep order of every table
-    m = build_hierarchy(3).finest
+    # pins every array of the mesh with its dtype, the edge numbering and
+    # adjacency among them: the numbering is the split-block dof order and
+    # so the Gauss-Seidel sweep order of every table
     h = hashlib.sha256()
-    for a in (m.edge_vertices, m.tri_edges, m.edge_plus, m.edge_minus):
-        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    for name, a in _arrays(build_hierarchy(3).finest).items():
+        h.update(f"{name} {a.dtype} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == (
-        "02567fa7ce490bed8a716f9ede3c635c5b9d83c2f1ac5af18b4f0c8213abfbe0"
+        "642e44ea1bdeb2b08d6fc8d8bc85bafa3891ef442de62886b0de45139e11e15e"
     )
+
+
+def test_hierarchy_memory_stays_near_its_meshes():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hier = build_hierarchy(4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = [a for m in hier.meshes for a in _arrays(m).values()]
+    # each array owns its buffer, so its bytes are all the mesh keeps
+    assert all(a.base is None or a.base.nbytes == a.nbytes for a in arrays)
+    # 1.48 times at level 4 (1.55 at level 3, 1.45 at level 5)
+    assert peak <= 1.6 * sum(a.nbytes for a in arrays)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
