@@ -210,6 +210,9 @@ def _build_edges(vertices, triangles):
     edge_local = np.empty((len(first), 2, 2), dtype=np.int64)
     edge_local[:, 0] = edge_local[:, 1] = np.take(_LOCAL_ENDS, np.take(local_ends, first), axis=0)
     edge_local[occ_edge[second], 1] = np.take(_LOCAL_ENDS, np.take(local_ends, second), axis=0)
+    # the vertex of the plus triangle off each edge: local vertex i of
+    # occurrence (t, i)
+    off_edge = np.take(triangles.ravel(), first)
     del lo, hi, local_ends, first, second
     p0 = np.take(vertices, edge_vertices[:, 0], axis=0)
     p1 = np.take(vertices, edge_vertices[:, 1], axis=0)
@@ -219,10 +222,8 @@ def _build_edges(vertices, triangles):
     edge_length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / edge_length[:, None]
     del p0, p1, tangent
-    # orient outward from the plus triangle
-    c = [np.take(vertices, triangles[:, i], axis=0) for i in range(3)]
-    away = edge_midpoint - np.take((c[0] + c[1] + c[2]) / 3, edge_plus, axis=0)
-    del c
+    # orient outward from the plus triangle, away from its vertex off the edge
+    away = edge_midpoint - np.take(vertices, off_edge, axis=0)
     normal *= np.where(normal[:, 0] * away[:, 0] + normal[:, 1] * away[:, 1] < 0, -1.0, 1.0)[:, None]
     return (edge_vertices, edge_midpoint, edge_length, edge_plus, edge_minus, normal,
             tri_edges, edge_local)
