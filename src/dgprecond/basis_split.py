@@ -49,21 +49,25 @@ def build_transform(mesh, weights):
     n_z, n_v = mesh.n_edges, len(interior)
     bp = np.where(bnd, 1.0, weights.beta)
     scale = np.column_stack([bp, -(1.0 - bp)])
-    # a hat is never 0, so a side stores its z-values where its scale is not
+    # a hat is never 0, so a side stores its z-values where its scale is not;
+    # kept numbers the (edge, side) pairs that do
     kept = scale != 0
     indptr = np.zeros(n_z + n_v + 1, dtype=np.int32)
-    np.cumsum(np.concatenate([3 * kept.sum(axis=1), np.full(n_v, 6)]), out=indptr[1:])
+    np.cumsum(np.concatenate([3 * np.add(kept[:, 0], kept[:, 1], dtype=np.int32),
+                              np.full(n_v, 6)]), out=indptr[1:])
+    kept = np.flatnonzero(kept)
     sides = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
     dofs = 3 * sides[:, :, None].astype(np.int32) + np.arange(3, dtype=np.int32)
-    indices = np.concatenate([dofs[kept].ravel(), dofs[interior].ravel()])
+    indices = np.concatenate([np.take(dofs.reshape(-1, 3), kept, axis=0).ravel(),
+                              np.take(dofs, interior, axis=0).ravel()])
     del sides, dofs
     # the CR hat on each side: 1 at the edge's endpoints, -1 at the opposite
     # vertex
-    hat = np.full((n_z, 2, 3), -1.0)
-    hat[np.arange(n_z)[:, None, None], np.arange(2)[:, None], mesh.edge_local] = 1.0
-    v_vals = hat[interior].ravel()
+    local = mesh.edge_local
+    hat = np.where((local[:, :, :1] == np.arange(3)) | (local[:, :, 1:] == np.arange(3)), 1.0, -1.0)
+    v_vals = np.take(hat, interior, axis=0).ravel()
     hat *= scale[:, :, None]
-    data = np.concatenate([hat[kept].ravel(), v_vals])
+    data = np.concatenate([np.take(hat.reshape(-1, 3), kept, axis=0).ravel(), v_vals])
     T = sp.csc_matrix((data, indices, indptr), shape=(mesh.n_dofs, n_z + n_v))
     return SplitBasis(T, n_z, n_v)
 
