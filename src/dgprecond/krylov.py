@@ -27,6 +27,7 @@ RTOL = 1e-6
 # and 7).  A beta below ROUNDOFF times that scale stops Lanczos; values closer
 # than it cannot be told apart by the recurrence anyway.
 ROUNDOFF = 32
+_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 
 
 class BreakdownError(RuntimeError):
@@ -123,7 +124,7 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
     V = np.empty((k, n))
     V[0] = v / nrm
     Av /= nrm
-    diag, off = [], []
+    diag, off = np.empty(k), np.empty(k)
     beta = 0.0
     for j in range(k):
         w = apply_B(Av)
@@ -142,19 +143,49 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
         w -= c @ V[: j + 1]
         if ww - c @ c <= 0.5 * ww:
             w -= (V[: j + 1] @ (A @ w)) @ V[: j + 1]
-        diag.append(alpha)
+        diag[j] = alpha
         if j == k - 1:
             break
         Aw = A @ w
         beta = np.sqrt(max(w @ Aw, 0.0))
-        if beta == 0.0 or (rtol > 0.0 and _certified(diag, off, beta, m, rtol)):
+        if beta == 0.0 or (rtol > 0.0 and _certified(diag[: j + 1], off[:j], beta, m, rtol)):
             break
-        off.append(beta)
+        off[j] = beta
         V[j + 1] = w / beta
         Av = Aw / beta
-    if len(diag) == 1:
-        return np.asarray(diag)
-    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    if j == 0:
+        return diag[:1]
+    return scipy.linalg.eigh_tridiagonal(diag[: j + 1], off[:j], eigvals_only=True)
+
+
+class _Ritz:
+    """Ritz values lo..hi (0-based, ascending) of the tridiagonal T with
+    diagonal diag and off-diagonal off, by the LAPACK calls of
+    eigh_tridiagonal(select="i"): bisection (stebz) for the values, inverse
+    iteration (stein) for their unit eigenvectors, of which last() returns
+    the last entries, computed on first use."""
+
+    def __init__(self, diag, off, lo, hi):
+        self._T = diag, off
+        if len(diag) == 1:
+            self.values, self._last = diag[:1], np.ones(1)
+            return
+        m, w, self._iblock, self._isplit, info = _STEBZ(diag, off, 2, 0.0, 1.0,
+                                                        lo + 1, hi + 1, 0.0, "B")
+        if info:
+            raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
+        # stebz orders the values by split-off block, stein expects them so
+        self._w = w[:m]
+        self._order = np.argsort(self._w)
+        self.values, self._last = self._w[self._order], None
+
+    def last(self):
+        if self._last is None:
+            v, info = _STEIN(*self._T, self._w, self._iblock, self._isplit)
+            if info:
+                raise np.linalg.LinAlgError(f"stein failed (LAPACK info={info})")
+            self._last = v[-1, self._order]
+        return self._last
 
 
 def _certified(diag, off, beta, m, rtol):
@@ -165,17 +196,17 @@ def _certified(diag, off, beta, m, rtol):
     (s_i: last entry of its unit eigenvector).  True once the m+1 lowest and
     the largest have bounds below rtol * theta_i, or once beta is at the
     round-off floor of an invariant Krylov space (see ROUNDOFF), where a
-    further step would restart from noise.
+    further step would restart from noise.  The eigenvectors of the low
+    values are computed only when the other two tests leave it open.
     """
     k = len(diag)
-    top, s_top = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
-                                               select_range=(k - 1, k - 1))
-    low, s_low = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
-                                               select_range=(0, min(m, k - 1)))
-    if beta <= ROUNDOFF * np.finfo(float).eps * top[0] * top[0] / low[0]:
+    top = _Ritz(diag, off, k - 1, k - 1)
+    low = _Ritz(diag, off, 0, min(m, k - 1))
+    if beta <= ROUNDOFF * np.finfo(float).eps * top.values[0] * top.values[0] / low.values[0]:
         return True
-    return bool(beta * abs(s_top[-1, 0]) < rtol * top[0]
-                and np.all(beta * np.abs(s_low[-1]) < rtol * low))
+    if not beta * abs(top.last()[0]) < rtol * top.values[0]:
+        return False
+    return bool(np.all(beta * np.abs(low.last()) < rtol * low.values))
 
 
 def condition_numbers(eigs, m_list=(0, 1)):
