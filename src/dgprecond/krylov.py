@@ -2,8 +2,9 @@
 
 Extreme (and near-extreme) eigenvalues of a preconditioned SPD system B*A are
 estimated either by a dense generalized eigensolve (small problems) or by
-Lanczos with full reorthogonalization in the A-inner product, where B*A is
-self-adjoint, run until the Ritz values asked for are certified to RTOL.
+Lanczos in the A-inner product, where B*A is self-adjoint, run until the Ritz
+values asked for are certified to RTOL.  Lanczos reorthogonalizes only at the
+steps where a model of the round-off says A-orthogonality is being lost.
 """
 
 from dataclasses import dataclass, field
@@ -100,8 +101,12 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
     form keeps the conditioning of B*A (A B A x = lambda A x would square
     it), so a round-off change in B moves the small eigenvalues by round-off
     only.
-    Otherwise: Lanczos with full reorthogonalization in the A-inner product,
-    returning the Ritz values.  Lanczos stops after the first step whose
+    Otherwise: Lanczos in the A-inner product, returning the Ritz values.  It
+    keeps the basis A-orthogonal to sqrt(eps_mach) by partial
+    reorthogonalization (see _omega_step), so a converged Ritz value gets no
+    ghost copy and each step costs one application of B, one product with A
+    and O(steps) scalar work, plus a Gram-Schmidt pass at the steps that
+    reorthogonalize.  Lanczos stops after the first step whose
     error bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 13; see
     _certified) certify to rtol the values condition_numbers reads for K and
     K_m, or show the Krylov space invariant up to round-off, where a further
@@ -125,37 +130,81 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
     V[0] = v / nrm
     Av /= nrm
     diag, off = np.empty(k), np.empty(k)
+    # omega[i] models the A-inner product of the newest basis vector with
+    # V[i], omega_old that of the one before (see _omega_step)
+    omega, omega_old = np.zeros(k + 1), np.zeros(k + 1)
+    omega[0] = 1.0
+    unit = np.finfo(float).eps
     beta = 0.0
+    # whether this step reorthogonalizes because the step before did
+    forced = False
     for j in range(k):
         w = apply_B(Av)
         if j > 0:
             w = w - beta * V[j - 1]
         alpha = w @ Av
         w = w - alpha * V[j]
-        # full reorthogonalization in the A-inner product by classical
-        # Gram-Schmidt.  V is A-orthonormal, so the pass leaves
-        # ||w||_A^2 - |c|^2; a second pass runs only when that is at most half
-        # of ||w||_A^2, i.e. when the first one cancelled (Daniel, Gragg,
-        # Kaufman and Stewart, 1976)
-        Aw = A @ w
-        ww = w @ Aw
-        c = V[: j + 1] @ Aw
-        w -= c @ V[: j + 1]
-        if ww - c @ c <= 0.5 * ww:
-            w -= (V[: j + 1] @ (A @ w)) @ V[: j + 1]
         diag[j] = alpha
         if j == k - 1:
             break
+        top = _Ritz(diag[: j + 1], off[:j], j, j)
+        low = _Ritz(diag[: j + 1], off[:j], 0, min(m, j))
         Aw = A @ w
-        beta = np.sqrt(max(w @ Aw, 0.0))
-        if beta == 0.0 or (rtol > 0.0 and _certified(diag[: j + 1], off[:j], beta, m, rtol)):
+        ww = w @ Aw
+        beta = np.sqrt(max(ww, 0.0))
+        if beta == 0.0:
             break
+        local = unit * np.sqrt(n) / 2 * top.values[0] / low.values[0]
+        omega_old = _omega_step(omega, omega_old, diag, off, j, beta, local)
+        # partial reorthogonalization (Simon, Math. Comp. 42, 1984): once the
+        # modelled loss of A-orthogonality passes sqrt(unit), w and the next
+        # residual are reorthogonalized against the whole basis by classical
+        # Gram-Schmidt, and the model restarts from unit.  V is A-orthonormal
+        # to sqrt(unit), so the pass leaves ||w||_A^2 - |c|^2; a second pass
+        # runs only when that is at most half of ||w||_A^2, i.e. when the
+        # first one cancelled (Daniel, Gragg, Kaufman and Stewart, 1976)
+        if forced or np.abs(omega_old[: j + 1]).max() > np.sqrt(unit):
+            c = V[: j + 1] @ Aw
+            w -= c @ V[: j + 1]
+            if ww - c @ c <= 0.5 * ww:
+                w -= (V[: j + 1] @ (A @ w)) @ V[: j + 1]
+            Aw = A @ w
+            beta = np.sqrt(max(w @ Aw, 0.0))
+            omega_old[: j + 1] = unit
+            forced = not forced
+        if beta == 0.0 or (rtol > 0.0 and _certified(top, low, beta, rtol)):
+            break
+        omega, omega_old = omega_old, omega
         off[j] = beta
         V[j + 1] = w / beta
         Av = Aw / beta
     if j == 0:
         return diag[:1]
     return scipy.linalg.eigh_tridiagonal(diag[: j + 1], off[:j], eigvals_only=True)
+
+
+def _omega_step(omega, omega_old, diag, off, j, beta, local):
+    """Simon's recurrence for the loss of orthogonality, in the A-inner
+    product.
+
+    omega[:j+1] and omega_old[:j] model the A-inner products of V[j] and
+    V[j-1] with the earlier basis vectors; returns omega_old overwritten with
+    those of V[j+1] = w / beta, the three-term recurrence of T applied to
+    them.  The entry for V[i] gains the round-off local * (off[i] + beta) /
+    beta, with the sign that makes it grow, and the entry for V[j] is local.
+    local is Simon's unit * sqrt(n) / 2 times the Ritz theta_max / theta_min
+    of T: the A-norm of a round-off error grows with that ratio, as ROUNDOFF
+    models, and without it a ghost copy of lambda_1 is read as lambda_2."""
+    t = (diag[:j] - diag[j]) * omega[:j]
+    if j > 0:
+        t += off[:j] * omega[1 : j + 1]
+        t[1:] += off[: j - 1] * omega[: j - 1]
+        t -= off[j - 1] * omega_old[:j]
+    t += np.copysign(local * (off[:j] + beta), t)
+    omega_old[:j] = t / beta
+    omega_old[j] = local
+    omega_old[j + 1] = 1.0
+    return omega_old
 
 
 class _Ritz:
@@ -188,9 +237,10 @@ class _Ritz:
         return self._last
 
 
-def _certified(diag, off, beta, m, rtol):
-    """Whether Lanczos may stop at the tridiagonal T with diagonal diag and
-    off-diagonal off, beta being the norm of the next residual.
+def _certified(top, low, beta, rtol):
+    """Whether Lanczos may stop at the tridiagonal T whose largest and m+1
+    lowest Ritz values are top and low (_Ritz of T), beta being the A-norm
+    of the next residual.
 
     Each Ritz value theta_i of T lies within beta * |s_i| of an eigenvalue
     (s_i: last entry of its unit eigenvector).  True once the m+1 lowest and
@@ -199,9 +249,6 @@ def _certified(diag, off, beta, m, rtol):
     further step would restart from noise.  The eigenvectors of the low
     values are computed only when the other two tests leave it open.
     """
-    k = len(diag)
-    top = _Ritz(diag, off, k - 1, k - 1)
-    low = _Ritz(diag, off, 0, min(m, k - 1))
     if beta <= ROUNDOFF * np.finfo(float).eps * top.values[0] * top.values[0] / low.values[0]:
         return True
     if not beta * abs(top.last()[0]) < rtol * top.values[0]:
