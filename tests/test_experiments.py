@@ -6,7 +6,7 @@ import pytest
 
 from dgprecond import experiments
 from dgprecond.assembly import IP0, IP1
-from dgprecond.krylov import SolveReport
+from dgprecond.krylov import RTOL, SolveReport
 from dgprecond.experiments import (
     EPS_DEFAULT,
     EPS_SWEEP_11,
@@ -76,6 +76,15 @@ def test_two_level_reference_cell():
     cell = table.cell(1e-3, 1)
     assert cell["K"] == pytest.approx(333.0, rel=0.5)
     assert cell["K_1"] == pytest.approx(3.36, rel=0.30)
+
+
+def test_two_level_lanczos_reads_no_ghost_of_lambda_1():
+    # ratio 2, L4, eps = 1e-5: K_1 as full reorthogonalization gives it.
+    # Partial reorthogonalization whose round-off term is not scaled by the
+    # Ritz theta_max / theta_min reads a ghost copy of lambda_1 as lambda_2
+    # there, and returns K_1 = 30373.4, the value of K
+    table = run_two_level_table(ExperimentConfig(ratio=2, eps_list=(1e-5,), levels=(4,)))
+    assert table.cell(1e-5, 4)["K_1"] == pytest.approx(3.187348998811498, rel=RTOL)
 
 
 def test_iipg_propagator_table():

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from dgprecond.assembly import IP0, MethodParams
 from dgprecond.basis_split import extract_blocks
-from dgprecond.experiments import build_problem
+from dgprecond import krylov
+from dgprecond.experiments import ExperimentConfig, _cr_block, _cr_precond, build_problem, table_params
 from dgprecond.mesh import build_hierarchy
 from dgprecond.precond import bpx
 from dgprecond.krylov import (
+    ROUNDOFF,
+    RTOL,
     BreakdownError,
     pcg,
     estimate_spectrum,
@@ -100,6 +104,22 @@ def test_estimate_spectrum_lanczos_matches_dense():
     assert np.allclose(lanczos, d, rtol=1e-8, atol=0)
 
 
+def test_estimate_spectrum_lanczos_matches_dense_at_condition_1e8():
+    # a diagonal B on an A of condition 1e8: the A-norm of round-off grows
+    # with the conditioning, and partial reorthogonalization whose model
+    # leaves that growth out returns values up to 4 times off.  All n steps
+    # must recover each eigenvalue once
+    n = 80
+    A, _ = _spd(n, seed=9, cond=1e8)
+    b = np.random.default_rng(10).uniform(0.5, 2.0, n)
+    dense = scipy.linalg.eigh(A.toarray(), np.diag(1.0 / b), eigvals_only=True)
+    for seed in (1, 2, 3):
+        lanczos = estimate_spectrum(A, lambda r: b * r, k=n, dense_limit=0, seed=seed,
+                                    rtol=0.0)
+        assert len(lanczos) == n
+        assert np.allclose(lanczos, dense, rtol=1e-8, atol=0)
+
+
 def test_estimate_spectrum_lanczos_stops_when_the_basis_is_full():
     # k > n: the preallocated basis has n rows, Lanczos stops after n steps
     # and returns the exact spectrum
@@ -158,6 +178,63 @@ def test_estimate_spectrum_lanczos_stops_once_the_read_values_are_certified():
         assert lanczos[i] == pytest.approx(dense[i], rel=1e-6)
     # rtol=0 switches the stop off: all k steps run
     assert len(estimate_spectrum(A, None, k=n, dense_limit=0, seed=1, rtol=0.0)) == n
+
+
+def _eigh_tridiagonal_stop(diag, off, m, rtol):
+    # the stopping test as it was written with scipy's eigh_tridiagonal, as
+    # a function of beta, and the betas near which each of its three tests
+    # changes its answer
+    k = len(diag)
+    top, s_top = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                               select_range=(k - 1, k - 1))
+    low, s_low = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+                                               select_range=(0, min(m, k - 1)))
+    roundoff = ROUNDOFF * np.finfo(float).eps * top[0] * top[0] / low[0]
+
+    def stop(beta):
+        if beta <= roundoff:
+            return True
+        return bool(beta * abs(s_top[-1, 0]) < rtol * top[0]
+                    and np.all(beta * np.abs(s_low[-1]) < rtol * low))
+
+    return stop, (roundoff, rtol * top[0] / abs(s_top[-1, 0]),
+                  np.min(rtol * low / np.abs(s_low[-1])))
+
+
+def test_certified_decides_as_eigh_tridiagonal_on_a_two_level_run(monkeypatch):
+    # every leading T of a 120-step two-level run at L4, eps = 1e-5, with
+    # its own next beta and with betas at, just below and just above each
+    # threshold of the test: the direct LAPACK calls give the same decision
+    cfg = ExperimentConfig()
+    hier = build_hierarchy(4)
+    A = _cr_block(hier, 1e-5, table_params("two-level", cfg))
+    B = _cr_precond(cfg, hier, A, "two-level")
+    seen = []
+    certified = krylov._certified
+
+    def record(top, low, beta, rtol):
+        diag, off = top._T
+        seen.append((diag.copy(), off.copy(), beta))
+        return certified(top, low, beta, rtol)
+
+    monkeypatch.setattr(krylov, "_certified", record)
+    assert len(estimate_spectrum(A, B, seed=cfg.seed)) == 120
+    assert len(seen) == 119
+    # rtol = 1e-15 puts the round-off floor above the error bounds, so that
+    # its test decides
+    decisions = set()
+    for diag, off, beta in seen:
+        k = len(diag)
+        for m, rtol in ((0, RTOL), (1, RTOL), (2, RTOL), (1, 1e-15)):
+            top = krylov._Ritz(diag, off, k - 1, k - 1)
+            low = krylov._Ritz(diag, off, 0, min(m, k - 1))
+            stop, thresholds = _eigh_tridiagonal_stop(diag, off, m, rtol)
+            for b in (beta, *thresholds):
+                for t in (np.nextafter(b, 0), b, np.nextafter(b, np.inf), 0.5 * b, 2 * b):
+                    got = certified(top, low, t, rtol)
+                    assert got == stop(t)
+                    decisions.add(got)
+    assert decisions == {True, False}
 
 
 def test_condition_numbers():
