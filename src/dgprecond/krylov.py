@@ -155,7 +155,7 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
         if beta == 0.0:
             break
         local = unit * np.sqrt(n) / 2 * top.values[0] / low.values[0]
-        omega_old = _omega_step(omega, omega_old, diag, off, j, beta, local)
+        _omega_step(omega, omega_old, diag, off, j, beta, local)
         # partial reorthogonalization (Simon, Math. Comp. 42, 1984): once the
         # modelled loss of A-orthogonality passes sqrt(unit), w and the next
         # residual are reorthogonalized against the whole basis by classical
@@ -188,7 +188,7 @@ def _omega_step(omega, omega_old, diag, off, j, beta, local):
     product.
 
     omega[:j+1] and omega_old[:j] model the A-inner products of V[j] and
-    V[j-1] with the earlier basis vectors; returns omega_old overwritten with
+    V[j-1] with the earlier basis vectors; omega_old is overwritten with
     those of V[j+1] = w / beta, the three-term recurrence of T applied to
     them.  The entry for V[i] gains the round-off local * (off[i] + beta) /
     beta, with the sign that makes it grow, and the entry for V[j] is local.
@@ -204,7 +204,6 @@ def _omega_step(omega, omega_old, diag, off, j, beta, local):
     omega_old[:j] = t / beta
     omega_old[j] = local
     omega_old[j + 1] = 1.0
-    return omega_old
 
 
 class _Ritz:
@@ -249,9 +248,10 @@ def _certified(top, low, beta, rtol):
     further step would restart from noise.  The eigenvectors of the low
     values are computed only when the other two tests leave it open.
     """
-    if beta <= ROUNDOFF * np.finfo(float).eps * top.values[0] * top.values[0] / low.values[0]:
+    theta_max, theta_min = top.values[0], low.values[0]
+    if beta <= ROUNDOFF * np.finfo(float).eps * theta_max * theta_max / theta_min:
         return True
-    if not beta * abs(top.last()[0]) < rtol * top.values[0]:
+    if not beta * abs(top.last()[0]) < rtol * theta_max:
         return False
     return bool(np.all(beta * np.abs(low.last()) < rtol * low.values))
 
