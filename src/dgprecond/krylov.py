@@ -1,10 +1,10 @@
 """PCG, stationary iteration and spectral estimation.
 
 Extreme (and near-extreme) eigenvalues of a preconditioned SPD system B*A are
-estimated either by a dense generalized eigensolve (small problems) or by
-Lanczos in the A-inner product, where B*A is self-adjoint, run until the Ritz
-values asked for are certified to RTOL.  Lanczos reorthogonalizes only at the
-steps where a model of the round-off says A-orthogonality is being lost.
+estimated by Lanczos in the A-inner product, where B*A is self-adjoint, run
+until the Ritz values asked for are certified to RTOL.  Lanczos
+reorthogonalizes only at the steps where a model of the round-off says
+A-orthogonality is being lost.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import symmetric_part
 
-DENSE_LIMIT = 2500
 # relative residual at which pcg and stationary_iteration stop by default
 TOL = 1e-7
 # relative accuracy at which Lanczos certifies the Ritz values it is asked for
@@ -92,17 +91,11 @@ def pcg(A, b, B=None, tol=TOL, maxit=1000):
     return x, report
 
 
-def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
-                      rtol=RTOL):
-    """Ascending eigenvalue estimates of B*A for sparse SPD A and SPD B.
+def estimate_spectrum(A, B=None, k=120, seed=0, m=1, rtol=RTOL):
+    """Ascending eigenvalue estimates of B*A for sparse SPD A and SPD B: the
+    Ritz values of Lanczos in the A-inner product.
 
-    Dense path (dim <= dense_limit): factor A = L L^t and return the full
-    spectrum of the symmetric L^t B L, B applied to the columns of L.  This
-    form keeps the conditioning of B*A (A B A x = lambda A x would square
-    it), so a round-off change in B moves the small eigenvalues by round-off
-    only.
-    Otherwise: Lanczos in the A-inner product, returning the Ritz values.  It
-    keeps the basis A-orthogonal to sqrt(eps_mach) by partial
+    Lanczos keeps the basis A-orthogonal to sqrt(eps_mach) by partial
     reorthogonalization (see _omega_step), so a converged Ritz value gets no
     ghost copy and each step costs one application of B, one product with A
     and O(steps) scalar work, plus a Gram-Schmidt pass at the steps that
@@ -111,16 +104,11 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
     _certified) certify to rtol the values condition_numbers reads for K and
     K_m, or show the Krylov space invariant up to round-off, where a further
     step would restart from noise.  k caps the steps; rtol=0 runs all k of
-    them unless beta is exactly zero.
+    them unless beta is exactly zero.  A one-dimensional invariant space
+    from the random start means B*A = theta*I, and theta comes back n times.
     """
     apply_B = _as_apply(B)
     n = A.shape[0]
-    if n <= dense_limit:
-        Ad = A.toarray()
-        L = scipy.linalg.cholesky(0.5 * (Ad + Ad.T), lower=True)
-        M = L.T @ np.asarray(apply_B(L))
-        return scipy.linalg.eigvalsh(0.5 * (M + M.T))
-
     rng = np.random.default_rng(seed)
     k = min(k, n)
     v = rng.standard_normal(n)
@@ -179,7 +167,8 @@ def estimate_spectrum(A, B=None, k=120, seed=0, dense_limit=DENSE_LIMIT, m=1,
         V[j + 1] = w / beta
         Av = Aw / beta
     if j == 0:
-        return diag[:1]
+        # with k = 1 the one step is all that was asked for, not a closed space
+        return np.full(n, diag[0]) if k > 1 else diag[:1]
     return scipy.linalg.eigh_tridiagonal(diag[: j + 1], off[:j], eigvals_only=True)
 
 

@@ -39,13 +39,6 @@ class SmootherSpec:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
 
 
-def _scale(d, r):
-    """Multiply by a diagonal; r may be a vector or a matrix of columns."""
-    if r.ndim == 1:
-        return d * r
-    return d[:, None] * r
-
-
 class DiagonalPrecond:
     """Inverse of a positive diagonal d."""
 
@@ -55,7 +48,7 @@ class DiagonalPrecond:
         self.inv_diag = 1.0 / d
 
     def apply(self, r):
-        return _scale(self.inv_diag, r)
+        return self.inv_diag * r
 
 
 class DirectSolve:
@@ -92,13 +85,9 @@ def _substitute(ptr, indices, data, x):
     """x <- x + T x row by row, in place, for the strictly lower CSR matrix
     T: scipy's csr_matvec forms row i from x as it stands, every row before
     i already written, so one product with the same x as input and output is
-    the forward substitution.  x is a vector or a C-ordered block of
-    columns."""
-    n = x.shape[0]
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(n, n, ptr, indices, data, x, x)
-    else:
-        _sparsetools.csr_matvecs(n, n, x.shape[1], ptr, indices, data, x, x)
+    the forward substitution."""
+    n = len(x)
+    _sparsetools.csr_matvec(n, n, ptr, indices, data, x, x)
 
 
 class Smoother:
@@ -141,9 +130,7 @@ class Smoother:
         self._backward = _strict_lower(flipped, self._inv_diag[::-1])
 
     def _sym_gs(self, r):
-        # the in-place products need C order; a Fortran-ordered block would
-        # keep its order through _scale
-        b = np.ascontiguousarray(_scale(self._inv_diag, np.asarray(r, dtype=float)))
+        b = self._inv_diag * r
         h = np.zeros_like(b)
         for _ in range(self.spec.sweeps):
             x = b - h
@@ -152,15 +139,15 @@ class Smoother:
             _substitute(*self._backward, y)
             h += x
             h -= y[::-1]
-        # in the unknowns' own order and C-ordered, like the input
+        # contiguous, in the unknowns' own order
         return y[::-1].copy()
 
     def apply(self, r):
         if self.spec.kind == SYM_GS:
             return self._sym_gs(r)
-        x = _scale(self._inv_diag, r)
+        x = self._inv_diag * r
         for _ in range(self.spec.sweeps - 1):
-            x = x + _scale(self._inv_diag, r - self.A @ x)
+            x = x + self._inv_diag * (r - self.A @ x)
         return x
 
 

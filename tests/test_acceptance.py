@@ -201,13 +201,17 @@ def test_criterion_11_lanczos_dense_crosscheck(cfg):
     p = build_problem(hier, 1e-3, MethodParams(-1, 8.0, IP0))
     A_vv = extract_blocks(p.A, p.basis).A_vv
     n = A_vv.shape[0]
+    # dense reference: with A = L L^t, the eigenvalues of B*A are those of
+    # the symmetric L^t B L, B applied to the columns of L
+    L = scipy.linalg.cholesky(A_vv.toarray(), lower=True)
     worst = 0.0
     for B in (
         two_level(A_vv, cr_prolongation(hier, 2), cfg.smoother_spec()),
         bpx(A_vv, hier, cfg.smoother_spec()),
     ):
-        dense = estimate_spectrum(A_vv, B, dense_limit=n)
-        lanczos = estimate_spectrum(A_vv, B, k=n, seed=1, dense_limit=0)
+        M = L.T @ np.column_stack([B.apply(c) for c in L.T])
+        dense = scipy.linalg.eigvalsh(0.5 * (M + M.T))
+        lanczos = estimate_spectrum(A_vv, B, k=n, seed=1)
         for di, li in ((dense[0], lanczos[0]), (dense[1], lanczos[1]),
                        (dense[-1], lanczos[-1])):
             worst = max(worst, abs(li - di) / abs(di))

@@ -174,6 +174,21 @@ def test_table_zz(tmp_path, capsys):
     assert data["levels"] == [0, 1]
 
 
+def test_table_zz_theta_0_has_condition_number_1(tmp_path, capsys):
+    # theta = 0: the zz block is diagonal, B*A = I, and Lanczos closes a
+    # one-dimensional Krylov space at every level; the references, measured
+    # at theta = -1, are not compared
+    code, out = run(capsys, "table", "zz", "--theta", "0", "--levels", "3",
+                    "--eps", "1e-5", "--eps", "1", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert "## reference comparison" not in out
+    cells = json.loads((tmp_path / "zz.json").read_text())["cells"]
+    assert len(cells) == 8
+    for c in cells:
+        assert c["K"] == pytest.approx(1.0, abs=1e-12)
+        assert c["K_1"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_table_without_eps_sweeps_the_runner_default(tmp_path, capsys):
     code, out = run(capsys, "table", "zz", "--levels", "0",
                     "--out-dir", str(tmp_path))

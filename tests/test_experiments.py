@@ -155,6 +155,10 @@ def test_unknown_table_has_no_checks():
     table = TableResult("mystery", {}, [1.0], [0])
     table.add_cell(1.0, 0, K=1.0)
     assert compare_to_golden(table)["checks"] == []
+    # the zz references are those of theta = -1
+    table = TableResult("zz", {"theta": 0}, [1e-5], [0])
+    table.add_cell(1e-5, 0, K=1.0, K_1=1.0, iterations=1)
+    assert compare_to_golden(table)["checks"] == []
 
 
 def test_golden_tables_have_tolerances():
@@ -210,11 +214,10 @@ def test_runner_builds_one_hierarchy_per_table(name, monkeypatch):
     assert [c["level"] for c in table.cells] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("level, rows", [(0, 40), (1, 176), (3, 300)])
+@pytest.mark.parametrize("level, rows", [(0, 40), (1, 176), (2, 300), (3, 300)])
 def test_dump_spectrum_writes_min_k_n_rows(tmp_path, level, rows):
-    # the dump wants the whole spectrum: all n eigenvalues on the dense path
-    # (levels 0 and 1), and all 300 Lanczos steps (SPECTRUM_STEPS), with no
-    # early stop, at level 3, whose 3008 unknowns are above DENSE_LIMIT
+    # the dump wants the whole Ritz spectrum: Lanczos runs min(300, n) steps
+    # (SPECTRUM_STEPS) with no early stop, all n of them at levels 0 and 1
     cfg = ExperimentConfig(eps_list=(1e-5,))
     path = tmp_path / "spec.csv"
     eigs = dump_spectrum(cfg, 1e-5, level, path, precond="bpx")

@@ -78,24 +78,25 @@ def test_pcg_indefinite_preconditioner_raises():
 
 
 def test_estimate_spectrum_dense_exact():
-    A, d = _spd(50, seed=7)
-    eigs = estimate_spectrum(A, None, dense_limit=100)
-    assert np.allclose(np.sort(eigs), np.sort(d), rtol=1e-9)
+    # all n steps recover the whole spectrum of a dense eigensolve
+    A, _ = _spd(50, seed=7)
+    eigs = estimate_spectrum(A, None, k=50, rtol=0.0)
+    assert np.allclose(eigs, scipy.linalg.eigvalsh(A.toarray()), rtol=1e-9, atol=0)
 
 
 def test_estimate_spectrum_dense_with_preconditioner():
-    A, d = _spd(30, seed=8)
-    inv_diag = 1.0 / A.diagonal()
-    eigs = estimate_spectrum(A, lambda r: inv_diag * r if r.ndim == 1 else inv_diag[:, None] * r,
-                             dense_limit=100)
-    BA = np.diag(inv_diag) @ A.toarray()
-    assert np.allclose(np.sort(eigs), np.sort(np.linalg.eigvals(BA).real), rtol=1e-8)
+    # B = D^-1: the eigenvalues of B*A are those of the pencil (A, D)
+    A, _ = _spd(30, seed=8)
+    d = A.diagonal()
+    eigs = estimate_spectrum(A, lambda r: r / d, k=30, rtol=0.0)
+    dense = scipy.linalg.eigh(A.toarray(), np.diag(d), eigvals_only=True)
+    assert np.allclose(eigs, dense, rtol=1e-8, atol=0)
 
 
 def test_estimate_spectrum_lanczos_matches_dense():
     A, d = _spd(80, seed=9, cond=1e4)
-    dense = estimate_spectrum(A, None, dense_limit=200)
-    lanczos = estimate_spectrum(A, None, k=80, dense_limit=0, seed=1)
+    dense = scipy.linalg.eigvalsh(A.toarray())
+    lanczos = estimate_spectrum(A, None, k=80, seed=1)
     assert lanczos[-1] == pytest.approx(dense[-1], rel=1e-6)
     assert lanczos[0] == pytest.approx(dense[0], rel=1e-4)
     # k = n steps with distinct eigenvalues recover every eigenvalue once;
@@ -111,7 +112,7 @@ def test_estimate_spectrum_lanczos_matches_dense():
     b = np.random.default_rng(10).uniform(0.5, 2.0, n)
     dense = scipy.linalg.eigh(A.toarray(), np.diag(1.0 / b), eigvals_only=True)
     for seed in (1, 2, 3):
-        lanczos = estimate_spectrum(A, lambda r: b * r, k=n, dense_limit=0, seed=seed,
+        lanczos = estimate_spectrum(A, lambda r: b * r, k=n, seed=seed,
                                     rtol=0.0)
         assert len(lanczos) == n
         assert np.allclose(lanczos, dense, rtol=1e-8, atol=0)
@@ -123,7 +124,7 @@ def test_estimate_spectrum_lanczos_stops_when_the_basis_is_full():
     levels = np.array([1.0, 3.0, 10.0])
     Q, _ = np.linalg.qr(np.random.default_rng(20).standard_normal((3, 3)))
     A = sp.csr_matrix(Q @ np.diag(levels) @ Q.T)
-    ritz = estimate_spectrum(A, None, k=20, dense_limit=0, seed=3)
+    ritz = estimate_spectrum(A, None, k=20, seed=3)
     assert np.allclose(ritz, levels, rtol=1e-10, atol=0)
 
 
@@ -133,7 +134,7 @@ def test_estimate_spectrum_lanczos_stops_at_an_invariant_subspace():
     levels = np.array([1.0, 3.0, 10.0])
     Q, _ = np.linalg.qr(np.random.default_rng(20).standard_normal((60, 60)))
     A = sp.csr_matrix(Q @ np.diag(np.repeat(levels, 20)) @ Q.T)
-    ritz = estimate_spectrum(A, None, k=20, dense_limit=0, seed=3)
+    ritz = estimate_spectrum(A, None, k=20, seed=3)
     assert np.abs(ritz[:, None] - levels).min(axis=1).max() <= 1e-10
 
 
@@ -153,7 +154,7 @@ def test_estimate_spectrum_lanczos_finds_each_of_four_eigenvalues(levels):
         Q, _ = np.linalg.qr(np.random.default_rng(q_seed).standard_normal((120, 120)))
         A = sp.csr_matrix(Q @ np.diag(np.repeat(levels, 30)) @ Q.T)
         for seed in range(10):
-            ritz = estimate_spectrum(A, None, k=10, dense_limit=0, seed=seed)
+            ritz = estimate_spectrum(A, None, k=10, seed=seed)
             err = np.abs(ritz[:, None] - levels) / levels
             # every Ritz value is an eigenvalue, and every eigenvalue is found
             assert err.min(axis=1).max() <= 1e-9
@@ -168,13 +169,13 @@ def test_estimate_spectrum_lanczos_stops_once_the_read_values_are_certified():
     d = np.concatenate([[1e-4], np.geomspace(0.2, 1.0, n - 1)])
     Q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((n, n)))
     A = sp.csr_matrix(Q @ np.diag(d) @ Q.T)
-    dense = estimate_spectrum(A, None, dense_limit=200)
-    lanczos = estimate_spectrum(A, None, k=n, dense_limit=0, seed=1)
+    dense = scipy.linalg.eigvalsh(A.toarray())
+    lanczos = estimate_spectrum(A, None, k=n, seed=1)
     assert len(lanczos) < n
     for i in (0, 1, -1):
         assert lanczos[i] == pytest.approx(dense[i], rel=1e-6)
     # rtol=0 switches the stop off: all k steps run
-    assert len(estimate_spectrum(A, None, k=n, dense_limit=0, seed=1, rtol=0.0)) == n
+    assert len(estimate_spectrum(A, None, k=n, seed=1, rtol=0.0)) == n
 
 
 def _eigh_tridiagonal_stop(diag, off, m, rtol):
@@ -307,15 +308,16 @@ def test_pcg_accepts_matrix_and_object_preconditioners():
         assert rep.converged
 
 
-def test_dense_spectrum_insensitive_to_round_off_in_the_preconditioner():
+def test_spectrum_insensitive_to_round_off_in_the_preconditioner():
     # bpx at L2, eps = 1e-5 (K about 6e4): a symmetric perturbation of B of
-    # relative size 4e-16, the size of its round-off, may move lambda_min by
-    # round-off only (9e-11 relative); the form A B A x = lambda A x, which
-    # squares the conditioning, moved it by 5.5e-7
+    # relative size 4e-16, the size of its round-off, moves lambda_min by
+    # less than RTOL (6.6e-8 relative); Lanczos on B*A in the A-inner product
+    # keeps the conditioning of B*A, where A B A x = lambda A x would square it
     p = build_problem(build_hierarchy(2), 1e-5, MethodParams(-1, 8.0, IP0))
     A = extract_blocks(p.A, p.basis).A_vv
     n = A.shape[0]
-    B = bpx(A, p.hier).apply(np.eye(n))
+    P = bpx(A, p.hier)
+    B = np.column_stack([P.apply(e) for e in np.eye(n)])
     B = 0.5 * (B + B.T)
     G = np.random.default_rng(23).standard_normal((n, n))
     G = G + G.T
@@ -323,4 +325,17 @@ def test_dense_spectrum_insensitive_to_round_off_in_the_preconditioner():
     lam = estimate_spectrum(A, B)
     lam_perturbed = estimate_spectrum(A, B + E)
     assert lam[-1] / lam[0] > 1e4
-    assert abs(lam_perturbed[0] - lam[0]) <= 1e-9 * lam[0]
+    assert abs(lam_perturbed[0] - lam[0]) <= RTOL * lam[0]
+
+
+def test_estimate_spectrum_of_a_multiple_of_the_identity():
+    # B*A = 2 I with n above the step cap: the Krylov space of the random
+    # start closes after one step, and every eigenvalue is 2
+    n = 200
+    d = np.random.default_rng(24).uniform(1.0, 1e3, n)
+    A = sp.diags(d).tocsr()
+    eigs = estimate_spectrum(A, lambda r: 2.0 * r / d)
+    assert len(eigs) == n
+    assert np.allclose(eigs, 2.0, rtol=1e-15, atol=0)
+    cond = condition_numbers(eigs)
+    assert cond["K"] == cond["K_m"][1] == 1.0

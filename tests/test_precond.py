@@ -140,14 +140,16 @@ def test_factored_sym_gs_sweep_matches_triangular_solves():
     sm = Smoother(A, SmootherSpec(SYM_GS, 1))
     lower, upper = sp.tril(A, format="csr"), sp.triu(A, format="csr")
     rng = np.random.default_rng(19)
-    for r in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+    # a contiguous residual, then strided columns, which give the same bits
+    # as their copies and stay as they were
+    for r in (rng.standard_normal(n), *rng.standard_normal((n, 3)).T):
         y = spla.spsolve_triangular(lower, r, lower=True)
-        d = A.diagonal() if r.ndim == 1 else A.diagonal()[:, None]
-        ref = spla.spsolve_triangular(upper, d * y, lower=False)
+        ref = spla.spsolve_triangular(upper, A.diagonal() * y, lower=False)
         r_in = r.copy()
         x = sm.apply(r)
         assert x.shape == r.shape
         assert np.array_equal(r, r_in)
+        assert np.array_equal(x, sm.apply(r_in))
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     # the operators, on A with each row's entries shuffled: forward holds
     # -D^-1 tril(A, -1), backward -D^-1 triu(A, 1) with rows and columns
@@ -195,29 +197,6 @@ def test_sym_gs_sweeps_match_dense_triangular_solves():
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_sym_gs_block_apply_equals_vector_applies():
-    _, _, _, blocks = _vv_block(2, 1e-5)
-    sm = Smoother(blocks.A_vv, SmootherSpec(SYM_GS, 5))
-    R = np.random.default_rng(21).standard_normal((blocks.A_vv.shape[0], 4))
-    X = sm.apply(R)
-    for j in range(R.shape[1]):
-        x = sm.apply(R[:, j])
-        assert np.linalg.norm(X[:, j] - x) <= 1e-15 * np.linalg.norm(x)
-
-
-def test_sym_gs_block_apply_ignores_memory_order():
-    # the in-place substitutions need a C-ordered block; Fortran-ordered and
-    # strided input give the same bits and stay as they were
-    _, _, _, blocks = _vv_block(2, 1e-5)
-    sm = Smoother(blocks.A_vv, SmootherSpec(SYM_GS, 5))
-    R = np.random.default_rng(23).standard_normal((blocks.A_vv.shape[0], 8))
-    X = sm.apply(R[:, ::2].copy())
-    for r in (np.asfortranarray(R[:, ::2]), R[:, ::2]):
-        r_in = r.copy()
-        assert np.array_equal(sm.apply(r), X)
-        assert np.array_equal(r, r_in)
-
-
 @pytest.mark.parametrize("drop", ["lower", "upper"])
 def test_sym_gs_asymmetric_stored_pattern(drop):
     # two chains 0 - 1 - 2 - 3 and 4 - 5 - 6 - 7 coupled by (2, 5) stored on
@@ -261,10 +240,6 @@ def test_smoother_linear_and_spd(kind, sweeps):
     M = np.column_stack([sm.apply(e) for e in np.eye(10)])
     assert np.allclose(M, M.T, atol=1e-10)
     assert np.linalg.eigvalsh(0.5 * (M + M.T))[0] > 0
-    # matrix apply agrees with columnwise apply
-    R = np.random.default_rng(13).standard_normal((10, 3))
-    cols = np.column_stack([sm.apply(R[:, j]) for j in range(3)])
-    assert np.allclose(sm.apply(R), cols, atol=1e-12)
 
 
 def test_conforming_prolongation_reproduces_p1_interpolation():
@@ -342,7 +317,7 @@ def test_two_level_spd_and_bounded_condition():
     hier, mesh, coeff, blocks = _vv_block(2, 1e-3)
     P = cr_prolongation(hier, 2)
     B = two_level(blocks.A_vv, P, SmootherSpec(SYM_GS, 5))
-    eigs = estimate_spectrum(blocks.A_vv, B, dense_limit=3000)
+    eigs = estimate_spectrum(blocks.A_vv, B)
     assert eigs[0] > 0
     # one coefficient-induced small eigenvalue, rest well conditioned
     assert eigs[-1] / eigs[1] < 10.0
@@ -377,7 +352,7 @@ def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
     ops = [DirectSolve(A_levels[0])] + [Smoother(A_j, spec) for A_j in A_levels[1:]]
     fine = Smoother(A_vv, spec)
     r = np.random.default_rng(19).standard_normal((A_vv.shape[0], 3))
-    for x in (r[:, 0], r):
+    for x in r.T:
         ref = fine.apply(x)
         for P_j, op in zip(P, ops):
             ref = ref + P_j @ op.apply(P_j.T @ x)
@@ -393,7 +368,7 @@ def test_bpx_stored_restrictions_match_transposed_transfers():
     rng = np.random.default_rng(24)
     for T, R in zip(B.transfers, B.restrictions):
         assert R.format == "csr"
-        for r in (rng.standard_normal(T.shape[0]), rng.standard_normal((T.shape[0], 3))):
+        for r in (rng.standard_normal(T.shape[0]), *rng.standard_normal((3, T.shape[0]))):
             assert np.array_equal(R @ r, T.T @ r)
 
 
@@ -401,7 +376,7 @@ def test_bpx_spd():
     hier, mesh, coeff, blocks = _vv_block(2, 1e-3)
     B = bpx(blocks.A_vv, hier, SmootherSpec(SYM_GS, 5))
     n = blocks.A_vv.shape[0]
-    M = B.apply(np.eye(n))
+    M = np.column_stack([B.apply(e) for e in np.eye(n)])
     assert np.allclose(M, M.T, atol=1e-10)
     assert np.linalg.eigvalsh(0.5 * (M + M.T))[0] > 0
 
@@ -490,7 +465,7 @@ def test_smoother_largest_eigenvalue_stable_across_coefficients():
     for eps in (1e-4, 1e-2, 1.0, 1e2):
         hier, mesh, coeff, blocks = _vv_block(1, eps)
         sm = Smoother(blocks.A_vv, SmootherSpec(SYM_GS, 5))
-        eigs = estimate_spectrum(blocks.A_vv, sm, dense_limit=1000)
+        eigs = estimate_spectrum(blocks.A_vv, sm)
         tops.append(eigs[-1])
     tops = np.asarray(tops)
     assert tops.max() / tops.min() < 1.1
