@@ -12,16 +12,15 @@ import os
 import sys
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .mesh import build_hierarchy
 from .assembly import (IP0, IP1, MethodParams, assemble_dg, assemble_conforming,
-                       assemble_rhs, export_coordinate, symmetric_part)
+                       assemble_rhs, edge_traces, export_coordinate, symmetric_part)
 from .basis_split import BlockStructureError, extract_blocks, from_split
 from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
                       forward_substitution_solve)
-from .krylov import pcg, stationary_iteration
+from .krylov import estimate_spectrum, pcg, stationary_iteration
 from .experiments import (CR_PRECONDS, MAX_LEVEL, RUNNERS, TABLE_FIELDS, ExperimentConfig,
                           block_jacobi_system, build_problem, dump_spectrum,
                           compare_to_golden, format_comparison, table_params)
@@ -56,9 +55,6 @@ _CLI_ONLY = {"eps": None, "levels": None, "level": 0, "precond": "two-level",
 _FIELDS = {"theta": "theta", "alpha": "alpha", "variant": "variant",
            "ratio": "ratio", "smoother": "smoother_kind", "sweeps": "sweeps",
            "tol": "tol", "seed": "seed"}
-# n x n float64 arrays of verify's dense eigensolve, n = 96 * 4**level: two
-# dense matrices and eigh's copies (traced peak 4.00 * 8n^2 bytes at L1, L2)
-_VERIFY_DENSE_ARRAYS = 4
 
 
 def _parser():
@@ -123,12 +119,6 @@ def _resolve(args):
         if opts["precond"] == "two-level" and cfg.coarse_level(level) < 0:
             raise ValueError(f"ratio {cfg.ratio} puts the coarse mesh below "
                              f"level 0 at level {level}")
-    if args.command == "verify":
-        need = _VERIFY_DENSE_ARRAYS * 8 * (96 * 4**level) ** 2
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > free:
-            raise ValueError(f"verify at level {level} needs about {need / 1e9:.3g} GB "
-                             f"for its dense eigensolve; {free / 1e9:.3g} GB is free")
     return opts, cfg
 
 
@@ -233,9 +223,7 @@ def cmd_verify(opts, cfg):
     the Galerkin identity and the spectral equivalence of the two penalty
     variants."""
     level = opts["level"]
-    alpha = cfg.alpha
-    p = build_problem(build_hierarchy(level), _eps(opts),
-                      MethodParams(-1, alpha, IP0))
+    p = _problem(opts, cfg)
     mesh, basis = p.mesh, p.basis
     failures = 0
 
@@ -246,7 +234,7 @@ def cmd_verify(opts, cfg):
 
     def assemble(theta, variant=IP0):
         return assemble_dg(mesh, p.coeff, p.weights,
-                           MethodParams(theta, alpha, variant))
+                           MethodParams(theta, cfg.alpha, variant))
 
     A_vv = None  # the theta = -1 CR block, once its coupling check passed
     for theta in (-1, 0, 1):
@@ -271,16 +259,26 @@ def cmd_verify(opts, cfg):
         check("Galerkin identity", False, "no CR block: theta=-1 coupling check failed")
     else:
         P = cr_prolongation(p.hier, level)
-        G = (P.T @ A_vv @ P).toarray()
-        C = assemble_conforming(mesh, p.coeff).toarray()
-        gerr = np.abs(G - C).max() / max(np.abs(C).max(), 1e-300)
+        C = assemble_conforming(mesh, p.coeff)
+        gerr = abs(P.T @ A_vv @ P - C).max() / max(abs(C).max(), 1e-300)
         check("Galerkin identity", gerr < 1e-12, f"relative mismatch {gerr:.3e}")
 
+    # the variants differ in the penalty alone: on an edge, 2-point Gauss
+    # minus the midpoint rule on the linear jump is alpha kappa_e / 12 times
+    # d_e^2, d_e the jump at its second endpoint minus that at its first
+    # (row e of J), so A_IP1 - A_IP0 = J^t diag(alpha kappa_e / 12) J >= 0
+    # and every eigenvalue of A_IP0^-1 A_IP1 is at least 1
     A1 = assemble(-1, IP1)
-    eigs = scipy.linalg.eigh(A1.toarray(), p.A.toarray(), eigvals_only=True)
-    check("spectral equivalence lower bound", eigs[0] >= 1.0 - 1e-10,
-          f"min generalized eigenvalue {eigs[0]:.12f}")
-    check("spectral equivalence upper bound", np.isfinite(eigs[-1]), f"c0 = {eigs[-1]:.6g}")
+    dofs, traces = edge_traces(mesh)
+    J = sp.csr_matrix(((traces[:, 1] - traces[:, 0]).ravel(), dofs.ravel(),
+                       np.arange(0, dofs.size + 1, 6)), shape=(mesh.n_edges, mesh.n_dofs))
+    gap = J.T @ sp.diags(cfg.alpha * p.weights.kappa_e / 12) @ J - (A1 - p.A)
+    err = abs(gap).max() / abs(A1).max()
+    check("spectral equivalence lower bound", err <= 1e-12,
+          f"A_IP1 - A_IP0 = J^t diag(alpha kappa_e / 12) J to {err:.3e} of max|A_IP1|")
+    # the top Ritz value of A_IP0^-1 A_IP1, from below
+    c0 = estimate_spectrum(A1, DirectSolve(p.A))[-1]
+    check("spectral equivalence upper bound", np.isfinite(c0), f"c0 = {c0:.6g}")
     print(f"{'PASS' if failures == 0 else 'FAIL'} aggregate: {failures} failed checks")
     return 0 if failures == 0 else 1
 

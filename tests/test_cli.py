@@ -219,14 +219,31 @@ def test_spectrum(tmp_path, capsys):
     assert vals[0] > 0
 
 
-def test_verify(capsys):
-    code, out = run(capsys, "verify", "--level", "1", "--eps", "0.001")
+@pytest.mark.parametrize("level", [1, 3])
+def test_verify(capsys, level):
+    code, out = run(capsys, "verify", "--level", str(level), "--eps", "0.001")
     assert code == 0
     assert "PASS orthogonality theta=-1" in out
     assert "PASS diagonal zz block theta=0" in out
     assert "PASS Galerkin identity" in out
     assert "PASS spectral equivalence lower bound" in out
+    assert "PASS spectral equivalence upper bound" in out
     assert out.strip().splitlines()[-1].startswith("PASS aggregate")
+
+
+def test_verify_fails_the_lower_bound_when_the_variants_match(capsys, monkeypatch):
+    # a mutant assembly that gives the IP0 matrix when asked for IP1: the
+    # penalty difference J^t diag(alpha kappa_e / 12) J is then missing
+    assemble_dg = cli.assemble_dg
+
+    def ip0_only(mesh, coeff, weights, params):
+        return assemble_dg(mesh, coeff, weights, dataclasses.replace(params, variant="IP0"))
+
+    monkeypatch.setattr(cli, "assemble_dg", ip0_only)
+    code, out = run(capsys, "verify", "--level", "1")
+    assert code == 1
+    assert "FAIL spectral equivalence lower bound" in out
+    assert out.strip().splitlines()[-1] == "FAIL aggregate: 1 failed checks"
 
 
 def test_config_file(tmp_path, capsys):
@@ -300,7 +317,7 @@ def test_rejected_input_is_one_error_line(capsys, tmp_path, flags):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--level", "8"], ["table", "bpx", "--levels", "8"],
-    ["solve", {"level": 8}], ["table", "bpx", {"levels": 8}],
+    ["solve", {"level": 8}], ["table", "bpx", {"levels": 8}], ["verify", "--level", "8"],
 ])
 def test_level_above_max_is_refused_before_any_mesh(capsys, tmp_path, monkeypatch, argv):
     def no_mesh(level):
@@ -310,16 +327,6 @@ def test_level_above_max_is_refused_before_any_mesh(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(experiments, "build_hierarchy", no_mesh)
     assert main(_argv(tmp_path, argv)) == 2
     assert "0..7" in _one_error_line(capsys)
-
-
-def test_verify_refuses_a_dense_eigensolve_past_memory(capsys, monkeypatch):
-    # level 6 has n = 393,216 unknowns: 4 dense n x n arrays take 4.9 TB
-    def no_mesh(level):
-        raise AssertionError(f"a hierarchy of level {level} was built")
-
-    monkeypatch.setattr(cli, "build_hierarchy", no_mesh)
-    assert main(["verify", "--level", "6"]) == 2
-    assert "dense eigensolve" in _one_error_line(capsys)
 
 
 def test_single_problem_command_takes_one_eps(capsys):
