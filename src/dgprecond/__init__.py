@@ -32,6 +32,7 @@ from .basis_split import (
     to_split,
     from_split,
     extract_blocks,
+    product_blocks,
     split_matrix,
 )
 from .krylov import (

@@ -3,8 +3,10 @@
 The split basis consists of one function per edge spanning the
 coefficient-dependent complement space (z-block, boundary edges included) and
 one Crouzeix-Raviart hat per interior edge (v-block).  In this basis the
-weakly penalized stiffness matrix is block lower triangular; the structurally
-zero block is verified during extraction, not trusted.
+weakly penalized stiffness matrix is block lower triangular.  extract_blocks
+writes its blocks in closed form; product_blocks forms them from the nodal
+matrix and the transform, verifying the structurally zero block, as the
+check of the closed form.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import edge_traces
+from .assembly import _gradients, _stiffness, edge_traces
 
 
 class BlockStructureError(RuntimeError):
@@ -122,9 +124,86 @@ class BlockOperator:
     A_vv: sp.csr_matrix
 
 
-def extract_blocks(A_nodal, basis, zero_tol=1e-11):
+def extract_blocks(mesh, coeff, weights, params):
+    """The IP0 blocks of the split-basis matrix in closed form, at any theta.
+
+    Every split function has a zero midpoint jump on every edge but its own,
+    and a CR hat on its own edge too, so of the edge terms only alpha kappa_e
+    on the z diagonal and the flux terms on the edge f of a z-function are
+    left: -|f| {kappa grad w}_beta . n_f with it as the test function and
+    theta |f| {kappa grad v}_beta . n_f with it as the trial function.
+    Integrated by parts on each triangle, the element term of the z-function
+    of f against any split function u is |f| {kappa grad u}_beta . n_f, as
+    beta kappa+ = (1 - beta) kappa- = kappa_e / 2.  It cancels the test
+    term, so the CR-to-z coupling is zero and is not formed; against a CR
+    test function it adds to the trial term.  With z_e the z-function and
+    psi_e the CR hat of edge e:
+    - A_vv is the element stiffness of the CR hats of the interior edges,
+      grad psi = -2 grad lambda on each side;
+    - A_zz = alpha diag(kappa_e) + theta G, G[e, f] = |f| {kappa grad z_e}_beta . n_f;
+    - A_vz = (1 + theta) H, H[e, f] = |f| {kappa grad psi_e}_beta . n_f,
+      stored with no entries for theta = -1.
+    params.variant is not read.  Each block is canonical CSR of the entries
+    computed as nonzero, with no magnitude cut; product_blocks forms the
+    same blocks from the nodal matrix, to check them against.
+    """
+    ne, nt = mesh.n_edges, mesh.n_triangles
+    areas = mesh.triangle_areas()
+    grads = _gradients(mesh, areas)
+    edges = mesh.tri_edges.T
+    bnd = mesh.boundary_edge_mask
+    # a side's weight in the flux average {kappa grad w}_beta . n_f is
+    # kappa_f / 2, or kappa_f on the boundary, where n_f is outward
+    side_flux = np.take(mesh.edge_length * weights.kappa_e * np.where(bnd, 1.0, 0.5), edges)
+    normal = [np.take(mesh.edge_normal[:, d], edges) for d in range(2)]
+    # flux[i, j, t]: |f| times triangle t's term of {kappa grad psi}_beta . n_f,
+    # psi the CR hat of t's local edge i and f its local edge j; it goes to
+    # row i and column j of the edges of t
+    flux = (-2.0 * side_flux) * (grads[:, None, 0] * normal[0] + grads[:, None, 1] * normal[1])
+    del side_flux, normal
+    index = edges.astype(np.int32)
+    rows, cols = np.broadcast_arrays(index[:, None], index[None])
+    penalty = sp.diags_array(params.alpha * weights.kappa_e, format="csr")
+    if params.theta == 0:
+        A_zz = penalty
+    else:
+        # the z-function of an edge is beta times its CR hat on the plus
+        # side and -(1 - beta) times it on the minus side; the hat itself on
+        # the boundary
+        beta = np.take(np.where(bnd, 1.0, weights.beta), edges)
+        minus = np.take(mesh.edge_plus, edges) != np.arange(nt)
+        G = (params.theta * np.where(minus, beta - 1.0, beta))[:, None] * flux
+        del beta, minus
+        A_zz = _summed(G, rows, cols, (ne, ne)) + penalty
+        del G
+    n_v = len(mesh.interior_edges)
+    vidx = np.full(ne, -1, dtype=np.int32)
+    vidx[mesh.interior_edges] = np.arange(n_v, dtype=np.int32)
+    v_row = np.take(vidx, rows)
+    on_v = v_row >= 0
+    if params.theta == -1:
+        A_vz = sp.csr_matrix((n_v, ne))
+    else:
+        A_vz = _summed((1.0 + params.theta) * flux[on_v], v_row[on_v], cols[on_v], (n_v, ne))
+    del flux
+    v_col = np.take(vidx, cols)
+    on_v &= v_col >= 0
+    stiff = _stiffness(grads, coeff.kappa * areas)
+    A_vv = _summed(4.0 * stiff[on_v], v_row[on_v], v_col[on_v], (n_v, n_v))
+    return BlockOperator(A_zz=A_zz, A_vz=A_vz, A_vv=A_vv)
+
+
+def _summed(terms, rows, cols, shape):
+    """Canonical CSR of the terms summed at (rows, cols), without the sums
+    that are exactly zero."""
+    A = sp.csr_matrix((terms.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+    A.eliminate_zeros()
+    return A
+
+
+def product_blocks(A_nodal, basis, zero_tol=1e-11):
     """The blocks T_a^t A T_b of the split-basis matrix, verifying the zero
-    block.
+    block: the check of extract_blocks.
 
     With trial functions indexing columns, the coupling of CR-trial with
     z-test sits in the upper-right block, which must vanish for every IP0

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from .mesh import build_hierarchy
 from .assembly import (IP0, IP1, MethodParams, assemble_dg, assemble_conforming,
                        assemble_rhs, edge_traces, export_coordinate, symmetric_part)
-from .basis_split import BlockStructureError, extract_blocks, from_split
+from .basis_split import BlockStructureError, extract_blocks, from_split, product_blocks
 from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
                       forward_substitution_solve)
 from .krylov import estimate_spectrum, pcg, stationary_iteration
@@ -170,7 +170,7 @@ def cmd_solve(opts, cfg):
     try:
         if p.params.variant == IP0:
             report["method"] = "block-forward-substitution"
-            blocks = extract_blocks(A, p.basis)
+            blocks = p.blocks()
             f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
             u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.basis)
         elif p.params.theta == -1:
@@ -220,7 +220,8 @@ def cmd_spectrum(opts, cfg):
 
 def cmd_verify(opts, cfg):
     """Structural checks: split orthogonality, diagonal zz block for theta=0,
-    the Galerkin identity and the spectral equivalence of the two penalty
+    the closed-form split blocks against the products T_a^t A T_b, the
+    Galerkin identity and the spectral equivalence of the two penalty
     variants."""
     level = opts["level"]
     p = _problem(opts, cfg)
@@ -236,32 +237,35 @@ def cmd_verify(opts, cfg):
         return assemble_dg(mesh, p.coeff, p.weights,
                            MethodParams(theta, cfg.alpha, variant))
 
-    A_vv = None  # the theta = -1 CR block, once its coupling check passed
     for theta in (-1, 0, 1):
+        closed = extract_blocks(mesh, p.coeff, p.weights, MethodParams(theta, cfg.alpha))
+        if theta == -1:
+            A_vv = closed.A_vv
         try:
-            blocks = extract_blocks(p.A if theta == -1 else assemble(theta),
+            blocks = product_blocks(p.A if theta == -1 else assemble(theta),
                                     basis, zero_tol=1e-12)
         except BlockStructureError as exc:
             check(f"orthogonality theta={theta}", False, str(exc))
             continue
         check(f"orthogonality theta={theta}", True,
               "CR-to-z coupling within 1e-12 of the largest matrix entry")
-        if theta == -1:
-            A_vv = blocks.A_vv
         if theta == 0:
             off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
             off_max = np.abs(off.data).max() if off.nnz else 0.0
             check("diagonal zz block theta=0",
                   off_max < 1e-12 * blocks.A_zz.diagonal().max(),
                   f"max off-diagonal {off_max:.3e}")
+        errs = {name: abs(getattr(closed, name) - getattr(blocks, name)).max()
+                / max(abs(getattr(blocks, name)).max(), 1e-300)
+                for name in ("A_zz", "A_vz", "A_vv")}
+        check(f"closed form theta={theta}", max(errs.values()) <= 1e-12,
+              ", ".join(f"{name} {err:.3e}" for name, err in errs.items())
+              + " of the product block's largest entry")
 
-    if A_vv is None:
-        check("Galerkin identity", False, "no CR block: theta=-1 coupling check failed")
-    else:
-        P = cr_prolongation(p.hier, level)
-        C = assemble_conforming(mesh, p.coeff)
-        gerr = abs(P.T @ A_vv @ P - C).max() / max(abs(C).max(), 1e-300)
-        check("Galerkin identity", gerr < 1e-12, f"relative mismatch {gerr:.3e}")
+    P = cr_prolongation(p.hier, level)
+    C = assemble_conforming(mesh, p.coeff)
+    gerr = abs(P.T @ A_vv @ P - C).max() / max(abs(C).max(), 1e-300)
+    check("Galerkin identity", gerr < 1e-12, f"relative mismatch {gerr:.3e}")
 
     # the variants differ in the penalty alone: on an edge, 2-point Gauss
     # minus the midpoint rule on the linear jump is alpha kappa_e / 12 times

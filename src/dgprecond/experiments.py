@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import (CoefficientField, EdgeWeights, MeshHierarchy,
                    build_hierarchy, assign_coefficient, edge_weights)
@@ -200,27 +199,35 @@ class Problem:
     coeff: CoefficientField
     weights: EdgeWeights
     params: MethodParams
-    A: sp.csr_matrix
 
     @property
     def mesh(self):
         return self.hier.finest
 
     @functools.cached_property
+    def A(self):
+        # the nodal DG matrix, assembled on first use: the zz, two-level and
+        # bpx cells and the spectrum take the closed-form split blocks
+        return assemble_dg(self.mesh, self.coeff, self.weights, self.params)
+
+    @functools.cached_property
     def basis(self):
-        # built on first use: the iipg table, assemble and the stationary
-        # solve never need it
+        # built on first use: only the IP1 split system and the solve's
+        # right-hand side and solution need it
         return build_transform(self.mesh, self.weights)
+
+    def blocks(self):
+        """The closed-form IP0 split blocks of the problem's method."""
+        return extract_blocks(self.mesh, self.coeff, self.weights, self.params)
 
 
 def build_problem(hier, eps, params):
-    """Coefficient with contrast 1/eps, edge weights and the DG matrix of
-    method params on the finest mesh of hier."""
+    """Coefficient with contrast 1/eps and edge weights on the finest mesh
+    of hier, for method params; the DG matrix and the split basis are built
+    on first use."""
     mesh = hier.finest
     coeff = assign_coefficient(mesh, eps)
-    weights = edge_weights(mesh, coeff)
-    A = assemble_dg(mesh, coeff, weights, params)
-    return Problem(hier, coeff, weights, params, A)
+    return Problem(hier, coeff, edge_weights(mesh, coeff), params)
 
 
 # the ExperimentConfig fields each runner of RUNNERS reads besides eps_list
@@ -302,15 +309,10 @@ def run_zz_table(cfg):
 
     def cell(hier, eps, i):
         p = build_problem(hier, eps, params)
-        A_zz = extract_blocks(p.A, p.basis).A_zz
+        A_zz = p.blocks().A_zz
         return _measure(cfg, A_zz, DiagonalPrecond(A_zz.diagonal()), (1, p.mesh.level, i), eps)
 
     return _sweep(cfg, "zz", (0, 1, 2, 3), cell, params)
-
-
-def _cr_block(hier, eps, params):
-    p = build_problem(hier, eps, params)
-    return extract_blocks(p.A, p.basis).A_vv
 
 
 def _cr_precond(cfg, hier, A_vv, kind):
@@ -330,7 +332,7 @@ def _cr_table(cfg, kind, name, stream):
         lvl = hier.finest.level
         if kind == "two-level" and cfg.coarse_level(lvl) < 0:
             return {"infeasible": True}
-        A_vv = _cr_block(hier, eps, params)
+        A_vv = build_problem(hier, eps, params).blocks().A_vv
         B = _cr_precond(cfg, hier, A_vv, kind)
         return _measure(cfg, A_vv, B, (stream, lvl, i), eps)
 
@@ -400,13 +402,17 @@ def dump_spectrum(cfg, eps, level, out_path, precond="two-level"):
 
     Lanczos runs SPECTRUM_STEPS steps with its stopping test off (rtol=0),
     so the file holds the whole Ritz spectrum, not only the values the
-    tables read."""
+    tables read.  A Ritz value that is not positive raises RuntimeError and
+    writes no file: B*A is then not positive definite in floating point."""
     if precond not in CR_PRECONDS:
         raise ValueError(f"precond must be one of {CR_PRECONDS}, got {precond!r}")
     hier = build_hierarchy(level)
-    A_vv = _cr_block(hier, eps, table_params(precond, cfg))
+    A_vv = build_problem(hier, eps, table_params(precond, cfg)).blocks().A_vv
     B = _cr_precond(cfg, hier, A_vv, precond)
     eigs = estimate_spectrum(A_vv, B, k=SPECTRUM_STEPS, seed=cfg.seed, rtol=0.0)
+    if not eigs[0] > 0:
+        raise RuntimeError(f"preconditioned spectrum not positive at level {level}, "
+                           f"eps={eps:g}: lowest Ritz value {eigs[0]:.3g}")
     with open(out_path, "w") as fh:
         fh.write("index,value\n")
         for i, v in enumerate(eigs):

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from dgprecond.mesh import build_hierarchy
 from dgprecond.assembly import IP0, IP1, MethodParams, assemble_rhs
-from dgprecond.basis_split import extract_blocks, from_split
+from dgprecond.basis_split import from_split, product_blocks
 from dgprecond.precond import (DirectSolve, cr_prolongation, two_level, bpx,
                                forward_substitution_solve)
 from dgprecond.krylov import estimate_spectrum
@@ -70,7 +70,7 @@ def test_criterion_2_iipg_zz_diagonal():
         hier = build_hierarchy(level)
         for eps in (1e-5, 1.0, 1e5):
             p = build_problem(hier, eps, MethodParams(0, 8.0, IP0))
-            blocks = extract_blocks(p.A, p.basis)
+            blocks = product_blocks(p.A, p.basis)
             off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
             off_max = np.abs(off.data).max() if off.nnz else 0.0
             worst = max(worst, off_max / blocks.A_zz.diagonal().max())
@@ -100,7 +100,7 @@ def test_criterion_4_two_level_w1(cfg, two_level_tables):
     cell = table.cell(1e-5, 4)
     hier = build_hierarchy(4)
     p = build_problem(hier, 1e-5, MethodParams(-1, 8.0, IP0))
-    A_vv = extract_blocks(p.A, p.basis).A_vv
+    A_vv = p.blocks().A_vv
     B = two_level(A_vv, cr_prolongation(hier, 4), cfg.smoother_spec())
     eigs = estimate_spectrum(A_vv, B, seed=cfg.seed)
     n_isolated = int(np.sum(eigs < eigs[-1] / 1000.0))
@@ -169,7 +169,7 @@ def test_criterion_9_forward_substitution_oracle():
         for eps in (1e-3, 1.0, 1e3):
             for theta in (-1, 0, 1):
                 p = build_problem(hier, eps, MethodParams(theta, 8.0, IP0))
-                blocks = extract_blocks(p.A, p.basis)
+                blocks = p.blocks()
                 f = p.basis.transform.T @ b
                 z, v = forward_substitution_solve(blocks, f[: p.basis.n_z],
                                                   f[p.basis.n_z :])
@@ -205,7 +205,7 @@ def test_criterion_10_spectral_equivalence():
 def test_criterion_11_lanczos_dense_crosscheck(cfg):
     hier = build_hierarchy(2)
     p = build_problem(hier, 1e-3, MethodParams(-1, 8.0, IP0))
-    A_vv = extract_blocks(p.A, p.basis).A_vv
+    A_vv = p.blocks().A_vv
     n = A_vv.shape[0]
     # dense reference: with A = L L^t, the eigenvalues of B*A are those of
     # the symmetric L^t B L, B applied to the columns of L

@@ -13,6 +13,7 @@ from dgprecond.basis_split import (
     to_split,
     from_split,
     extract_blocks,
+    product_blocks,
     split_matrix,
 )
 from dgprecond.experiments import build_problem
@@ -94,8 +95,9 @@ def test_conforming_function_has_zero_interior_jumps(setting):
 @pytest.mark.parametrize("theta", [-1, 0, 1])
 def test_ip0_block_lower_triangular(setting, theta):
     mesh, coeff, weights, basis = setting
-    A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-    blocks = extract_blocks(A, basis)
+    params = MethodParams(theta, 8.0, IP0)
+    A = assemble_dg(mesh, coeff, weights, params)
+    blocks = extract_blocks(mesh, coeff, weights, params)
     S = split_matrix(A, basis)
     nz = basis.n_z
     assert abs(S[:nz, nz:]).max() <= 1e-11 * np.abs(A.data).max()
@@ -108,16 +110,19 @@ def test_sipg0_fully_decouples(setting):
     # round-off is stored; theta = 0 and 1 keep it
     mesh, coeff, weights, basis = setting
     for theta in (-1, 0, 1):
-        A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-        blocks = extract_blocks(A, basis)
-        assert blocks.A_vz.shape == (basis.n_v, basis.n_z)
-        assert (blocks.A_vz.nnz == 0) == (theta == -1)
+        params = MethodParams(theta, 8.0, IP0)
+        A = assemble_dg(mesh, coeff, weights, params)
+        for blocks in (extract_blocks(mesh, coeff, weights, params), product_blocks(A, basis)):
+            assert blocks.A_vz.shape == (basis.n_v, basis.n_z)
+            assert (blocks.A_vz.nnz == 0) == (theta == -1)
 
 
 def test_iipg0_zz_block_is_diagonal(setting):
+    # a property of the DG form, so checked on the products; the closed form
+    # is alpha diag(kappa_e) by construction
     mesh, coeff, weights, basis = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(0, 8.0, IP0))
-    blocks = extract_blocks(A, basis)
+    blocks = product_blocks(A, basis)
     off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
     assert off.nnz == 0 or abs(off).max() < 1e-12 * np.abs(A.data).max()
     # diagonal entries are alpha * kappa_e (|e| = h_e cancels)
@@ -128,27 +133,28 @@ def test_ip1_violates_block_structure(setting):
     mesh, coeff, weights, basis = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP1))
     with pytest.raises(BlockStructureError):
-        extract_blocks(A, basis)
+        product_blocks(A, basis)
 
 
 def test_vv_block_is_cr_stiffness_plus_penalty(setting):
     # CR hat functions are continuous at midpoints, so the vv block is
     # symmetric positive definite for every theta (jump terms vanish on it)
-    mesh, coeff, weights, basis = setting
+    mesh, coeff, weights, _ = setting
     for theta in (-1, 0, 1):
-        A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-        blocks = extract_blocks(A, basis)
+        blocks = extract_blocks(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
         V = blocks.A_vv.toarray()
         assert np.allclose(V, V.T, atol=1e-12 * np.abs(V).max())
         assert np.linalg.eigvalsh(V)[0] > 0
 
 
 def test_vv_block_independent_of_theta(setting):
+    # a property of the DG form, so checked on the products; the closed form
+    # does not read theta for A_vv
     mesh, coeff, weights, basis = setting
     ref = None
     for theta in (-1, 0, 1):
         A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-        V = extract_blocks(A, basis).A_vv.toarray()
+        V = product_blocks(A, basis).A_vv.toarray()
         if ref is None:
             ref = V
         else:
@@ -164,7 +170,7 @@ def test_shape_guards(setting):
 def test_split_works_on_refined_mesh():
     p = build_problem(build_hierarchy(1), 1e-2, MethodParams(-1, 8.0, IP0))
     mesh, weights, basis = p.mesh, p.weights, p.basis
-    blocks = extract_blocks(p.A, basis)
+    blocks = p.blocks()
     assert blocks.A_vv.shape == (basis.n_v, basis.n_v)
     u = np.random.default_rng(9).standard_normal(mesh.n_dofs)
     z, v = to_split(u, mesh, weights)
@@ -180,8 +186,8 @@ def test_split_works_on_refined_mesh():
 @pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
 def test_split_block_patterns_are_pinned(eps, theta, nnz):
     p = build_problem(build_hierarchy(2), eps, MethodParams(theta, 8.0, IP0))
-    blocks = extract_blocks(p.A, p.basis)
-    assert (blocks.A_zz.nnz, blocks.A_vz.nnz, blocks.A_vv.nnz) == nnz
+    for blocks in (p.blocks(), product_blocks(p.A, p.basis)):
+        assert (blocks.A_zz.nnz, blocks.A_vz.nnz, blocks.A_vv.nnz) == nnz
 
 
 def _same_bytes(A, B):
@@ -207,7 +213,7 @@ def test_blocks_are_the_slices_of_the_whole_product(hierarchy3, level, theta, ep
     A = assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
     T, nz = basis.transform, basis.n_z
     S = (T.T @ A) @ T
-    blocks = extract_blocks(A, basis)
+    blocks = product_blocks(A, basis)
     assert _same_bytes(blocks.A_zz, drop_tiny(S[:nz, :nz]))
     assert _same_bytes(blocks.A_vv, drop_tiny(S[nz:, nz:]))
     if theta == -1:
@@ -216,6 +222,38 @@ def test_blocks_are_the_slices_of_the_whole_product(hierarchy3, level, theta, ep
     else:
         assert _same_bytes(blocks.A_vz, drop_tiny(S[nz:, :nz]))
     assert abs(S[:nz, nz:]).max() <= 1e-11 * np.abs(A.data).max()
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
+@pytest.mark.parametrize("theta", [-1, 0, 1])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_closed_form_blocks_match_the_products(hierarchy3, level, theta, eps):
+    # every closed-form block stores the pattern of its product block, in
+    # canonical CSR, and agrees with it to 1e-15 of the product's largest entry
+    mesh = hierarchy3.meshes[level]
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    params = MethodParams(theta, 8.0, IP0)
+    closed = extract_blocks(mesh, coeff, weights, params)
+    products = product_blocks(assemble_dg(mesh, coeff, weights, params),
+                              build_transform(mesh, weights))
+    for name in ("A_zz", "A_vz", "A_vv"):
+        C, P = getattr(closed, name), getattr(products, name).copy()
+        P.sort_indices()
+        assert C.has_canonical_format and C.shape == P.shape
+        assert np.array_equal(C.indptr, P.indptr) and np.array_equal(C.indices, P.indices)
+        assert np.abs(C.data - P.data).max(initial=0.0) <= 1e-15 * np.abs(P.data).max(initial=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e14, 1e16])
+def test_closed_form_diagonals_stay_positive_at_extreme_contrast(eps):
+    # the products, cut at 1e-14 of each block's largest entry, leave
+    # 720/624, 288/621, 32/48 and 112/80 nonpositive diagonals in A_zz/A_vv
+    # here; the closed form makes no cut
+    p = build_problem(build_hierarchy(2), eps, MethodParams(-1, 8.0, IP0))
+    blocks = p.blocks()
+    assert np.all(blocks.A_zz.diagonal() > 0)
+    assert np.all(blocks.A_vv.diagonal() > 0)
 
 
 @pytest.mark.parametrize("level", [0, 3])
@@ -229,7 +267,7 @@ def test_ip1_error_reports_the_coupling_of_the_whole_product(hierarchy3, level):
     worst = np.abs(((T.T @ A) @ T)[:nz, nz:].data).max()
     scale = np.abs(A.data).max()
     with pytest.raises(BlockStructureError) as err:
-        extract_blocks(A, basis)
+        product_blocks(A, basis)
     assert str(err.value) == f"CR-to-z coupling {worst:.3e} exceeds {1e-11:.1e} * {scale:.3e}"
 
 
@@ -265,6 +303,14 @@ def test_extraction_memory_stays_near_its_result(level4):
     mesh, coeff, weights = level4
     basis = build_transform(mesh, weights)
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    blocks, peak = _traced_peak(extract_blocks, A, basis)
+    blocks, peak = _traced_peak(product_blocks, A, basis)
     # 4.80 times at level 4; slicing the whole T^t A T took 13.29
     assert peak <= 6 * _nbytes(blocks.A_zz, blocks.A_vz, blocks.A_vv)
+
+
+def test_closed_form_memory_stays_near_its_result(level4):
+    mesh, coeff, weights = level4
+    blocks, peak = _traced_peak(extract_blocks, mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
+    # 4.14 times at level 4, against 4.80 for the products; concatenating
+    # the triangle terms with the penalty, on int64 indices, took 5.80
+    assert peak <= 4.5 * _nbytes(blocks.A_zz, blocks.A_vz, blocks.A_vv)

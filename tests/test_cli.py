@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dgprecond import cli, experiments, krylov, precond
 from dgprecond.cli import main
@@ -112,21 +113,16 @@ def test_solve_breakdown_is_one_error_line():
     assert "Traceback" not in proc.stderr
 
 
-def test_solve_singular_factorization_is_one_error_line():
+def test_solve_past_the_resolved_contrast_misses_the_residual_limit(capsys):
     # eps = 1e-16 and 1e14 are past what double precision resolves: the
-    # split blocks have zero diagonals, so the complement block solve refuses
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    # closed-form split blocks keep positive diagonals and the solve runs,
+    # but its relative residual (51 and 8.3e-6 at level 2) misses 1e-6
     for eps in ("1e-16", "1e14"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dgprecond.cli", "solve", "--level", "2",
-             "--eps", eps],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: block-forward-substitution: ")
+        code = main(["solve", "--level", "2", "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert json.loads(captured.out)["rel_residual"] > 1e-6
 
 
 def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatch):
@@ -143,11 +139,12 @@ def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatc
 
 
 @pytest.mark.parametrize("argv, first", [
-    # past what double precision resolves, each preconditioner or
-    # factorization refuses the matrix
+    # past what double precision resolves, each preconditioner, factorization
+    # or spectrum check refuses the matrix; the zz block keeps a positive
+    # diagonal down to the underflow of kappa_e
     (["table", "bpx", "--eps", "1e-14", "--levels", "1"], "error: table: "),
-    (["table", "zz", "--eps", "1e14", "--levels", "1"], "error: table: "),
-    (["spectrum", "--eps", "1e14", "--level", "1"], "error: spectrum: "),
+    (["table", "zz", "--eps", "1e-300", "--levels", "1"], "error: table: "),
+    (["spectrum", "--eps", "1e-14", "--level", "1"], "error: spectrum: "),
     (["solve", "--variant", "IP1", "--eps", "1e14", "--level", "1"],
      "error: pcg-block-jacobi: "),
 ], ids=["table-bpx", "table-zz", "spectrum", "solve-IP1"])
@@ -172,6 +169,16 @@ def test_table_zz(tmp_path, capsys):
         assert (tmp_path / f"zz{ext}").exists()
     data = json.loads((tmp_path / "zz.json").read_text())
     assert data["levels"] == [0, 1]
+
+
+def test_table_zz_runs_at_contrast_1e14(tmp_path, capsys):
+    # the closed-form complement block has no magnitude cut, so it keeps
+    # every diagonal entry at this contrast
+    code, out = run(capsys, "table", "zz", "--eps", "1e14", "--levels", "1",
+                    "--out-dir", str(tmp_path))
+    assert code == 0
+    cells = json.loads((tmp_path / "zz.json").read_text())["cells"]
+    assert all(1.5 <= c["K"] <= 2.0 for c in cells)
 
 
 def test_table_zz_theta_0_has_condition_number_1(tmp_path, capsys):
@@ -225,6 +232,8 @@ def test_verify(capsys, level):
     assert code == 0
     assert "PASS orthogonality theta=-1" in out
     assert "PASS diagonal zz block theta=0" in out
+    for theta in (-1, 0, 1):
+        assert f"PASS closed form theta={theta}" in out
     assert "PASS Galerkin identity" in out
     assert "PASS spectral equivalence lower bound" in out
     assert "PASS spectral equivalence upper bound" in out
@@ -244,6 +253,25 @@ def test_verify_fails_the_lower_bound_when_the_variants_match(capsys, monkeypatc
     assert code == 1
     assert "FAIL spectral equivalence lower bound" in out
     assert out.strip().splitlines()[-1] == "FAIL aggregate: 1 failed checks"
+
+
+def test_verify_fails_the_closed_form_when_the_flux_term_flips(capsys, monkeypatch):
+    # a mutant closed form with A_zz = alpha diag(kappa_e) - theta G: it
+    # differs from the products for theta = -1 and 1, not for theta = 0
+    extract_blocks = cli.extract_blocks
+
+    def flipped(mesh, coeff, weights, params):
+        blocks = extract_blocks(mesh, coeff, weights, params)
+        penalty = sp.diags_array(2 * params.alpha * weights.kappa_e, format="csr")
+        return dataclasses.replace(blocks, A_zz=penalty - blocks.A_zz)
+
+    monkeypatch.setattr(cli, "extract_blocks", flipped)
+    code, out = run(capsys, "verify", "--level", "1")
+    assert code == 1
+    assert "FAIL closed form theta=-1" in out
+    assert "PASS closed form theta=0" in out
+    assert "FAIL closed form theta=1" in out
+    assert out.strip().splitlines()[-1] == "FAIL aggregate: 2 failed checks"
 
 
 def test_config_file(tmp_path, capsys):

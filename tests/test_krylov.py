@@ -4,9 +4,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from dgprecond.assembly import IP0, MethodParams
-from dgprecond.basis_split import extract_blocks
 from dgprecond import krylov
-from dgprecond.experiments import ExperimentConfig, _cr_block, _cr_precond, build_problem, table_params
+from dgprecond.experiments import ExperimentConfig, _cr_precond, build_problem, table_params
 from dgprecond.mesh import build_hierarchy
 from dgprecond.precond import bpx
 from dgprecond.krylov import (
@@ -205,7 +204,7 @@ def test_certified_decides_as_eigh_tridiagonal_on_a_two_level_run(monkeypatch):
     # threshold of the test: the direct LAPACK calls give the same decision
     cfg = ExperimentConfig()
     hier = build_hierarchy(4)
-    A = _cr_block(hier, 1e-5, table_params("two-level", cfg))
+    A = build_problem(hier, 1e-5, table_params("two-level", cfg)).blocks().A_vv
     B = _cr_precond(cfg, hier, A, "two-level")
     seen = []
     certified = krylov._certified
@@ -314,7 +313,7 @@ def test_spectrum_insensitive_to_round_off_in_the_preconditioner():
     # less than RTOL (6.6e-8 relative); Lanczos on B*A in the A-inner product
     # keeps the conditioning of B*A, where A B A x = lambda A x would square it
     p = build_problem(build_hierarchy(2), 1e-5, MethodParams(-1, 8.0, IP0))
-    A = extract_blocks(p.A, p.basis).A_vv
+    A = p.blocks().A_vv
     n = A.shape[0]
     P = bpx(A, p.hier)
     B = np.column_stack([P.apply(e) for e in np.eye(n)])

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from dgprecond import krylov, precond
 from dgprecond.mesh import build_hierarchy, assign_coefficient
 from dgprecond.assembly import IP0, MethodParams, assemble_conforming, assemble_rhs
-from dgprecond.basis_split import extract_blocks
 from dgprecond.experiments import build_problem
 from dgprecond.krylov import estimate_spectrum
 from dgprecond.precond import (
@@ -34,7 +33,7 @@ from dgprecond.precond import (
 
 def _vv_block(level, eps, alpha=8.0):
     p = build_problem(build_hierarchy(level), eps, MethodParams(-1, alpha, IP0))
-    return p.hier, p.mesh, p.coeff, extract_blocks(p.A, p.basis)
+    return p.hier, p.mesh, p.coeff, p.blocks()
 
 
 def _spd(n, seed=0):
@@ -71,7 +70,7 @@ def test_direct_solve_split_blocks_with_minimum_degree_fill(theta, block):
     # the fill of SuperLU's default ordering (35,186 against 82,598 for A_vv
     # and 35,560 against 83,692 for A_zz)
     p = build_problem(build_hierarchy(3), 1e-5, MethodParams(theta, 8.0, IP0))
-    A = getattr(extract_blocks(p.A, p.basis), block)
+    A = getattr(p.blocks(), block)
     solver = DirectSolve(A)
     r = np.random.default_rng(4).standard_normal(A.shape[0])
     res = np.linalg.norm(A @ solver.apply(r) - r) / np.linalg.norm(r)
@@ -423,7 +422,7 @@ def test_complement_block_solve_is_robust(level, monkeypatch):
     for eps in (1e-5, 1.0, 1e5):
         for theta in (-1, 0, 1):
             p = build_problem(hier, eps, MethodParams(theta, 8.0, IP0))
-            blocks = extract_blocks(p.A, p.basis)
+            blocks = p.blocks()
             A = blocks.A_zz
             assert abs(A - A.T).max() <= 1e-15 * abs(A).max()
             f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
