@@ -194,11 +194,7 @@ def _edge_sides(mesh, weights, variant, grads):
     penalty = tuple((1 + points.index(s), w) for s, w in zip(rule_points, rule_weights))
     sides = np.zeros((1 + len(points), 3, 3 * nt + 1))
     own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
-    # weighted flux average {kappa grad v}_beta . n+ = kappa_e {grad v} . n+;
-    # on a boundary edge the plus side's kappa grad v . n (kappa_e = kappa+)
-    kw = np.take(weights.kappa_e * np.where(bnd, 1.0, 0.5), edges)
-    n = [np.take(mesh.edge_normal[:, d], edges) for d in range(2)]
-    np.multiply(kw, grads[:, None, 0] * n[0] + grads[:, None, 1] * n[1], out=own[0])
+    flux_average(mesh, weights, grads, out=own[0])
     # the jump at parameter s along the edge, from edge_vertices[e, 0] where
     # it is 1 - s, times -1 on the minus side; local edge i runs from local
     # vertex i + 1 to i + 2, and the jump is 0 at vertex i
@@ -209,6 +205,20 @@ def _edge_sides(mesh, weights, variant, grads):
             own[1 + j, (i + 1) % 3, i] = sign[i] * np.where(first[i], 1 - s, s)
             own[1 + j, (i + 2) % 3, i] = sign[i] * np.where(first[i], s, 1 - s)
     return sides, across, penalty
+
+
+def flux_average(mesh, weights, grads, out=None):
+    """(3, 3, nt): entry (i, j, t) is triangle t's term of the weighted flux
+    average {kappa grad phi}_beta . n+ on its local edge j, phi the P1 basis
+    function of its local vertex i, from the _gradients grads.
+
+    beta kappa+ = (1 - beta) kappa- = kappa_e / 2, so a side's term is
+    kappa_e / 2 grad phi . n+; on a boundary edge it is the plus side's
+    kappa grad phi . n (kappa_e = kappa+)."""
+    edges = mesh.tri_edges.T
+    kw = np.take(weights.kappa_e * np.where(mesh.boundary_edge_mask, 1.0, 0.5), edges)
+    n = [np.take(mesh.edge_normal[:, d], edges) for d in range(2)]
+    return np.multiply(kw, grads[:, None, 0] * n[0] + grads[:, None, 1] * n[1], out=out)
 
 
 def _edge_block(rows, cols, out, *, theta, penalty, length, pen):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import _gradients, _stiffness, edge_traces
+from .assembly import _gradients, _stiffness, edge_traces, flux_average
 
 
 class BlockStructureError(RuntimeError):
@@ -151,16 +151,11 @@ def extract_blocks(mesh, coeff, weights, params):
     areas = mesh.triangle_areas()
     grads = _gradients(mesh, areas)
     edges = mesh.tri_edges.T
-    bnd = mesh.boundary_edge_mask
-    # a side's weight in the flux average {kappa grad w}_beta . n_f is
-    # kappa_f / 2, or kappa_f on the boundary, where n_f is outward
-    side_flux = np.take(mesh.edge_length * weights.kappa_e * np.where(bnd, 1.0, 0.5), edges)
-    normal = [np.take(mesh.edge_normal[:, d], edges) for d in range(2)]
     # flux[i, j, t]: |f| times triangle t's term of {kappa grad psi}_beta . n_f,
-    # psi the CR hat of t's local edge i and f its local edge j; it goes to
-    # row i and column j of the edges of t
-    flux = (-2.0 * side_flux) * (grads[:, None, 0] * normal[0] + grads[:, None, 1] * normal[1])
-    del side_flux, normal
+    # psi the CR hat of t's local edge i (-2 grad lambda_i on t) and f its
+    # local edge j; it goes to row i and column j of the edges of t
+    flux = flux_average(mesh, weights, grads)
+    flux *= -2.0 * np.take(mesh.edge_length, edges)
     index = edges.astype(np.int32)
     rows, cols = np.broadcast_arrays(index[:, None], index[None])
     penalty = sp.diags_array(params.alpha * weights.kappa_e, format="csr")
@@ -170,7 +165,7 @@ def extract_blocks(mesh, coeff, weights, params):
         # the z-function of an edge is beta times its CR hat on the plus
         # side and -(1 - beta) times it on the minus side; the hat itself on
         # the boundary
-        beta = np.take(np.where(bnd, 1.0, weights.beta), edges)
+        beta = np.take(np.where(mesh.boundary_edge_mask, 1.0, weights.beta), edges)
         minus = np.take(mesh.edge_plus, edges) != np.arange(nt)
         G = (params.theta * np.where(minus, beta - 1.0, beta))[:, None] * flux
         del beta, minus

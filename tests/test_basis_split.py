@@ -311,6 +311,6 @@ def test_extraction_memory_stays_near_its_result(level4):
 def test_closed_form_memory_stays_near_its_result(level4):
     mesh, coeff, weights = level4
     blocks, peak = _traced_peak(extract_blocks, mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    # 4.14 times at level 4, against 4.80 for the products; concatenating
+    # 4.05 times at level 4, against 4.80 for the products; concatenating
     # the triangle terms with the penalty, on int64 indices, took 5.80
     assert peak <= 4.5 * _nbytes(blocks.A_zz, blocks.A_vz, blocks.A_vv)
