@@ -37,19 +37,11 @@ class MethodParams:
             raise ValueError(f"variant must be IP0 or IP1, got {self.variant!r}")
 
 
-def p1_gradients(mesh):
-    """Per-triangle gradients of the three nodal P1 basis functions.
-
-    Returns (nt, 3, 2) array; row i is grad of the basis that is 1 at local
-    vertex i.  The triangles are counterclockwise, so the edge from vertex
-    i+1 to vertex i+2, turned by +90 degrees, points toward vertex i.
-    """
-    return _gradients(mesh, mesh.triangle_areas()).transpose(2, 0, 1)
-
-
 def _gradients(mesh, areas):
-    """p1_gradients with the triangle areas given, as a (3, 2, nt) array:
-    the products of assembly run along the triangles."""
+    """(3, 2, nt) gradients of the P1 basis functions of the three local
+    vertices of every triangle, from its area.  The triangles are
+    counterclockwise, so the edge from vertex i+1 to vertex i+2, turned by
+    +90 degrees, points toward vertex i."""
     p = mesh.corners()
     grads = np.empty((3, 2, mesh.n_triangles))
     for i in range(3):
@@ -89,6 +81,14 @@ def edge_traces(mesh):
     at_end = mesh.edge_local.transpose(0, 2, 1)[..., None] == np.arange(3)
     traces = np.where(at_end, sign[:, None, :, None], 0.0)
     return dofs, traces.reshape(-1, 2, 6)
+
+
+def edge_jumps(mesh):
+    """(ne, n_dofs) CSR J: (J u)_e is u's jump at edge_vertices[e, 1] minus
+    that at edge_vertices[e, 0], and A_IP1 - A_IP0 = J^t diag(alpha kappa_e / 12) J."""
+    dofs, traces = edge_traces(mesh)
+    return sp.csr_matrix(((traces[:, 1] - traces[:, 0]).ravel(), dofs.ravel(),
+                          np.arange(0, dofs.size + 1, 6)), shape=(mesh.n_edges, mesh.n_dofs))
 
 
 # quadrature of the penalty on an edge: the projected jump (IP0) is the jump

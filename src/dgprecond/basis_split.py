@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import _gradients, _stiffness, edge_traces, flux_average
+from .assembly import _gradients, _stiffness, edge_jumps, edge_traces, flux_average
 
 
 class BlockStructureError(RuntimeError):
@@ -247,8 +247,27 @@ def _max_abs(A):
     return max(A.data.max(initial=0.0), -A.data.min(initial=0.0))
 
 
-def split_matrix(A_nodal, basis):
-    """Full split-basis matrix T^t A T (no structural-zero check)."""
-    T = basis.transform
-    return drop_tiny((T.T @ A_nodal @ T).tocsr())
-
+def split_matrix(mesh, coeff, weights, params, basis):
+    """The IP1 split-basis matrix in canonical CSR, with no magnitude cut:
+    [A_zz 0; A_vz A_vv] of extract_blocks plus D^t diag(alpha kappa_e / 12) D,
+    D = J T (edge_jumps).  In that term the coupling of z_e with its own
+    psi_e is written as alpha kappa_e / 6 ((kappa_a + kappa_b) / kappa+ -
+    (kappa_c + kappa_d) / kappa-), a, b the other edges of the plus and c, d
+    of the minus triangle: the product leaves round-off where it is 0.
+    params.variant is not read."""
+    blocks = extract_blocks(mesh, coeff, weights, params)
+    S = sp.block_array([[blocks.A_zz, None], [blocks.A_vz, blocks.A_vv]], format="csr")
+    D = edge_jumps(mesh) @ basis.transform
+    P = D.T.tocsr() @ (sp.diags_array(params.alpha * weights.kappa_e / 12) @ D)
+    P.sort_indices()  # canonical, so that scipy adds it to S by merging sorted rows
+    # (kappa_a + kappa_b) / kappa_t, a, b the other edges of t, negated on the minus side
+    kappa = np.take(weights.kappa_e, mesh.tri_edges)
+    ratio = (np.roll(kappa, 1, axis=1) + np.roll(kappa, -1, axis=1)) / coeff.kappa[:, None]
+    ratio[np.take(mesh.edge_plus, mesh.tri_edges) != np.arange(mesh.n_triangles)[:, None]] *= -1
+    interior = mesh.interior_edges
+    own = np.bincount(mesh.tri_edges.ravel(), ratio.ravel())[interior] * weights.kappa_e[interior]
+    rows = np.concatenate([interior, basis.n_z + np.arange(basis.n_v)])
+    cols = np.roll(rows, basis.n_v)
+    # own - p added to p gives own back, and cancels p exactly where own is 0
+    fix = np.tile(params.alpha / 6 * own, 2) - np.asarray(P[rows, cols]).ravel()
+    return S + _summed(fix, rows, cols, S.shape) + P

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .mesh import build_hierarchy
 from .assembly import (IP0, IP1, MethodParams, assemble_dg, assemble_conforming,
-                       assemble_rhs, edge_traces, export_coordinate, symmetric_part)
+                       assemble_rhs, edge_jumps, export_coordinate, symmetric_part)
 from .basis_split import BlockStructureError, extract_blocks, from_split, product_blocks
 from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
                       forward_substitution_solve)
@@ -267,15 +267,10 @@ def cmd_verify(opts, cfg):
     gerr = abs(P.T @ A_vv @ P - C).max() / max(abs(C).max(), 1e-300)
     check("Galerkin identity", gerr < 1e-12, f"relative mismatch {gerr:.3e}")
 
-    # the variants differ in the penalty alone: on an edge, 2-point Gauss
-    # minus the midpoint rule on the linear jump is alpha kappa_e / 12 times
-    # d_e^2, d_e the jump at its second endpoint minus that at its first
-    # (row e of J), so A_IP1 - A_IP0 = J^t diag(alpha kappa_e / 12) J >= 0
-    # and every eigenvalue of A_IP0^-1 A_IP1 is at least 1
+    # the variants differ in the penalty alone, A_IP1 - A_IP0 = J^t diag(alpha
+    # kappa_e / 12) J >= 0 (edge_jumps), so no eigenvalue of A_IP0^-1 A_IP1 is below 1
     A1 = assemble(-1, IP1)
-    dofs, traces = edge_traces(mesh)
-    J = sp.csr_matrix(((traces[:, 1] - traces[:, 0]).ravel(), dofs.ravel(),
-                       np.arange(0, dofs.size + 1, 6)), shape=(mesh.n_edges, mesh.n_dofs))
+    J = edge_jumps(mesh)
     gap = J.T @ sp.diags(cfg.alpha * p.weights.kappa_e / 12) @ J - (A1 - p.A)
     err = abs(gap).max() / abs(A1).max()
     check("spectral equivalence lower bound", err <= 1e-12,

@@ -206,8 +206,8 @@ class Problem:
 
     @functools.cached_property
     def A(self):
-        # the nodal DG matrix, assembled on first use: the zz, two-level and
-        # bpx cells and the spectrum take the closed-form split blocks
+        # the nodal DG matrix, assembled on first use: every table cell but
+        # iipg-propagator's and the spectrum take the closed-form split blocks
         return assemble_dg(self.mesh, self.coeff, self.weights, self.params)
 
     @functools.cached_property
@@ -359,7 +359,7 @@ def block_jacobi_system(p, spec=None):
     the additive preconditioner with an exactly solved conforming correction
     on the same mesh (the CR preconditioner whose measured condition numbers
     stay level-independent, which is what the reference values show)."""
-    S = split_matrix(p.A, p.basis)
+    S = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.basis)
     nz = p.basis.n_z
     P = cr_prolongation(p.hier, p.mesh.level)
     return S, block_jacobi_dg(S.diagonal()[:nz], two_level(S[nz:, nz:].tocsr(), P, spec))

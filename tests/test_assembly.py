@@ -18,7 +18,7 @@ from dgprecond.assembly import (
     IP0,
     IP1,
     MethodParams,
-    p1_gradients,
+    _gradients,
     assemble_dg,
     assemble_conforming,
     assemble_rhs,
@@ -181,7 +181,7 @@ def test_ip0_ip1_differ_only_in_penalty(setting):
 
 def test_p1_gradients_exact():
     mesh = build_initial_mesh()
-    grads = p1_gradients(mesh)
+    grads = _gradients(mesh, mesh.triangle_areas()).transpose(2, 0, 1)
     rng = np.random.default_rng(0)
     for t in rng.integers(0, mesh.n_triangles, size=5):
         pts = mesh.vertices[mesh.triangles[t]]
@@ -270,8 +270,8 @@ def edge_blocks_6x6(mesh, weights, params):
     from the traces of edge_traces and the flux of every side dof."""
     dofs, traces = edge_traces(mesh)
     side = np.where(mesh.boundary_edge_mask[:, None], (1.0, 0.0), (0.5, 0.5))
-    normal_grad = np.einsum("edk,ek->ed", p1_gradients(mesh).reshape(-1, 2)[dofs],
-                            mesh.edge_normal)
+    grads = _gradients(mesh, mesh.triangle_areas()).transpose(2, 0, 1)
+    normal_grad = np.einsum("edk,ek->ed", grads.reshape(-1, 2)[dofs], mesh.edge_normal)
     flux = np.repeat(weights.kappa_e[:, None] * side, 3, axis=1) * normal_grad
     mid = 0.5 * (traces[:, 0] + traces[:, 1])
     blocks = -mid[:, :, None] * flux[:, None, :]

@@ -98,8 +98,8 @@ def test_ip0_block_lower_triangular(setting, theta):
     params = MethodParams(theta, 8.0, IP0)
     A = assemble_dg(mesh, coeff, weights, params)
     blocks = extract_blocks(mesh, coeff, weights, params)
-    S = split_matrix(A, basis)
-    nz = basis.n_z
+    T, nz = basis.transform, basis.n_z
+    S = drop_tiny((T.T @ A) @ T)
     assert abs(S[:nz, nz:]).max() <= 1e-11 * np.abs(A.data).max()
     assert np.allclose(blocks.A_zz.toarray(), S[:nz, :nz].toarray(), atol=1e-12)
     assert np.allclose(blocks.A_vv.toarray(), S[nz:, nz:].toarray(), atol=1e-12)
@@ -224,12 +224,20 @@ def test_blocks_are_the_slices_of_the_whole_product(hierarchy3, level, theta, ep
     assert abs(S[:nz, nz:]).max() <= 1e-11 * np.abs(A.data).max()
 
 
+def _assert_matches_product(C, P):
+    """C stores the pattern of the product P, in canonical CSR, and agrees
+    with it to 1e-15 of the product's largest entry."""
+    P = P.copy()
+    P.sort_indices()
+    assert C.has_canonical_format and C.shape == P.shape
+    assert np.array_equal(C.indptr, P.indptr) and np.array_equal(C.indices, P.indices)
+    assert np.abs(C.data - P.data).max(initial=0.0) <= 1e-15 * np.abs(P.data).max(initial=0.0)
+
+
 @pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
 @pytest.mark.parametrize("theta", [-1, 0, 1])
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_closed_form_blocks_match_the_products(hierarchy3, level, theta, eps):
-    # every closed-form block stores the pattern of its product block, in
-    # canonical CSR, and agrees with it to 1e-15 of the product's largest entry
     mesh = hierarchy3.meshes[level]
     coeff = assign_coefficient(mesh, eps)
     weights = edge_weights(mesh, coeff)
@@ -238,22 +246,47 @@ def test_closed_form_blocks_match_the_products(hierarchy3, level, theta, eps):
     products = product_blocks(assemble_dg(mesh, coeff, weights, params),
                               build_transform(mesh, weights))
     for name in ("A_zz", "A_vz", "A_vv"):
-        C, P = getattr(closed, name), getattr(products, name).copy()
-        P.sort_indices()
-        assert C.has_canonical_format and C.shape == P.shape
-        assert np.array_equal(C.indptr, P.indptr) and np.array_equal(C.indices, P.indices)
-        assert np.abs(C.data - P.data).max(initial=0.0) <= 1e-15 * np.abs(P.data).max(initial=0.0)
+        _assert_matches_product(getattr(closed, name), getattr(products, name))
 
 
-@pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e14, 1e16])
-def test_closed_form_diagonals_stay_positive_at_extreme_contrast(eps):
+@pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
+@pytest.mark.parametrize("theta", [-1, 0, 1])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_ip1_split_matrix_matches_the_product(hierarchy3, level, theta, eps):
+    # the whole T^t A_IP1 T, cut at 1e-14 of its largest entry, against the
+    # closed-form blocks plus the penalty term; a plain (J T)^t W (J T)
+    # stores round-off at couplings of a z-function with its own CR hat that
+    # are zero in exact arithmetic (12 at level 1, eps 1e-5), and
+    # split_matrix stores none of them
+    mesh = hierarchy3.meshes[level]
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    params = MethodParams(theta, 8.0, IP1)
+    basis = build_transform(mesh, weights)
+    T = basis.transform
+    product = drop_tiny((T.T @ assemble_dg(mesh, coeff, weights, params)) @ T)
+    _assert_matches_product(split_matrix(mesh, coeff, weights, params, basis), product)
+
+
+_EXTREME_EPS = (1e-16, 1e-14, 1e14, 1e16)
+
+
+# the IP0 cases keep their ids from before IP1 was a parameter
+@pytest.mark.parametrize("eps, variant", [
+    *(pytest.param(eps, IP0, id=str(eps)) for eps in _EXTREME_EPS),
+    *(pytest.param(eps, IP1, id=f"{eps}-IP1") for eps in _EXTREME_EPS)])
+def test_closed_form_diagonals_stay_positive_at_extreme_contrast(eps, variant):
     # the products, cut at 1e-14 of each block's largest entry, leave
     # 720/624, 288/621, 32/48 and 112/80 nonpositive diagonals in A_zz/A_vv
-    # here; the closed form makes no cut
-    p = build_problem(build_hierarchy(2), eps, MethodParams(-1, 8.0, IP0))
-    blocks = p.blocks()
-    assert np.all(blocks.A_zz.diagonal() > 0)
-    assert np.all(blocks.A_vv.diagonal() > 0)
+    # here; the closed form makes no cut, and the IP1 penalty term adds a
+    # sum of squares to the diagonal
+    p = build_problem(build_hierarchy(2), eps, MethodParams(-1, 8.0, variant))
+    if variant == IP0:
+        blocks = p.blocks()
+        diagonal = np.concatenate([blocks.A_zz.diagonal(), blocks.A_vv.diagonal()])
+    else:
+        diagonal = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.basis).diagonal()
+    assert np.all(diagonal > 0)
 
 
 @pytest.mark.parametrize("level", [0, 3])

@@ -2,9 +2,11 @@
 name in its LAYER_CALLS on the dgprecond.experiments and dgprecond.cli
 modules.  These tests check that every such name exists, and that the set-up
 and solve calls of a table cell and of ``dgprecond solve`` go through those
-names, so that no layer call escapes the benchmark's spans.  The zz,
-two-level and bpx cells take the closed-form split blocks and call neither
-``assemble_dg`` nor ``build_transform``; sipg1 and the solve call both."""
+names, so that no layer call escapes the benchmark's spans.  No table cell
+calls ``assemble_dg``: the zz, two-level and bpx cells take the closed-form
+split blocks, and sipg1 adds to them the IP1 penalty term, for which it
+calls ``build_transform``.  The solve calls both, ``assemble_dg`` for its
+residual check."""
 
 import importlib.util
 from collections import Counter
@@ -67,8 +69,8 @@ _MEASURE_CALLS = ("pcg", "estimate_spectrum", "condition_numbers")
 @pytest.mark.parametrize("name, setup_calls", [
     ("two-level", ("extract_blocks", "cr_prolongation", "two_level")),
     ("bpx", ("extract_blocks", "bpx")),
-    ("sipg1", ("assemble_dg", "build_transform", "split_matrix", "cr_prolongation",
-               "two_level", "block_jacobi_dg")),
+    ("sipg1", ("build_transform", "split_matrix", "cr_prolongation", "two_level",
+               "block_jacobi_dg")),
 ])
 def test_preconditioner_setup_goes_through_layer_names(counts, name, setup_calls):
     # every preconditioner is built inside the spans of these calls, which

@@ -114,11 +114,14 @@ def test_solve_breakdown_is_one_error_line():
 
 
 def test_solve_past_the_resolved_contrast_misses_the_residual_limit(capsys):
-    # eps = 1e-16 and 1e14 are past what double precision resolves: the
-    # closed-form split blocks keep positive diagonals and the solve runs,
-    # but its relative residual (51 and 8.3e-6 at level 2) misses 1e-6
-    for eps in ("1e-16", "1e14"):
-        code = main(["solve", "--level", "2", "--eps", eps])
+    # past what double precision resolves, the closed-form split system
+    # keeps positive diagonals and the solve runs, but its relative residual
+    # misses 1e-6: 51 and 8.3e-6 for IP0 at level 2, eps = 1e-16 and 1e14;
+    # 7.1e-5 and 1.6 for IP1 at level 1, eps = 1e14 and 1e-14
+    for argv in (("--level", "2", "--eps", "1e-16"), ("--level", "2", "--eps", "1e14"),
+                 ("--level", "1", "--variant", "IP1", "--eps", "1e14"),
+                 ("--level", "1", "--variant", "IP1", "--eps", "1e-14")):
+        code = main(["solve", *argv])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""
@@ -145,9 +148,7 @@ def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatc
     (["table", "bpx", "--eps", "1e-14", "--levels", "1"], "error: table: "),
     (["table", "zz", "--eps", "1e-300", "--levels", "1"], "error: table: "),
     (["spectrum", "--eps", "1e-14", "--level", "1"], "error: spectrum: "),
-    (["solve", "--variant", "IP1", "--eps", "1e14", "--level", "1"],
-     "error: pcg-block-jacobi: "),
-], ids=["table-bpx", "table-zz", "spectrum", "solve-IP1"])
+], ids=["table-bpx", "table-zz", "spectrum"])
 def test_numerical_failure_is_one_error_line(tmp_path, capsys, argv, first):
     if argv[0] != "solve":  # solve writes no file
         argv = argv + ["--out-dir", str(tmp_path)]
