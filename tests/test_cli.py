@@ -143,12 +143,14 @@ def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, first", [
     # past what double precision resolves, each preconditioner, factorization
-    # or spectrum check refuses the matrix; the zz block keeps a positive
-    # diagonal down to the underflow of kappa_e
+    # or spectrum check refuses the matrix; the zz block and the IP1 split
+    # system keep a positive diagonal down to the underflow of kappa_e
     (["table", "bpx", "--eps", "1e-14", "--levels", "1"], "error: table: "),
     (["table", "zz", "--eps", "1e-300", "--levels", "1"], "error: table: "),
     (["spectrum", "--eps", "1e-14", "--level", "1"], "error: spectrum: "),
-], ids=["table-bpx", "table-zz", "spectrum"])
+    (["solve", "--variant", "IP1", "--eps", "1e-300", "--level", "1"],
+     "error: pcg-block-jacobi: "),
+], ids=["table-bpx", "table-zz", "spectrum", "solve-IP1"])
 def test_numerical_failure_is_one_error_line(tmp_path, capsys, argv, first):
     if argv[0] != "solve":  # solve writes no file
         argv = argv + ["--out-dir", str(tmp_path)]
