@@ -7,7 +7,6 @@ integral is computed exactly (constant-gradient element formula, midpoint rule
 for projected jumps, 2-point Gauss for products of traces).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,13 +112,7 @@ def assemble_dg(mesh, coeff, weights, params):
     order and compressed straight into those arrays.
     """
     nt = mesh.n_triangles
-    areas = mesh.triangle_areas()
-    grads = _gradients(mesh, areas)
-    stiff = _stiffness(grads, coeff.kappa * areas)
-    sides, across, penalty = _edge_sides(mesh, weights, params.variant, grads)
-    own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
-    # h_e = |e| in the penalty alpha / h_e kappa_e |e|
-    pen = params.alpha / mesh.edge_length * weights.kappa_e * mesh.edge_length
+    stiff, sides, across, own, block = _terms(mesh, coeff, weights, params)
     # block columns: the triangle, then its neighbour across each local edge
     # (nt, which sorts last, across a boundary edge); a block's slot in its
     # block row counts the lower columns and the equal ones before it
@@ -131,7 +124,7 @@ def assemble_dg(mesh, coeff, weights, params):
         slot = sum(c <= col if i < j else c < col for i, c in enumerate(block_cols) if i != j)
         order[tri, slot] = j
         first_col[tri, slot] = 3 * col
-    del grads, areas, block_cols, tri, slot
+    del block_cols, tri, slot
     # room for every entry of the pattern, shrunk in place to those kept
     data, indices = np.empty(36 * nt), np.empty(36 * nt, dtype=np.int32)
     indptr = np.zeros(3 * nt + 1, dtype=np.int32)
@@ -139,18 +132,12 @@ def assemble_dg(mesh, coeff, weights, params):
     for lo in range(0, nt, _CHUNK):
         t = slice(lo, min(lo + _CHUNK, nt))
         m = t.stop - lo
-        edges = mesh.tri_edges[t].T
-        block = functools.partial(_edge_block, own[..., t], theta=params.theta, penalty=penalty,
-                                  length=np.take(mesh.edge_length, edges), pen=np.take(pen, edges))
         # (block, row, column, triangle), the blocks in local order: the
         # triangle's own, then its neighbour's across local edge 0, 1 and 2
         vals = np.empty((4, 3, 3, m))
-        self_blocks = block(own[..., t], np.empty((3, 3, 3, m)))
-        np.add(stiff[..., t], self_blocks[:, :, 0], out=vals[0])
-        vals[0] += self_blocks[:, :, 1]
-        vals[0] += self_blocks[:, :, 2]
+        _diagonal_block(stiff, own, block, t, vals[0])
         # the blocks of a boundary edge's missing side are zero
-        block(np.take(sides, across[:, t], axis=2), vals[1:].transpose(1, 2, 0, 3))
+        block(t, np.take(sides, across[:, t], axis=2), vals[1:].transpose(1, 2, 0, 3))
         counts = np.add.reduce(vals != 0, axis=(0, 2), dtype=np.int32)
         indptr[3 * lo + 1:3 * t.stop + 1] = counts.T.ravel()
         # gathered in CSR order (triangle, row, slot and column): row k,
@@ -168,6 +155,71 @@ def assemble_dg(mesh, coeff, weights, params):
     data.resize(nnz, refcheck=False)
     indices.resize(nnz, refcheck=False)
     return sp.csr_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt))
+
+
+def apply_dg(mesh, coeff, weights, params, u):
+    """A u for the assemble_dg matrix A, without assembling it.
+
+    Each triangle's diagonal block is formed as assemble_dg forms it, since
+    its element and edge terms cancel to far below their size where the
+    coefficient is large.  The blocks of its neighbours are not formed: each
+    edge gives the _edge_block with the triangle's own side as rows and, as
+    columns, the trace functionals of _edge_sides of the other side applied
+    to u.  No reduction goes through BLAS, so the result has the same bytes
+    at any thread count.
+    """
+    nt = mesh.n_triangles
+    stiff, sides, across, own, block = _terms(mesh, coeff, weights, params)
+    ut = u.reshape(nt, 3).T
+    # (row of sides, column of sides): each side's functionals applied to
+    # its triangle's dofs, 0 in the missing side of a boundary edge
+    traces = np.zeros((sides.shape[0], 3 * nt + 1))
+    np.add.reduce(own * ut[None, :, None], axis=1, out=traces[:, :-1].reshape(-1, 3, nt))
+    Au = np.empty((3, nt))
+    for lo in range(0, nt, _CHUNK):
+        t = slice(lo, min(lo + _CHUNK, nt))
+        m = t.stop - lo
+        diag = _diagonal_block(stiff, own, block, t, np.empty((3, 3, m)))
+        np.add.reduce(diag * ut[None, :, t], axis=1, out=Au[:, t])
+        across_terms = block(t, np.take(traces, across[:, t], axis=1)[:, None],
+                             np.empty((3, 1, 3, m)))
+        for i in range(3):
+            Au[:, t] += across_terms[:, 0, i]
+    return Au.T.ravel()
+
+
+def _terms(mesh, coeff, weights, params):
+    """What assemble_dg and apply_dg build A from: the (3, 3, nt) element
+    stiffness, the sides and across of _edge_sides, own, the sides in
+    (row of sides, dof, local edge, triangle) order, and block(t, cols,
+    out), the _edge_block of the triangles of slice t as rows."""
+    nt = mesh.n_triangles
+    areas = mesh.triangle_areas()
+    grads = _gradients(mesh, areas)
+    stiff = _stiffness(grads, coeff.kappa * areas)
+    sides, across, penalty = _edge_sides(mesh, weights, params.variant, grads)
+    own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
+    # h_e = |e| in the penalty alpha / h_e kappa_e |e|
+    pen = params.alpha / mesh.edge_length * weights.kappa_e * mesh.edge_length
+
+    def block(t, cols, out):
+        edges = mesh.tri_edges[t].T
+        return _edge_block(own[..., t], cols, out, theta=params.theta, penalty=penalty,
+                           length=np.take(mesh.edge_length, edges), pen=np.take(pen, edges))
+
+    return stiff, sides, across, own, block
+
+
+def _diagonal_block(stiff, own, block, t, out):
+    """The diagonal blocks of the triangles of slice t, from the _terms
+    stiff, own and block, written to out (3, 3, triangles): the element
+    stiffness plus the block of each edge with itself, added in local edge
+    order 0, 1, 2."""
+    self_blocks = block(t, own[..., t], np.empty((3, *out.shape)))
+    np.add(stiff[..., t], self_blocks[:, :, 0], out=out)
+    out += self_blocks[:, :, 1]
+    out += self_blocks[:, :, 2]
+    return out
 
 
 def _edge_sides(mesh, weights, variant, grads):

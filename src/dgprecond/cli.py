@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import build_hierarchy
-from .assembly import (IP0, IP1, MethodParams, assemble_dg, assemble_conforming,
+from .assembly import (IP0, IP1, MethodParams, apply_dg, assemble_dg, assemble_conforming,
                        assemble_rhs, edge_jumps, export_coordinate, symmetric_part)
 from .basis_split import BlockStructureError, extract_blocks, from_split, product_blocks
 from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
@@ -164,7 +164,7 @@ def cmd_assemble(opts, cfg):
 
 def cmd_solve(opts, cfg):
     p = _problem(opts, cfg)
-    mesh, A = p.mesh, p.A
+    mesh = p.mesh
     b = assemble_rhs(mesh, lambda x, y: 1.0)
     report = {}
     try:
@@ -180,7 +180,7 @@ def cmd_solve(opts, cfg):
             u = p.basis.transform @ x
         else:
             report["method"] = "stationary-symmetric-part"
-            u, rep = stationary_iteration(A, DirectSolve(symmetric_part(A)), b,
+            u, rep = stationary_iteration(p.A, DirectSolve(symmetric_part(p.A)), b,
                                           tol=cfg.tol, maxit=500)
     # a BreakdownError of the iteration, a singular factorization, or a
     # preconditioner refusing a nonpositive diagonal
@@ -189,7 +189,8 @@ def cmd_solve(opts, cfg):
         return 1
     if report["method"] != "block-forward-substitution":
         report.update(iterations=rep.iterations, converged=rep.converged)
-    report["rel_residual"] = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
+    Au = apply_dg(mesh, p.coeff, p.weights, p.params, u)
+    report["rel_residual"] = np.linalg.norm(Au - b) / np.linalg.norm(b)
     report["dofs"] = mesh.n_dofs
     print(json.dumps(report, sort_keys=True))
     return 0 if report["rel_residual"] < 1e-6 else 1
@@ -219,10 +220,10 @@ def cmd_spectrum(opts, cfg):
 
 
 def cmd_verify(opts, cfg):
-    """Structural checks: split orthogonality, diagonal zz block for theta=0,
-    the closed-form split blocks against the products T_a^t A T_b, the
-    Galerkin identity and the spectral equivalence of the two penalty
-    variants."""
+    """Structural checks: the matrix-free operator against the nodal matrix,
+    split orthogonality, diagonal zz block for theta=0, the closed-form split
+    blocks against the products T_a^t A T_b, the Galerkin identity and the
+    spectral equivalence of the two penalty variants."""
     level = opts["level"]
     p = _problem(opts, cfg)
     mesh, basis = p.mesh, p.basis
@@ -237,13 +238,22 @@ def cmd_verify(opts, cfg):
         return assemble_dg(mesh, p.coeff, p.weights,
                            MethodParams(theta, cfg.alpha, variant))
 
+    # a seeded u for the matrix-free operator, and its bound on the
+    # difference from A u, entry by entry, relative to (|A| |u|)
+    u = np.random.default_rng(0).standard_normal(mesh.n_dofs)
+    bound = 8 * np.finfo(float).eps
     for theta in (-1, 0, 1):
-        closed = extract_blocks(mesh, p.coeff, p.weights, MethodParams(theta, cfg.alpha))
+        params = MethodParams(theta, cfg.alpha)
+        closed = extract_blocks(mesh, p.coeff, p.weights, params)
+        A = p.A if theta == -1 else assemble(theta)
         if theta == -1:
             A_vv = closed.A_vv
+        ratio = (abs(A @ u - apply_dg(mesh, p.coeff, p.weights, params, u))
+                 / (abs(A) @ abs(u))).max()
+        check(f"matrix-free theta={theta}", ratio <= bound,
+              f"|A u - apply_dg(u)| at most {ratio:.3e} of |A| |u|, bound {bound:.3e}")
         try:
-            blocks = product_blocks(p.A if theta == -1 else assemble(theta),
-                                    basis, zero_tol=1e-12)
+            blocks = product_blocks(A, basis, zero_tol=1e-12)
         except BlockStructureError as exc:
             check(f"orthogonality theta={theta}", False, str(exc))
             continue

@@ -206,8 +206,10 @@ class Problem:
 
     @functools.cached_property
     def A(self):
-        # the nodal DG matrix, assembled on first use: every table cell but
-        # iipg-propagator's and the spectrum take the closed-form split blocks
+        # the nodal DG matrix, assembled on first use: only iipg-propagator's
+        # cells, the stationary solve and verify read it; the other cells
+        # and the spectrum take the closed-form split blocks, and solve's
+        # residual applies the matrix-free assembly.apply_dg
         return assemble_dg(self.mesh, self.coeff, self.weights, self.params)
 
     @functools.cached_property

@@ -19,6 +19,7 @@ from dgprecond.assembly import (
     IP1,
     MethodParams,
     _gradients,
+    apply_dg,
     assemble_dg,
     assemble_conforming,
     assemble_rhs,
@@ -339,6 +340,22 @@ def test_extreme_contrast_keeps_every_computed_entry(eps):
         assert A.nnz == nnz
         assert np.all(A.diagonal() != 0)
     assert assemble_conforming(mesh, coeff).nnz == 1065
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-5, 1.0, 1e5, 1e14])
+@pytest.mark.parametrize("variant", [IP0, IP1])
+@pytest.mark.parametrize("theta", [-1, 0, 1])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_apply_dg_matches_the_assembled_matrix(level, theta, variant, eps):
+    # entry by entry, within a few roundings of the terms of (|A| |u|)
+    mesh = build_hierarchy(level).finest
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    params = MethodParams(theta, 8.0, variant)
+    A = assemble_dg(mesh, coeff, weights, params)
+    u = np.random.default_rng(level).standard_normal(mesh.n_dofs)
+    err = np.abs(A @ u - apply_dg(mesh, coeff, weights, params, u))
+    assert np.all(err <= 8 * np.finfo(float).eps * (abs(A) @ np.abs(u)))
 
 
 # sha256 of data, indices and indptr with their dtypes and shapes, at level

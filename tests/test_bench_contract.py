@@ -5,8 +5,10 @@ and solve calls of a table cell and of ``dgprecond solve`` go through those
 names, so that no layer call escapes the benchmark's spans.  No table cell
 calls ``assemble_dg``: the zz, two-level and bpx cells take the closed-form
 split blocks, and sipg1 adds to them the IP1 penalty term, for which it
-calls ``build_transform``.  The solve calls both, ``assemble_dg`` for its
-residual check."""
+calls ``build_transform``.  The solve calls ``build_transform`` too, but
+not ``assemble_dg``: its residual check calls ``assembly.apply_dg``, which
+no LAYER_CALLS name covers, so perfbench counts its time under "(outside
+layer calls)" until the spans move into the package (ROADMAP item 1)."""
 
 import importlib.util
 from collections import Counter
@@ -80,12 +82,15 @@ def test_preconditioner_setup_goes_through_layer_names(counts, name, setup_calls
     assert counts == dict.fromkeys(_PROBLEM_CALLS + setup_calls + _MEASURE_CALLS, 1)
 
 
-def test_solve_calls_go_through_layer_names(counts, capsys):
+def test_solve_calls_go_through_layer_names(counts, capsys, monkeypatch):
+    applies = Counter()
+    monkeypatch.setattr(cli, "apply_dg", _counting(cli.apply_dg, "apply_dg", applies))
     assert cli.main(["solve", "--level", "0"]) == 0
     capsys.readouterr()
     assert counts == dict.fromkeys(
-        ("build_hierarchy", "assign_coefficient", "edge_weights", "assemble_dg",
-         "assemble_rhs", "build_transform", "extract_blocks",
-         "forward_substitution_solve", "from_split"),
+        ("build_hierarchy", "assign_coefficient", "edge_weights", "assemble_rhs",
+         "build_transform", "extract_blocks", "forward_substitution_solve", "from_split"),
         1,
     )
+    # the residual check, which no LAYER_CALLS name covers
+    assert applies == {"apply_dg": 1}

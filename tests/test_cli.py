@@ -97,6 +97,25 @@ def test_solve_nonsymmetric_stationary(capsys):
     assert rep["converged"]
 
 
+class _Assembled(Exception):
+    pass
+
+
+def test_solve_skips_the_nodal_matrix_unless_it_iterates_on_it(capsys, monkeypatch):
+    # the residual check applies the matrix-free operator; only the
+    # stationary iteration of a nonsymmetric method reads the nodal matrix
+    def refuse(*args):
+        raise _Assembled
+
+    monkeypatch.setattr(experiments, "assemble_dg", refuse)
+    for variant in ("IP0", "IP1"):
+        code, out = run(capsys, "solve", "--level", "1", "--variant", variant)
+        assert code == 0
+        assert json.loads(out)["rel_residual"] < 1e-6
+    with pytest.raises(_Assembled):
+        main(["solve", "--level", "1", "--variant", "IP1", "--theta", "0"])
+
+
 def test_solve_breakdown_is_one_error_line():
     # the stationary iteration diverges for NIPG at this contrast; run as a
     # process, so that its exit code and its whole stderr are seen
