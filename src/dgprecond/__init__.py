@@ -29,7 +29,6 @@ from .basis_split import (
     BlockOperator,
     BlockStructureError,
     build_transform,
-    to_split,
     from_split,
     extract_blocks,
     product_blocks,

@@ -93,8 +93,8 @@ def edge_jumps(mesh):
 # quadrature of the penalty on an edge: the projected jump (IP0) is the jump
 # at the midpoint, the full jump (IP1) is integrated by 2-point Gauss
 _PENALTY_RULE = {IP0: ((0.5,), (1.0,)), IP1: (_GAUSS_S, (0.5, 0.5))}
-# triangles per chunk of assemble_dg, whose arrays then stay in a core's
-# L2 cache
+# triangles per chunk of assemble_dg and apply_dg, whose arrays then stay in
+# a core's L2 cache
 _CHUNK = 1024
 
 
@@ -105,56 +105,35 @@ def assemble_dg(mesh, coeff, weights, params):
     one diagonal block per triangle, its element stiffness plus the self
     blocks of its edges added in local edge order 0, 1, 2, and the two
     off-diagonal blocks of each interior edge.  Each edge block is computed
-    once, for the one slot it fills.  The CSR arrays hold the entries of
+    once, for the one place it fills.  _CHUNK triangles at a time, the blocks
+    of each block row are written to one array, which scipy lays out in BSR
+    and expands row by row into CSR.  The CSR arrays hold the entries of
     this pattern computed as nonzero, with no magnitude cut, block columns
-    ascending in each block row, with int32 indices.  _CHUNK triangles at a
-    time, the blocks are computed along the triangles, gathered into CSR
-    order and compressed straight into those arrays.
+    ascending in each block row, with int32 indices.
     """
     nt = mesh.n_triangles
     stiff, sides, across, own, block = _terms(mesh, coeff, weights, params)
-    # block columns: the triangle, then its neighbour across each local edge
-    # (nt, which sorts last, across a boundary edge); a block's slot in its
-    # block row counts the lower columns and the equal ones before it
-    tri = np.arange(nt)
-    block_cols = [tri, *np.where(across < 3 * nt, across % nt, nt)]
-    order = np.empty((nt, 4), dtype=np.int64)
-    first_col = np.empty((nt, 4), dtype=np.int32)
-    for j, col in enumerate(block_cols):
-        slot = sum(c <= col if i < j else c < col for i, c in enumerate(block_cols) if i != j)
-        order[tri, slot] = j
-        first_col[tri, slot] = 3 * col
-    del block_cols, tri, slot
-    # room for every entry of the pattern, shrunk in place to those kept
-    data, indices = np.empty(36 * nt), np.empty(36 * nt, dtype=np.int32)
-    indptr = np.zeros(3 * nt + 1, dtype=np.int32)
-    nnz = 0
+    # (triangle, block, row, column): the triangle's own block, then its
+    # neighbour's across local edge 0, 1 and 2
+    blocks = np.empty((nt, 4, 3, 3))
     for lo in range(0, nt, _CHUNK):
         t = slice(lo, min(lo + _CHUNK, nt))
-        m = t.stop - lo
-        # (block, row, column, triangle), the blocks in local order: the
-        # triangle's own, then its neighbour's across local edge 0, 1 and 2
-        vals = np.empty((4, 3, 3, m))
+        vals = blocks[t].transpose(1, 2, 3, 0)
         _diagonal_block(stiff, own, block, t, vals[0])
-        # the blocks of a boundary edge's missing side are zero
         block(t, np.take(sides, across[:, t], axis=2), vals[1:].transpose(1, 2, 0, 3))
-        counts = np.add.reduce(vals != 0, axis=(0, 2), dtype=np.int32)
-        indptr[3 * lo + 1:3 * t.stop + 1] = counts.T.ravel()
-        # gathered in CSR order (triangle, row, slot and column): row k,
-        # column c of the block in a slot is m (3 k + c) on in vals
-        start = (9 * m * order[t] + np.arange(m)[:, None])[:, :, None] + m * np.arange(3)
-        vals = np.take(vals, start.reshape(m, 1, 12) + 3 * m * np.arange(3)[:, None])
-        kept = vals != 0
-        n = counts.sum()
-        data[nnz:nnz + n] = vals[kept]
-        cols = (first_col[t, :, None] + np.arange(3, dtype=np.int32)).reshape(m, 1, 12)
-        indices[nnz:nnz + n] = np.repeat(cols, 3, axis=1)[kept]
-        nnz += n
-    np.cumsum(indptr, out=indptr)
-    # shrunk in place, without a copy: no view of either array is left
-    data.resize(nnz, refcheck=False)
-    indices.resize(nnz, refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(3 * nt, 3 * nt))
+    # the block of a boundary edge's missing side is zero, in the triangle's
+    # own column
+    tri = np.arange(nt)
+    cols = np.column_stack([tri, *np.where(across < 3 * nt, across % nt, tri)])
+    del stiff, sides, across, own, block, vals, tri
+    A = sp.bsr_matrix((blocks.reshape(-1, 3, 3), cols.ravel(),
+                       np.arange(0, 4 * nt + 1, 4, dtype=np.int32)), shape=(3 * nt, 3 * nt))
+    del blocks, cols
+    A.sort_indices()
+    A = A.tocsr()
+    A.eliminate_zeros()
+    # eliminate_zeros leaves views of the full-size arrays
+    return A.copy()
 
 
 def apply_dg(mesh, coeff, weights, params, u):

@@ -91,7 +91,7 @@ def pcg(A, b, B=None, tol=TOL, maxit=1000):
     return x, report
 
 
-def estimate_spectrum(A, B=None, k=120, seed=0, m=1, rtol=RTOL):
+def estimate_spectrum(A, B=None, k=120, seed=0, rtol=RTOL):
     """Ascending eigenvalue estimates of B*A for sparse SPD A and SPD B: the
     Ritz values of Lanczos in the A-inner product.
 
@@ -99,13 +99,14 @@ def estimate_spectrum(A, B=None, k=120, seed=0, m=1, rtol=RTOL):
     reorthogonalization (see _omega_step), so a converged Ritz value gets no
     ghost copy and each step costs one application of B, one product with A
     and O(steps) scalar work, plus a Gram-Schmidt pass at the steps that
-    reorthogonalize.  Lanczos stops after the first step whose
-    error bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 13; see
-    _certified) certify to rtol the values condition_numbers reads for K and
-    K_m, or show the Krylov space invariant up to round-off, where a further
-    step would restart from noise.  k caps the steps; rtol=0 runs all k of
-    them unless beta is exactly zero.  A one-dimensional invariant space
-    from the random start means B*A = theta*I, and theta comes back n times.
+    reorthogonalize.  Lanczos stops after the first step whose error bounds
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 13; see _certified)
+    certify to rtol lambda_1, lambda_2 and lambda_max, the values
+    condition_numbers reads for K and K_1, or show the Krylov space
+    invariant up to round-off, where a further step would restart from
+    noise.  k caps the steps; rtol=0 runs all k of them unless beta is
+    exactly zero.  A one-dimensional invariant space from the random start
+    means B*A = theta*I, and theta comes back n times.
     """
     apply_B = _as_apply(B)
     n = A.shape[0]
@@ -136,7 +137,7 @@ def estimate_spectrum(A, B=None, k=120, seed=0, m=1, rtol=RTOL):
         if j == k - 1:
             break
         top = _Ritz(diag[: j + 1], off[:j], j, j)
-        low = _Ritz(diag[: j + 1], off[:j], 0, min(m, j))
+        low = _Ritz(diag[: j + 1], off[:j], 0, min(1, j))
         Aw = A @ w
         ww = w @ Aw
         beta = np.sqrt(max(ww, 0.0))
@@ -226,13 +227,14 @@ class _Ritz:
 
 
 def _certified(top, low, beta, rtol):
-    """Whether Lanczos may stop at the tridiagonal T whose largest and m+1
+    """Whether Lanczos may stop at the tridiagonal T whose largest and two
     lowest Ritz values are top and low (_Ritz of T), beta being the A-norm
     of the next residual.
 
     Each Ritz value theta_i of T lies within beta * |s_i| of an eigenvalue
-    (s_i: last entry of its unit eigenvector).  True once the m+1 lowest and
-    the largest have bounds below rtol * theta_i, or once beta is at the
+    (s_i: last entry of its unit eigenvector).  True once the two lowest and
+    the largest, the values of lambda_1, lambda_2 and lambda_max that K and
+    K_1 read, have bounds below rtol * theta_i, or once beta is at the
     round-off floor of an invariant Krylov space (see ROUNDOFF), where a
     further step would restart from noise.  The eigenvectors of the low
     values are computed only when the other two tests leave it open.
