@@ -264,21 +264,26 @@ def table_params(name, cfg):
     return MethodParams(theta, alpha, variant)
 
 
-def _sweep(cfg, name, default_levels, cell, params, eps_list=None):
-    """Table of cell(hier, eps, i_eps) -> dict over levels x eps, whose
-    config records the theta and variant of params.
+def _sweep(cfg, kind, name, default_levels, cell, eps_list=None):
+    """Table of cell(problem, eps, i_eps) -> dict over levels x eps, on the
+    problems of the method table_params(kind, cfg), which the config
+    records; a two-level cell without a coarse mesh is infeasible.
 
     One hierarchy is built at the finest level and truncated for the others
     (meshes do not depend on the coefficient)."""
     eps_list = cfg.eps_list if eps_list is None else eps_list
     levels = cfg.levels if cfg.levels is not None else default_levels
+    params = table_params(kind, cfg)
     config = {**cfg.to_dict(), "theta": params.theta, "variant": params.variant}
     table = TableResult(name, config, list(eps_list), list(levels))
     full = build_hierarchy(max(levels))
     for lvl in levels:
         hier = full.truncated(lvl)
         for i, eps in enumerate(eps_list):
-            table.add_cell(eps, lvl, **cell(hier, eps, i))
+            if kind == "two-level" and cfg.coarse_level(lvl) < 0:
+                table.add_cell(eps, lvl, infeasible=True)
+            else:
+                table.add_cell(eps, lvl, **cell(build_problem(hier, eps, params), eps, i))
     return table
 
 
@@ -305,18 +310,6 @@ def _measure(cfg, A, B, stream, eps):
     return {"K": K, "K_1": K_1, "iterations": rep.iterations}
 
 
-def run_zz_table(cfg):
-    """Diagonally preconditioned PCG on the complement-space block."""
-    params = table_params("zz", cfg)
-
-    def cell(hier, eps, i):
-        p = build_problem(hier, eps, params)
-        A_zz = p.blocks().A_zz
-        return _measure(cfg, A_zz, DiagonalPrecond(A_zz.diagonal()), (1, p.mesh.level, i), eps)
-
-    return _sweep(cfg, "zz", (0, 1, 2, 3), cell, params)
-
-
 def _cr_precond(cfg, hier, A_vv, kind):
     """The kind (one of CR_PRECONDS) of preconditioner of the CR block A_vv
     on the finest mesh of hier; the two-level coarse mesh is at
@@ -325,33 +318,6 @@ def _cr_precond(cfg, hier, A_vv, kind):
         return bpx(A_vv, hier, cfg.smoother_spec())
     P = cr_prolongation(hier, cfg.coarse_level(hier.finest.level))
     return two_level(A_vv, P, cfg.smoother_spec())
-
-
-def _cr_table(cfg, kind, name, stream):
-    params = table_params(kind, cfg)
-
-    def cell(hier, eps, i):
-        lvl = hier.finest.level
-        if kind == "two-level" and cfg.coarse_level(lvl) < 0:
-            return {"infeasible": True}
-        A_vv = build_problem(hier, eps, params).blocks().A_vv
-        B = _cr_precond(cfg, hier, A_vv, kind)
-        return _measure(cfg, A_vv, B, (stream, lvl, i), eps)
-
-    return _sweep(cfg, name, (0, 1, 2, 3, 4), cell, params)
-
-
-def run_two_level_table(cfg):
-    """PCG on the Crouzeix-Raviart block with the additive two-level
-    preconditioner; the coarse mesh is at cfg.coarse_level of each level."""
-    # table streams 2, 3, 4 for ratios 1, 2, 4
-    return _cr_table(cfg, "two-level", f"two-level-w{cfg.ratio}", 2 - cfg.coarse_level(0))
-
-
-def run_bpx_table(cfg):
-    """PCG on the Crouzeix-Raviart block with the additive multilevel
-    preconditioner."""
-    return _cr_table(cfg, "bpx", "bpx", 5)
 
 
 def block_jacobi_system(p, spec=None):
@@ -367,17 +333,51 @@ def block_jacobi_system(p, spec=None):
     return S, block_jacobi_dg(S.diagonal()[:nz], two_level(S[nz:, nz:].tocsr(), P, spec))
 
 
+def _system(cfg, kind, p):
+    """The matrix that a kind of PCG table measures on problem p, and its
+    preconditioner."""
+    if kind == "sipg1":
+        return block_jacobi_system(p, cfg.smoother_spec())
+    if kind == "zz":
+        A_zz = p.blocks().A_zz
+        return A_zz, DiagonalPrecond(A_zz.diagonal())
+    A_vv = p.blocks().A_vv
+    return A_vv, _cr_precond(cfg, p.hier, A_vv, kind)
+
+
+def _pcg_cell(cfg, kind, stream):
+    """The cell of a kind of PCG table for _sweep: _measure of its _system,
+    seeded from table stream stream."""
+    def cell(p, eps, i):
+        A, B = _system(cfg, kind, p)
+        return _measure(cfg, A, B, (stream, p.mesh.level, i), eps)
+
+    return cell
+
+
+def run_zz_table(cfg):
+    """Diagonally preconditioned PCG on the complement-space block."""
+    return _sweep(cfg, "zz", "zz", (0, 1, 2, 3), _pcg_cell(cfg, "zz", 1))
+
+
+def run_two_level_table(cfg):
+    """PCG on the Crouzeix-Raviart block with the additive two-level
+    preconditioner; the coarse mesh is at cfg.coarse_level of each level."""
+    # table streams 2, 3, 4 for ratios 1, 2, 4
+    return _sweep(cfg, "two-level", f"two-level-w{cfg.ratio}", (0, 1, 2, 3, 4),
+                  _pcg_cell(cfg, "two-level", 2 - cfg.coarse_level(0)))
+
+
+def run_bpx_table(cfg):
+    """PCG on the Crouzeix-Raviart block with the additive multilevel
+    preconditioner."""
+    return _sweep(cfg, "bpx", "bpx", (0, 1, 2, 3, 4), _pcg_cell(cfg, "bpx", 5))
+
+
 def run_sipg1_blockjacobi_table(cfg):
     """Full fully penalized symmetric DG system, block-Jacobi preconditioner
     (see block_jacobi_system)."""
-    params = table_params("sipg1", cfg)
-
-    def cell(hier, eps, i):
-        p = build_problem(hier, eps, params)
-        S, B = block_jacobi_system(p, cfg.smoother_spec())
-        return _measure(cfg, S, B, (6, p.mesh.level, i), eps)
-
-    return _sweep(cfg, "sipg1", (0, 1, 2, 3), cell, params)
+    return _sweep(cfg, "sipg1", "sipg1", (0, 1, 2, 3), _pcg_cell(cfg, "sipg1", 6))
 
 
 def run_iipg_propagator_table(cfg):
@@ -386,14 +386,13 @@ def run_iipg_propagator_table(cfg):
     with 4 times the baseline penalty (see table_params).
     """
     eps_list = cfg.eps_list if cfg.eps_list != EPS_DEFAULT else EPS_SWEEP_11
-    params = table_params("iipg-propagator", cfg)
 
-    def cell(hier, eps, i):
-        A = build_problem(hier, eps, params).A
-        return {"norm": error_propagator_norm(A, seed=cfg.seed + i)}
+    def cell(p, eps, i):
+        return {"norm": error_propagator_norm(p.A, seed=cfg.seed + i)}
 
-    table = _sweep(cfg, "iipg-propagator", (0, 1, 2, 3), cell, params, eps_list)
-    table.config["alpha_effective"] = params.alpha
+    kind = "iipg-propagator"
+    table = _sweep(cfg, kind, kind, (0, 1, 2, 3), cell, eps_list)
+    table.config["alpha_effective"] = table_params(kind, cfg).alpha
     table.config["assumption"] = "alpha* = 8 taken as the coercivity baseline"
     return table
 
@@ -408,9 +407,8 @@ def dump_spectrum(cfg, eps, level, out_path, precond="two-level"):
     writes no file: B*A is then not positive definite in floating point."""
     if precond not in CR_PRECONDS:
         raise ValueError(f"precond must be one of {CR_PRECONDS}, got {precond!r}")
-    hier = build_hierarchy(level)
-    A_vv = build_problem(hier, eps, table_params(precond, cfg)).blocks().A_vv
-    B = _cr_precond(cfg, hier, A_vv, precond)
+    p = build_problem(build_hierarchy(level), eps, table_params(precond, cfg))
+    A_vv, B = _system(cfg, precond, p)
     eigs = estimate_spectrum(A_vv, B, k=SPECTRUM_STEPS, seed=cfg.seed, rtol=0.0)
     if not eigs[0] > 0:
         raise RuntimeError(f"preconditioned spectrum not positive at level {level}, "

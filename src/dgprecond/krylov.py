@@ -55,7 +55,7 @@ def pcg(A, b, B=None, tol=TOL, maxit=1000):
     """Preconditioned conjugate gradients from x = 0; stops at ||r_k|| / ||r_0|| < tol."""
     apply_B = _as_apply(B)
     x = np.zeros(len(b))
-    r = b - A @ x
+    r = np.array(b, dtype=float)
     r0_norm = np.linalg.norm(r)
     report = SolveReport(rel_residual_history=[1.0])
     if r0_norm == 0.0:
@@ -263,7 +263,7 @@ def stationary_iteration(A, B, f, maxit=200, tol=TOL):
     """u_{k+1} = u_k + B(f - A u_k) from u_0 = 0; stop on relative residual."""
     apply_B = _as_apply(B)
     u = np.zeros(A.shape[0])
-    r = f - A @ u
+    r = np.array(f, dtype=float)
     r0 = np.linalg.norm(r)
     report = SolveReport(rel_residual_history=[1.0])
     if r0 == 0.0:

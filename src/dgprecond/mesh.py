@@ -154,7 +154,6 @@ class CoefficientField:
     """Piecewise-constant diffusion coefficient, one value per triangle."""
 
     kappa: np.ndarray
-    epsilon: float
 
 
 @dataclass
@@ -302,7 +301,7 @@ def assign_coefficient(mesh, eps):
         raise UnresolvedCoefficientError(
             f"triangle {straddle[0]} straddles the coefficient interface"
         )
-    return CoefficientField(np.where(inside, 1.0, eps), float(eps))
+    return CoefficientField(np.where(inside, 1.0, eps))
 
 
 def edge_weights(mesh, coeff):

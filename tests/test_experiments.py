@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dgprecond import experiments
 from dgprecond.assembly import IP0, IP1
 from dgprecond.krylov import RTOL, SolveReport
+from dgprecond.mesh import build_hierarchy
 from dgprecond.experiments import (
     EPS_DEFAULT,
     EPS_SWEEP_11,
@@ -85,6 +87,29 @@ def test_two_level_lanczos_reads_no_ghost_of_lambda_1():
     # there, and returns K_1 = 30373.4, the value of K
     table = run_two_level_table(ExperimentConfig(ratio=2, eps_list=(1e-5,), levels=(4,)))
     assert table.cell(1e-5, 4)["K_1"] == pytest.approx(3.187348998811498, rel=RTOL)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-5])
+@pytest.mark.parametrize("kind", ["bpx", "two-level"])
+def test_cr_cell_against_the_dense_spectrum(kind, eps):
+    # at L0 (n = 40) the spectrum of B A is that of L^t A L, with B = L L^t
+    # formed from B.apply on the identity.  K_1 is certified to RTOL at every
+    # eps here.  K is asserted at eps 1e-5 only: at 1e-8 the certified K
+    # misses the dense one by 1.8e-3 (bpx) and 3.1e-3 (two-level), and at
+    # 1e-7 by 4.1e-5 and 5.8e-6
+    cfg = ExperimentConfig(eps_list=(eps,), levels=(0,))
+    cell = RUNNERS[kind](cfg).cell(eps, 0)
+    hier = build_hierarchy(0)
+    A = experiments.build_problem(hier, eps, experiments.table_params(kind, cfg)).blocks().A_vv
+    B = experiments._cr_precond(cfg, hier, A, kind)
+    n = A.shape[0]
+    assert n == 40
+    B_dense = np.column_stack([B.apply(e) for e in np.eye(n)])
+    L = np.linalg.cholesky(0.5 * (B_dense + B_dense.T))
+    lam = scipy.linalg.eigvalsh(L.T @ A.toarray() @ L)
+    assert cell["K_1"] == pytest.approx(lam[-1] / lam[1], rel=RTOL)
+    if eps >= 1e-5:
+        assert cell["K"] == pytest.approx(lam[-1] / lam[0], rel=RTOL)
 
 
 def test_iipg_propagator_table():

@@ -302,12 +302,13 @@ def test_cr_prolongation_composition():
 def test_galerkin_coarse_equals_direct_assembly():
     # P^t A_vv P on the conforming space equals the conforming stiffness
     # matrix assembled on that level (coefficient is resolved on level 0)
+    eps = 1e-2
     for level in (1, 2):
-        hier, mesh, coeff, blocks = _vv_block(level, 1e-2)
+        hier, mesh, coeff, blocks = _vv_block(level, eps)
         for jc in range(level + 1):
             P = cr_prolongation(hier, jc)
             A_c = (P.T @ blocks.A_vv @ P).toarray()
-            coeff_c = assign_coefficient(hier.meshes[jc], coeff.epsilon)
+            coeff_c = assign_coefficient(hier.meshes[jc], eps)
             A_ref = assemble_conforming(hier.meshes[jc], coeff_c).toarray()
             assert np.allclose(A_c, A_ref, atol=1e-12 * np.abs(A_ref).max())
 
