@@ -66,11 +66,7 @@ from .experiments import (
     TableResult,
     Problem,
     build_problem,
-    run_zz_table,
-    run_two_level_table,
-    run_bpx_table,
-    run_sipg1_blockjacobi_table,
-    run_iipg_propagator_table,
+    RUNNERS,
     dump_spectrum,
     compare_to_golden,
     format_comparison,

@@ -21,7 +21,7 @@ from .basis_split import BlockStructureError, extract_blocks, from_split, produc
 from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
                       forward_substitution_solve)
 from .krylov import estimate_spectrum, pcg, stationary_iteration
-from .experiments import (CR_PRECONDS, MAX_LEVEL, RUNNERS, TABLE_FIELDS, ExperimentConfig,
+from .experiments import (CR_PRECONDS, MAX_LEVEL, RUNNERS, TABLE_KINDS, ExperimentConfig,
                           block_jacobi_system, build_problem, dump_spectrum,
                           compare_to_golden, format_comparison, table_params)
 
@@ -46,7 +46,7 @@ _OPTIONS = {
     "smoother": dict(help=f"{SYM_GS} or {JACOBI}"), "tol": dict(type=float),
     "seed": dict(type=int), "out_dir": dict(),
 }
-# the CLI's own options; eps None: tables sweep their runner's own
+# the CLI's own options; eps None: tables sweep their kind's own
 # contrasts, single problems take eps = 1
 _CLI_ONLY = {"eps": None, "levels": None, "level": 0, "precond": "two-level",
              "out_dir": "."}
@@ -124,8 +124,9 @@ def _resolve(args):
 
 def _check_read(what, table, given):
     """Raise ValueError for the given options that set an ExperimentConfig
-    field the table's runner does not read."""
-    ignored = sorted(k for k in given if k in _FIELDS and _FIELDS[k] not in TABLE_FIELDS[table])
+    field the table does not read."""
+    fields = TABLE_KINDS[table].fields
+    ignored = sorted(k for k in given if k in _FIELDS and _FIELDS[k] not in fields)
     if ignored:
         raise ValueError(f"{what} does not read {', '.join(ignored)}")
 

@@ -1,6 +1,6 @@
 """Scripted condition-number experiments.
 
-Each runner sweeps (coefficient contrast, refinement level) cells, solves the
+Each table sweeps (coefficient contrast, refinement level) cells, solves the
 relevant system with PCG, estimates the spectrum of the preconditioned
 operator and reports the condition number K, the effective condition number
 K_1 (smallest eigenvalue discarded) and the PCG iteration count.  Results
@@ -46,8 +46,9 @@ class ExperimentConfig:
     constructor raises ValueError for a value out of bounds, so every table
     cell and CLI command runs with checked options."""
 
-    eps_list: tuple = EPS_DEFAULT
-    levels: tuple | None = None  # None picks the per-table default
+    # None picks the table kind's default contrasts and levels
+    eps_list: tuple | None = None
+    levels: tuple | None = None
     theta: int = -1
     alpha: float = 8.0
     variant: str = IP0
@@ -58,7 +59,7 @@ class ExperimentConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for eps in self.eps_list:
+        for eps in self.eps_list or ():
             if not (math.isfinite(eps) and eps > 0):
                 raise ValueError(f"eps must be finite and positive, got {eps}")
         if self.levels is not None and not (self.levels and 0 <= min(self.levels)
@@ -87,8 +88,8 @@ class ExperimentConfig:
 
     def to_dict(self):
         d = asdict(self)
-        d["eps_list"] = list(self.eps_list)
-        d["levels"] = None if self.levels is None else list(self.levels)
+        for k in ("eps_list", "levels"):
+            d[k] = None if d[k] is None else list(d[k])
         return d
 
 
@@ -232,59 +233,59 @@ def build_problem(hier, eps, params):
     return Problem(hier, coeff, edge_weights(mesh, coeff), params)
 
 
-# the ExperimentConfig fields each runner of RUNNERS reads besides eps_list
-# and levels, which every one reads; the CLI refuses an option setting any
-# other field of a table
-TABLE_FIELDS = {
-    "zz": ("theta", "alpha", "variant", "tol", "seed"),
-    "two-level": ("alpha", "ratio", "smoother_kind", "sweeps", "tol", "seed"),
-    "bpx": ("alpha", "smoother_kind", "sweeps", "tol", "seed"),
-    "sipg1": ("alpha", "smoother_kind", "sweeps", "tol", "seed"),
-    "iipg-propagator": ("alpha", "seed"),
+@dataclass(frozen=True)
+class TableKind:
+    """What a kind of table is: the ExperimentConfig fields it reads besides
+    eps_list and levels, which every kind reads (the CLI refuses an option
+    setting any other field); its default levels and contrasts; the seed
+    stream of its PCG cells (None: no PCG); and its method, theta (None:
+    cfg.theta), variant and alpha as a multiple of cfg.alpha."""
+
+    fields: tuple
+    levels: tuple
+    eps_list: tuple
+    stream: int | None
+    theta: int | None
+    variant: str
+    alpha_factor: float = 1.0
+
+
+TABLE_KINDS = {
+    # diagonally preconditioned PCG on the complement-space block
+    "zz": TableKind(("theta", "alpha", "variant", "tol", "seed"), (0, 1, 2, 3),
+                    EPS_DEFAULT, 1, None, IP0),
+    # PCG on the Crouzeix-Raviart block (theta independent, assembled with
+    # theta=-1) with the additive two-level preconditioner, whose coarse
+    # mesh is at cfg.coarse_level of each level; streams 2, 3, 4 for ratios
+    # 1, 2, 4
+    "two-level": TableKind(("alpha", "ratio", "smoother_kind", "sweeps", "tol", "seed"),
+                           (0, 1, 2, 3, 4), EPS_DEFAULT, 2, -1, IP0),
+    # the same block with the additive multilevel preconditioner
+    "bpx": TableKind(("alpha", "smoother_kind", "sweeps", "tol", "seed"),
+                     (0, 1, 2, 3, 4), EPS_DEFAULT, 5, -1, IP0),
+    # the full fully penalized symmetric DG system with the block-Jacobi
+    # preconditioner of block_jacobi_system
+    "sipg1": TableKind(("alpha", "smoother_kind", "sweeps", "tol", "seed"),
+                       (0, 1, 2, 3), EPS_DEFAULT, 6, -1, IP1),
+    # contraction factor of the stationary iteration preconditioned by the
+    # symmetric part, for the fully penalized nonsymmetric method with 4
+    # times the baseline penalty (alpha* = 8 assumed; the table's config
+    # records this assumption)
+    "iipg-propagator": TableKind(("alpha", "seed"), (0, 1, 2, 3), EPS_SWEEP_11,
+                                 None, 0, IP1, 4.0),
 }
 
 
 def table_params(name, cfg):
-    """The method the table runner RUNNERS[name] assembles with, which its
-    JSON config records.  zz runs cfg.theta and raises ValueError for a
-    variant other than IP0; every other table fixes theta and variant."""
-    if name == "zz" and cfg.variant != IP0:
-        raise ValueError(f"the zz table is defined for the weakly penalized "
-                         f"variant {IP0}, got {cfg.variant!r}")
-    # the CR block is theta independent and assembled with theta=-1; the
-    # iipg penalty is 4 times the baseline (alpha* = 8 assumed; the table's
-    # config records this assumption)
-    theta, alpha, variant = {
-        "zz": (cfg.theta, cfg.alpha, IP0),
-        "two-level": (-1, cfg.alpha, IP0),
-        "bpx": (-1, cfg.alpha, IP0),
-        "sipg1": (-1, cfg.alpha, IP1),
-        "iipg-propagator": (0, 4.0 * cfg.alpha, IP1),
-    }[name]
-    return MethodParams(theta, alpha, variant)
-
-
-def _sweep(cfg, kind, name, default_levels, cell, eps_list=None):
-    """Table of cell(problem, eps, i_eps) -> dict over levels x eps, on the
-    problems of the method table_params(kind, cfg), which the config
-    records; a two-level cell without a coarse mesh is infeasible.
-
-    One hierarchy is built at the finest level and truncated for the others
-    (meshes do not depend on the coefficient)."""
-    eps_list = cfg.eps_list if eps_list is None else eps_list
-    levels = cfg.levels if cfg.levels is not None else default_levels
-    params = table_params(kind, cfg)
-    config = {**cfg.to_dict(), "theta": params.theta, "variant": params.variant}
-    table = TableResult(name, config, list(eps_list), list(levels))
-    full = build_hierarchy(max(levels))
-    for lvl in levels:
-        hier = full.truncated(lvl)
-        for i, eps in enumerate(eps_list):
-            if kind == "two-level" and cfg.coarse_level(lvl) < 0:
-                table.add_cell(eps, lvl, infeasible=True)
-            else:
-                table.add_cell(eps, lvl, **cell(build_problem(hier, eps, params), eps, i))
-    return table
+    """The method the table RUNNERS[name] assembles with, which its JSON
+    config records.  zz runs cfg.theta and raises ValueError for a variant
+    other than IP0; every other table fixes theta and variant."""
+    kind = TABLE_KINDS[name]
+    if "variant" in kind.fields and cfg.variant != kind.variant:
+        raise ValueError(f"the {name} table is defined for the weakly penalized "
+                         f"variant {kind.variant}, got {cfg.variant!r}")
+    theta = cfg.theta if kind.theta is None else kind.theta
+    return MethodParams(theta, kind.alpha_factor * cfg.alpha, kind.variant)
 
 
 def _measure(cfg, A, B, stream, eps):
@@ -303,7 +304,7 @@ def _measure(cfg, A, B, stream, eps):
             f"PCG did not converge in {where}: relative residual "
             f"{rep.rel_residual_history[-1]:.3g} after {rep.iterations} iterations")
     cond = condition_numbers(estimate_spectrum(A, B, seed=int(rng.integers(2**31))))
-    K, K_1 = cond["K"], cond["K_m"][1]
+    K, K_1 = cond["K"], cond["K_1"]
     if not all(math.isfinite(v) and v > 0 for v in (K, K_1)):
         raise RuntimeError(f"condition number not finite and positive in {where}: "
                            f"K={K:.3g}, K_1={K_1:.3g}")
@@ -345,55 +346,40 @@ def _system(cfg, kind, p):
     return A_vv, _cr_precond(cfg, p.hier, A_vv, kind)
 
 
-def _pcg_cell(cfg, kind, stream):
-    """The cell of a kind of PCG table for _sweep: _measure of its _system,
-    seeded from table stream stream."""
-    def cell(p, eps, i):
-        A, B = _system(cfg, kind, p)
-        return _measure(cfg, A, B, (stream, p.mesh.level, i), eps)
+def _run_table(name, cfg):
+    """The table of kind TABLE_KINDS[name] over its levels x contrasts, on
+    the problems of the method table_params(name, cfg); its config records
+    that method and the contrasts swept.  A PCG cell is _measure of its
+    _system; a two-level cell without a coarse mesh is infeasible.
 
-    return cell
-
-
-def run_zz_table(cfg):
-    """Diagonally preconditioned PCG on the complement-space block."""
-    return _sweep(cfg, "zz", "zz", (0, 1, 2, 3), _pcg_cell(cfg, "zz", 1))
-
-
-def run_two_level_table(cfg):
-    """PCG on the Crouzeix-Raviart block with the additive two-level
-    preconditioner; the coarse mesh is at cfg.coarse_level of each level."""
-    # table streams 2, 3, 4 for ratios 1, 2, 4
-    return _sweep(cfg, "two-level", f"two-level-w{cfg.ratio}", (0, 1, 2, 3, 4),
-                  _pcg_cell(cfg, "two-level", 2 - cfg.coarse_level(0)))
-
-
-def run_bpx_table(cfg):
-    """PCG on the Crouzeix-Raviart block with the additive multilevel
-    preconditioner."""
-    return _sweep(cfg, "bpx", "bpx", (0, 1, 2, 3, 4), _pcg_cell(cfg, "bpx", 5))
-
-
-def run_sipg1_blockjacobi_table(cfg):
-    """Full fully penalized symmetric DG system, block-Jacobi preconditioner
-    (see block_jacobi_system)."""
-    return _sweep(cfg, "sipg1", "sipg1", (0, 1, 2, 3), _pcg_cell(cfg, "sipg1", 6))
-
-
-def run_iipg_propagator_table(cfg):
-    """Contraction factor of the stationary iteration preconditioned by the
-    symmetric part, for the fully penalized nonsymmetric (theta=0) method,
-    with 4 times the baseline penalty (see table_params).
-    """
-    eps_list = cfg.eps_list if cfg.eps_list != EPS_DEFAULT else EPS_SWEEP_11
-
-    def cell(p, eps, i):
-        return {"norm": error_propagator_norm(p.A, seed=cfg.seed + i)}
-
-    kind = "iipg-propagator"
-    table = _sweep(cfg, kind, kind, (0, 1, 2, 3), cell, eps_list)
-    table.config["alpha_effective"] = table_params(kind, cfg).alpha
-    table.config["assumption"] = "alpha* = 8 taken as the coercivity baseline"
+    One hierarchy is built at the finest level and truncated for the others
+    (meshes do not depend on the coefficient)."""
+    kind = TABLE_KINDS[name]
+    eps_list = kind.eps_list if cfg.eps_list is None else cfg.eps_list
+    levels = kind.levels if cfg.levels is None else cfg.levels
+    params = table_params(name, cfg)
+    two_level, iipg = name == "two-level", name == "iipg-propagator"
+    stream = kind.stream - cfg.coarse_level(0) if two_level else kind.stream
+    config = {**cfg.to_dict(), "eps_list": list(eps_list), "theta": params.theta,
+              "variant": params.variant}
+    if iipg:
+        config["alpha_effective"] = params.alpha
+        config["assumption"] = "alpha* = 8 taken as the coercivity baseline"
+    table = TableResult(f"two-level-w{cfg.ratio}" if two_level else name, config,
+                        list(eps_list), list(levels))
+    full = build_hierarchy(max(levels))
+    for lvl in levels:
+        hier = full.truncated(lvl)
+        for i, eps in enumerate(eps_list):
+            if two_level and cfg.coarse_level(lvl) < 0:
+                table.add_cell(eps, lvl, infeasible=True)
+                continue
+            p = build_problem(hier, eps, params)
+            if iipg:
+                table.add_cell(eps, lvl, norm=error_propagator_norm(p.A, seed=cfg.seed + i))
+            else:
+                A, B = _system(cfg, name, p)
+                table.add_cell(eps, lvl, **_measure(cfg, A, B, (stream, lvl, i), eps))
     return table
 
 
@@ -712,10 +698,5 @@ def format_comparison(report):
     return "\n".join(lines) + "\n"
 
 
-RUNNERS = {
-    "zz": run_zz_table,
-    "two-level": run_two_level_table,
-    "bpx": run_bpx_table,
-    "sipg1": run_sipg1_blockjacobi_table,
-    "iipg-propagator": run_iipg_propagator_table,
-}
+# the one entry point of every table: RUNNERS[name](cfg) -> TableResult
+RUNNERS = {name: functools.partial(_run_table, name) for name in TABLE_KINDS}

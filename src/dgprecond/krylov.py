@@ -247,16 +247,13 @@ def _certified(top, low, beta, rtol):
     return bool(np.all(beta * np.abs(low.last()) < rtol * low.values))
 
 
-def condition_numbers(eigs, m_list=(0, 1)):
-    """K = lambda_max / lambda_min and effective K_m = lambda_max / lambda_{m+1}."""
+def condition_numbers(eigs):
+    """K = lambda_max / lambda_1 and the effective K_1 = lambda_max / lambda_2,
+    from ascending eigenvalues: the values estimate_spectrum certifies."""
     eigs = np.asarray(eigs)
-    n = len(eigs)
-    out = {}
-    for m in m_list:
-        if m >= n:
-            raise ValueError(f"m={m} >= number of eigenvalues {n}")
-        out[m] = float(eigs[-1] / eigs[m])
-    return {"K": out.get(0), "K_m": out}
+    if len(eigs) < 2:
+        raise ValueError(f"K_1 needs two eigenvalues, got {len(eigs)}")
+    return {"K": float(eigs[-1] / eigs[0]), "K_1": float(eigs[-1] / eigs[1])}
 
 
 def stationary_iteration(A, B, f, maxit=200, tol=TOL):

@@ -22,12 +22,8 @@ from dgprecond.experiments import (
     EPS_DEFAULT,
     ExperimentConfig,
     GOLDEN,
+    RUNNERS,
     build_problem,
-    run_zz_table,
-    run_two_level_table,
-    run_bpx_table,
-    run_sipg1_blockjacobi_table,
-    run_iipg_propagator_table,
     compare_to_golden,
 )
 
@@ -47,7 +43,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def two_level_tables(cfg):
-    return {w: run_two_level_table(dataclasses.replace(cfg, ratio=w))
+    return {w: RUNNERS["two-level"](dataclasses.replace(cfg, ratio=w))
             for w in (1, 2, 4)}
 
 
@@ -56,7 +52,7 @@ def _feasible(table):
 
 
 def test_criterion_1_zz_robustness(cfg):
-    table = run_zz_table(cfg)
+    table = RUNNERS["zz"](cfg)
     ks = [c["K"] for c in table.cells]
     its = [c["iterations"] for c in table.cells]
     ok = all(1.5 <= k <= 2.0 for k in ks) and all(i <= 20 for i in its)
@@ -132,7 +128,7 @@ def test_criterion_5_two_level_coarser_ratios(two_level_tables):
 
 
 def test_criterion_6_bpx(cfg):
-    table = run_bpx_table(cfg)
+    table = RUNNERS["bpx"](cfg)
     k1_l4 = [table.cell(eps, 4)["K_1"] for eps in EPS_DEFAULT]
     ratios = [
         table.cell(1.0, l + 1)["K_1"] / table.cell(1.0, l)["K_1"]
@@ -145,7 +141,7 @@ def test_criterion_6_bpx(cfg):
 
 
 def test_criterion_7_sipg1_block_jacobi(cfg):
-    table = run_sipg1_blockjacobi_table(cfg)
+    table = RUNNERS["sipg1"](cfg)
     k1s = [c["K_1"] for c in table.cells]
     k_cell = table.cell(1e-5, 3)["K"]
     ok = max(k1s) <= 8.5 and 1.4e4 <= k_cell <= 4.5e4
@@ -154,7 +150,7 @@ def test_criterion_7_sipg1_block_jacobi(cfg):
 
 
 def test_criterion_8_iipg_propagator(cfg):
-    table = run_iipg_propagator_table(cfg)
+    table = RUNNERS["iipg-propagator"](cfg)
     norms = [c["norm"] for c in table.cells]
     ok = all(0.09 <= v <= 0.27 for v in norms) and all(v < 1.0 for v in norms)
     _report(8, "nonsymmetric error propagator contraction", ok,

@@ -56,7 +56,7 @@ def test_layer_call_names_exist(layer_calls):
 
 def test_table_cell_calls_go_through_layer_names(counts):
     cfg = experiments.ExperimentConfig(eps_list=(1.0,), levels=(0,))
-    experiments.run_zz_table(cfg)
+    experiments.RUNNERS["zz"](cfg)
     assert counts == dict.fromkeys(
         ("build_hierarchy", "assign_coefficient", "edge_weights", "extract_blocks",
          "DiagonalPrecond", "pcg", "estimate_spectrum", "condition_numbers"),

@@ -18,9 +18,6 @@ from dgprecond.experiments import (
     GOLDEN,
     TOLERANCES,
     RUNNERS,
-    run_zz_table,
-    run_two_level_table,
-    run_iipg_propagator_table,
     dump_spectrum,
     compare_to_golden,
     format_comparison,
@@ -29,7 +26,7 @@ from dgprecond.experiments import (
 
 def test_zz_table_matches_reference():
     cfg = ExperimentConfig(eps_list=(1.0, 1e-3), levels=(0, 1))
-    table = run_zz_table(cfg)
+    table = RUNNERS["zz"](cfg)
     for eps in cfg.eps_list:
         for lvl in cfg.levels:
             cell = table.cell(eps, lvl)
@@ -40,20 +37,20 @@ def test_zz_table_matches_reference():
 
 def test_zz_rerun_is_bit_identical():
     cfg = ExperimentConfig(eps_list=(1e-1,), levels=(0,))
-    t1 = run_zz_table(cfg)
-    t2 = run_zz_table(cfg)
+    t1 = RUNNERS["zz"](cfg)
+    t2 = RUNNERS["zz"](cfg)
     assert t1.to_json() == t2.to_json()
     assert t1.to_csv() == t2.to_csv()
 
 
 def test_zz_table_rejects_full_penalty_variant():
     with pytest.raises(ValueError):
-        run_zz_table(ExperimentConfig(variant=IP1))
+        RUNNERS["zz"](ExperimentConfig(variant=IP1))
 
 
 def test_two_level_infeasible_below_coarse_level():
     cfg = ExperimentConfig(eps_list=(1.0,), levels=(0, 1, 2))
-    table = run_two_level_table(dataclasses.replace(cfg, ratio=4))
+    table = RUNNERS["two-level"](dataclasses.replace(cfg, ratio=4))
     assert table.name == "two-level-w4"
     assert table.cell(1.0, 0).get("infeasible")
     assert table.cell(1.0, 1).get("infeasible")
@@ -67,12 +64,12 @@ def test_two_level_infeasible_below_coarse_level():
 
 def test_two_level_bad_ratio():
     with pytest.raises(ValueError):
-        run_two_level_table(ExperimentConfig(ratio=3))
+        RUNNERS["two-level"](ExperimentConfig(ratio=3))
 
 
 def test_two_level_reference_cell():
     cfg = ExperimentConfig(eps_list=(1e-3,), levels=(1,))
-    table = run_two_level_table(cfg)
+    table = RUNNERS["two-level"](cfg)
     report = compare_to_golden(table)
     assert report["passed"], format_comparison(report)
     cell = table.cell(1e-3, 1)
@@ -85,7 +82,7 @@ def test_two_level_lanczos_reads_no_ghost_of_lambda_1():
     # Partial reorthogonalization whose round-off term is not scaled by the
     # Ritz theta_max / theta_min reads a ghost copy of lambda_1 as lambda_2
     # there, and returns K_1 = 30373.4, the value of K
-    table = run_two_level_table(ExperimentConfig(ratio=2, eps_list=(1e-5,), levels=(4,)))
+    table = RUNNERS["two-level"](ExperimentConfig(ratio=2, eps_list=(1e-5,), levels=(4,)))
     assert table.cell(1e-5, 4)["K_1"] == pytest.approx(3.187348998811498, rel=RTOL)
 
 
@@ -114,7 +111,7 @@ def test_cr_cell_against_the_dense_spectrum(kind, eps):
 
 def test_iipg_propagator_table():
     cfg = ExperimentConfig(eps_list=(1.0,), levels=(1,))
-    table = run_iipg_propagator_table(cfg)
+    table = RUNNERS["iipg-propagator"](cfg)
     cell = table.cell(1.0, 1)
     assert 0.05 < cell["norm"] < 0.35
     assert table.config["alpha_effective"] == 32.0
@@ -124,10 +121,42 @@ def test_iipg_propagator_table():
 
 def test_iipg_default_eps_sweep():
     cfg = ExperimentConfig(levels=(0,))
-    assert cfg.eps_list == EPS_DEFAULT
-    table = run_iipg_propagator_table(cfg)
+    assert cfg.eps_list is None
+    table = RUNNERS["iipg-propagator"](cfg)
     assert table.eps_list == list(EPS_SWEEP_11)
+    assert table.config["eps_list"] == list(EPS_SWEEP_11)
     assert len(table.cells) == 11
+
+
+def test_iipg_sweeps_the_contrasts_it_is_given():
+    # the seven EPS_DEFAULT values, given explicitly, are the contrasts swept,
+    # not the kind's default eleven
+    table = RUNNERS["iipg-propagator"](ExperimentConfig(eps_list=EPS_DEFAULT, levels=(0,)))
+    assert table.eps_list == table.config["eps_list"] == list(EPS_DEFAULT)
+    assert [c["eps"] for c in table.cells] == list(EPS_DEFAULT)
+    assert table.to_markdown().count("\n| ") == len(EPS_DEFAULT) + 1
+
+
+_CONFIG = {"alpha": 8.0, "eps_list": [1.0], "levels": [0], "ratio": 1, "seed": 7,
+           "smoother_kind": "sym_gs", "sweeps": 5, "theta": -1, "tol": 1e-07,
+           "variant": IP0}
+
+
+@pytest.mark.parametrize("kind, ratio, level, name, config", [
+    ("zz", 1, 0, "zz", {}),
+    ("two-level", 1, 0, "two-level-w1", {}),
+    ("two-level", 2, 1, "two-level-w2", {"levels": [1], "ratio": 2}),
+    ("two-level", 4, 2, "two-level-w4", {"levels": [2], "ratio": 4}),
+    ("bpx", 1, 0, "bpx", {}),
+    ("sipg1", 1, 0, "sipg1", {"variant": IP1}),
+    ("iipg-propagator", 1, 0, "iipg-propagator",
+     {"theta": 0, "variant": IP1, "alpha_effective": 32.0,
+      "assumption": "alpha* = 8 taken as the coercivity baseline"}),
+])
+def test_table_name_and_config_are_pinned(kind, ratio, level, name, config):
+    table = RUNNERS[kind](ExperimentConfig(eps_list=(1.0,), levels=(level,), ratio=ratio))
+    assert table.name == name
+    assert table.config == {**_CONFIG, **config}
 
 
 def test_table_result_formats(tmp_path):
@@ -198,9 +227,9 @@ def test_non_converged_pcg_is_never_recorded(monkeypatch):
 
     monkeypatch.setattr(experiments, "pcg", stalled)
     with pytest.raises(RuntimeError, match="table stream 5, level 1, eps=1e-05:"):
-        experiments.run_bpx_table(ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
+        RUNNERS["bpx"](ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
     with pytest.raises(RuntimeError, match="table stream 1, level 2, eps=1:"):
-        run_zz_table(ExperimentConfig(eps_list=(1.0,), levels=(2,)))
+        RUNNERS["zz"](ExperimentConfig(eps_list=(1.0,), levels=(2,)))
 
 
 def test_non_finite_condition_number_is_never_recorded(monkeypatch):
@@ -210,7 +239,7 @@ def test_non_finite_condition_number_is_never_recorded(monkeypatch):
     monkeypatch.setattr(experiments, "estimate_spectrum", singular)
     with np.errstate(divide="ignore"):
         with pytest.raises(RuntimeError, match="table stream 5, level 1, eps=1e-05:"):
-            experiments.run_bpx_table(ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
+            RUNNERS["bpx"](ExperimentConfig(eps_list=(1e-5,), levels=(1,)))
 
 
 @pytest.mark.parametrize("name, theta, variant", [
