@@ -27,11 +27,9 @@ from .assembly import (
 from .basis_split import (
     SplitBasis,
     BlockOperator,
-    BlockStructureError,
     build_transform,
     from_split,
     extract_blocks,
-    product_blocks,
     split_matrix,
 )
 from .krylov import (

@@ -59,6 +59,8 @@ class ExperimentConfig:
     seed: int = 7
 
     def __post_init__(self):
+        if self.eps_list is not None and not self.eps_list:
+            raise ValueError("eps_list must hold one or more contrasts, got none")
         for eps in self.eps_list or ():
             if not (math.isfinite(eps) and eps > 0):
                 raise ValueError(f"eps must be finite and positive, got {eps}")

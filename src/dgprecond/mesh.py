@@ -158,13 +158,16 @@ class CoefficientField:
 
 @dataclass
 class EdgeWeights:
-    """Per-edge weight beta_e and harmonic-mean coefficient kappa_e.
+    """Per-edge weights beta_e of the plus and gamma_e = 1 - beta_e of the
+    minus side, and the harmonic-mean coefficient kappa_e.
 
-    ``beta`` is NaN on boundary edges where the weighted average degenerates;
-    there ``kappa_e`` is the coefficient of the single adjacent element.
+    On a boundary edge the weighted average is the plus side's value:
+    ``beta`` is 1, ``gamma`` 0 and ``kappa_e`` the coefficient of the single
+    adjacent element.
     """
 
     beta: np.ndarray
+    gamma: np.ndarray
     kappa_e: np.ndarray
 
 
@@ -305,14 +308,19 @@ def assign_coefficient(mesh, eps):
 
 
 def edge_weights(mesh, coeff):
-    """beta_e = kappa^- / (kappa^+ + kappa^-), kappa_e = harmonic mean.
+    """beta_e = kappa^- / (kappa^+ + kappa^-), gamma_e = kappa^+ / (kappa^+ +
+    kappa^-), kappa_e = harmonic mean.
 
-    Boundary edges get beta = NaN and kappa_e = kappa of the adjacent element.
+    gamma_e is divided out, not formed as 1 - beta_e, which cancels to few
+    or no correct digits where beta_e is close to 1.  Boundary edges get
+    beta = 1, gamma = 0 and kappa_e = kappa of the adjacent element.
     """
     if np.any(coeff.kappa <= 0):
         raise ValueError("kappa must be positive")
+    bnd = mesh.boundary_edge_mask
     kp = coeff.kappa[mesh.edge_plus]
-    km = np.where(mesh.boundary_edge_mask, kp, coeff.kappa[mesh.edge_minus])
-    beta = np.where(mesh.boundary_edge_mask, np.nan, km / (kp + km))
-    kappa_e = np.where(mesh.boundary_edge_mask, kp, 2.0 * kp * km / (kp + km))
-    return EdgeWeights(beta, kappa_e)
+    km = np.where(bnd, kp, coeff.kappa[mesh.edge_minus])
+    beta = np.where(bnd, 1.0, km / (kp + km))
+    gamma = np.where(bnd, 0.0, kp / (kp + km))
+    kappa_e = np.where(bnd, kp, 2.0 * kp * km / (kp + km))
+    return EdgeWeights(beta, gamma, kappa_e)

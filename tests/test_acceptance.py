@@ -6,15 +6,15 @@ estimation method, so bands rather than equalities are asserted.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from dgprecond.mesh import build_hierarchy
-from dgprecond.assembly import IP0, IP1, MethodParams, assemble_rhs
-from dgprecond.basis_split import from_split, product_blocks
+from dgprecond.assembly import IP0, IP1, MethodParams, apply_dg, assemble_rhs
+from dgprecond.basis_split import IDENTITY_BOUND, from_split, identity_ratios
 from dgprecond.precond import (DirectSolve, cr_prolongation, two_level, bpx,
                                forward_substitution_solve)
 from dgprecond.krylov import estimate_spectrum
@@ -61,17 +61,26 @@ def test_criterion_1_zz_robustness(cfg):
 
 
 def test_criterion_2_iipg_zz_diagonal():
-    worst = 0.0
+    # the closed-form A_zz stores its diagonal alone, and the z rows of
+    # T^t A T x_z match it entry by entry (identity_ratios), x_z a seeded
+    # vector of z coefficients
+    worst, off_diagonal = 0.0, 0
     for level in (0, 1, 2):
         hier = build_hierarchy(level)
         for eps in (1e-5, 1.0, 1e5):
             p = build_problem(hier, eps, MethodParams(0, 8.0, IP0))
-            blocks = product_blocks(p.A, p.basis)
-            off = blocks.A_zz - sp.diags(blocks.A_zz.diagonal())
-            off_max = np.abs(off.data).max() if off.nnz else 0.0
-            worst = max(worst, off_max / blocks.A_zz.diagonal().max())
-    _report(2, "incomplete-variant zz block diagonal", worst < 1e-12,
-            f"worst relative off-diagonal {worst:.3e}")
+            blocks = p.blocks()
+            off_diagonal += blocks.A_zz.nnz - np.count_nonzero(blocks.A_zz.diagonal())
+            n_z = p.basis.n_z
+            x_z = np.zeros(p.mesh.n_dofs)
+            x_z[:n_z] = np.random.default_rng(level).standard_normal(n_z)
+            apply = functools.partial(apply_dg, p.mesh, p.coeff, p.weights, p.params)
+            ratios = identity_ratios(blocks.matrix(), x_z, p.basis.transform, p.A, apply)
+            worst = max(worst, ratios[:n_z].max())
+    _report(2, "incomplete-variant zz block diagonal",
+            off_diagonal == 0 and worst <= IDENTITY_BOUND,
+            f"{off_diagonal} off-diagonal entries, identity at most {worst:.3g} of "
+            f"eps (|T|^t |A| |T| |x|)")
 
 
 def test_criterion_3_orthogonality():

@@ -28,7 +28,6 @@ from dgprecond.assembly import (
     element_stiffness,
     export_coordinate,
 )
-from dgprecond.basis_split import drop_tiny
 
 # degree-5 quadrature on the reference triangle (barycentric points, weights)
 _A = (6.0 - np.sqrt(15.0)) / 21.0
@@ -244,11 +243,9 @@ def test_method_params_validation():
         MethodParams(theta=-1, alpha=8.0, variant="IP2")
 
 
-def test_drop_tiny_and_export(tmp_path, setting):
+def test_export_round_trips(tmp_path, setting):
     mesh, coeff, weights = setting
     A = assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    B = drop_tiny(A.copy())
-    assert np.abs((A - B).toarray()).max() <= 1e-14 * np.abs(A).max()
     path = tmp_path / "A.txt"
     export_coordinate(A, path)
     rows = np.loadtxt(path)
@@ -288,7 +285,8 @@ def edge_blocks_6x6(mesh, weights, params):
 
 def reference_assemble_dg(mesh, coeff, weights, params):
     """The DG matrix by a COO scatter of every element and edge block at
-    its nodal dofs, duplicates summed by scipy."""
+    its nodal dofs, duplicates summed by scipy, without the sums below 1e-14
+    of the largest entry: the round-off left where an exact sum is 0."""
     n = mesh.n_dofs
     dofs, _ = edge_traces(mesh)
     tri_dofs = np.arange(n).reshape(-1, 3)
@@ -299,7 +297,9 @@ def reference_assemble_dg(mesh, coeff, weights, params):
                            edge_blocks_6x6(mesh, weights, params).ravel()])
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()
-    return drop_tiny(A)
+    A.data[np.abs(A.data) < 1e-14 * np.abs(A.data).max()] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1.0, 1e5])
@@ -445,29 +445,3 @@ def test_assembly_computes_areas_and_gradients_once(monkeypatch):
     monkeypatch.setattr(assembly, "_gradients", counted("gradients", assembly._gradients))
     assemble_dg(mesh, coeff, weights, MethodParams(-1, 8.0, IP1))
     assert sorted(calls) == ["areas", "gradients"]
-
-
-def test_drop_tiny_returns_arrays_sized_to_nnz():
-    # 3 of 10 entries dropped: scipy's eliminate_zeros alone would keep views
-    # of the 10-entry buffers
-    vals = np.array([1.0, 1e-20, 2.0, 3.0, 1e-20, 4.0, 5.0, 1e-20, 6.0, 7.0])
-    A = sp.csr_matrix((vals, (np.arange(10) // 2, np.arange(10) % 5)), shape=(5, 5))
-    B = drop_tiny(A)
-    assert B.nnz == 7
-    assert len(B.data) == len(B.indices) == 7
-    assert _owns_exactly(B.data) and _owns_exactly(B.indices)
-
-
-def test_drop_tiny_leaves_its_argument_unchanged():
-    # a CSR argument with a tiny entry and an exact zero stored: both are
-    # dropped from the result, and the argument keeps all of its entries
-    vals = np.array([1.0, 1e-20, 2.0, 0.0, 3.0, -1e-20, 4.0])
-    rows = np.array([0, 0, 1, 1, 2, 3, 3])
-    cols = np.array([0, 3, 1, 2, 2, 0, 3])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(4, 4))
-    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
-    B = drop_tiny(A)
-    assert [a.tolist() for a in (A.data, A.indices, A.indptr)] == [a.tolist() for a in before]
-    assert B.indptr.tolist() == [0, 1, 2, 3, 4]
-    assert B.indices.tolist() == [0, 1, 2, 3]
-    assert B.data.tolist() == [1.0, 2.0, 3.0, 4.0]

@@ -133,18 +133,30 @@ def test_solve_breakdown_is_one_error_line():
 
 
 def test_solve_past_the_resolved_contrast_misses_the_residual_limit(capsys):
-    # past what double precision resolves, the closed-form split system
-    # keeps positive diagonals and the solve runs, but its relative residual
-    # misses 1e-6: 51 and 8.3e-6 for IP0 at level 2, eps = 1e-16 and 1e14;
-    # 7.1e-5 and 1.6 for IP1 at level 1, eps = 1e14 and 1e-14
-    for argv in (("--level", "2", "--eps", "1e-16"), ("--level", "2", "--eps", "1e14"),
-                 ("--level", "1", "--variant", "IP1", "--eps", "1e14"),
+    # at eps far below 1 the closed-form split system keeps positive
+    # diagonals and the solve runs, but its relative residual misses 1e-6,
+    # since |u| grows like 1/eps: 53.6 for IP0 at level 2, eps = 1e-16, and
+    # 0.525 for IP1 at level 1, eps = 1e-14
+    for argv in (("--level", "2", "--eps", "1e-16"),
                  ("--level", "1", "--variant", "IP1", "--eps", "1e-14")):
         code = main(["solve", *argv])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""
         assert json.loads(captured.out)["rel_residual"] > 1e-6
+
+
+def test_solve_resolves_the_contrast_far_above_1(capsys):
+    # the split weights keep their digits at eps > 1 (gamma_e is divided
+    # out, not formed as 1 - beta_e): relative residuals 5.6e-14 and 5.7e-14
+    # for IP0 at level 2, eps = 1e14 and 1e16, and 1.4e-8 for IP1 at level
+    # 1, eps = 1e14, where forming 1 - beta left 8.3e-6, 1.0e-2 and 7.1e-5
+    for argv, limit in ((("--level", "2", "--eps", "1e14"), 1e-12),
+                        (("--level", "2", "--eps", "1e16"), 1e-12),
+                        (("--level", "1", "--variant", "IP1", "--eps", "1e14"), 1e-7)):
+        code, out = run(capsys, "solve", *argv)
+        assert code == 0
+        assert json.loads(out)["rel_residual"] < limit
 
 
 def test_solve_unconverged_complement_block_is_one_error_line(capsys, monkeypatch):
@@ -252,10 +264,11 @@ def test_spectrum(tmp_path, capsys):
 def test_verify(capsys, level):
     code, out = run(capsys, "verify", "--level", str(level), "--eps", "0.001")
     assert code == 0
-    assert "PASS orthogonality theta=-1" in out
     assert "PASS diagonal zz block theta=0" in out
     for theta in (-1, 0, 1):
-        assert f"PASS closed form theta={theta}" in out
+        assert f"PASS split identity theta={theta}" in out
+        assert f"PASS zero block theta={theta}" in out
+    assert "PASS split identity IP1 theta=-1" in out
     assert "PASS Galerkin identity" in out
     assert "PASS spectral equivalence lower bound" in out
     assert "PASS spectral equivalence upper bound" in out
@@ -279,7 +292,8 @@ def test_verify_fails_the_lower_bound_when_the_variants_match(capsys, monkeypatc
 
 def test_verify_fails_the_closed_form_when_the_flux_term_flips(capsys, monkeypatch):
     # a mutant closed form with A_zz = alpha diag(kappa_e) - theta G: it
-    # differs from the products for theta = -1 and 1, not for theta = 0
+    # misses the identity for theta = -1 and 1, not for theta = 0, and the
+    # zero block, which does not read A_zz, still passes
     extract_blocks = cli.extract_blocks
 
     def flipped(mesh, coeff, weights, params):
@@ -290,9 +304,9 @@ def test_verify_fails_the_closed_form_when_the_flux_term_flips(capsys, monkeypat
     monkeypatch.setattr(cli, "extract_blocks", flipped)
     code, out = run(capsys, "verify", "--level", "1")
     assert code == 1
-    assert "FAIL closed form theta=-1" in out
-    assert "PASS closed form theta=0" in out
-    assert "FAIL closed form theta=1" in out
+    assert "FAIL split identity theta=-1" in out
+    assert "PASS split identity theta=0" in out
+    assert "FAIL split identity theta=1" in out
     assert out.strip().splitlines()[-1] == "FAIL aggregate: 2 failed checks"
 
 
@@ -357,7 +371,7 @@ def _one_error_line(capsys):
     ("solve", "--level", "-1"), ("solve", "--eps", "nan"), ("solve", "--tol", "0"),
     ("table", "zz", "--levels", "-1"),
     ("table", "zz", {"ratio": 3}), ("solve", {"sweeps": 0}), ("solve", {"theta": 5}),
-    ("solve", {"tol": -1}),
+    ("solve", {"tol": -1}), ("table", "bpx", "--levels", "0", {"eps": []}),
 ])
 def test_rejected_input_is_one_error_line(capsys, tmp_path, flags):
     assert main(_argv(tmp_path, flags)) == 2

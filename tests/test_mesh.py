@@ -212,16 +212,18 @@ def test_edge_weights_invariants(log_eps):
     interior = m.interior_edges
     boundary = m.boundary_edges
     beta = w.beta[interior]
+    gamma = w.gamma[interior]
     assert np.all((beta > 0) & (beta < 1))
+    assert np.allclose(beta + gamma, 1.0, rtol=0, atol=2 * np.finfo(float).eps)
     # beta+ kappa+ = beta- kappa- = kappa_e / 2
     kp = c.kappa[m.edge_plus[interior]]
     km = c.kappa[m.edge_minus[interior]]
-    assert np.allclose(beta * kp, (1 - beta) * km)
+    assert np.allclose(beta * kp, gamma * km)
     assert np.allclose(w.kappa_e[interior], 2 * kp * km / (kp + km))
     # harmonic mean between min and max
     assert np.all(w.kappa_e[interior] <= np.maximum(kp, km) * (1 + 1e-12))
     assert np.all(w.kappa_e[interior] >= np.minimum(kp, km) * (1 - 1e-12))
-    assert np.all(np.isnan(w.beta[boundary]))
+    assert np.all(w.beta[boundary] == 1.0) and np.all(w.gamma[boundary] == 0.0)
     assert np.allclose(w.kappa_e[boundary], c.kappa[m.edge_plus[boundary]])
 
 
