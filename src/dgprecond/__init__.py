@@ -6,7 +6,6 @@ from .mesh import (
     BOUNDARY,
     Mesh,
     MeshHierarchy,
-    CoefficientField,
     EdgeWeights,
     UnresolvedCoefficientError,
     build_initial_mesh,
@@ -25,7 +24,6 @@ from .assembly import (
     symmetric_part,
 )
 from .basis_split import (
-    SplitBasis,
     BlockOperator,
     build_transform,
     from_split,

@@ -52,7 +52,7 @@ def _gradients(mesh, areas):
 def element_stiffness(mesh, coeff):
     """(nt, 3, 3) element blocks kappa_T |T| grad phi_i . grad phi_j."""
     areas = mesh.triangle_areas()
-    return _stiffness(_gradients(mesh, areas), coeff.kappa * areas).transpose(2, 0, 1)
+    return _stiffness(_gradients(mesh, areas), coeff * areas).transpose(2, 0, 1)
 
 
 def _stiffness(grads, kappa_area):
@@ -175,7 +175,7 @@ def _terms(mesh, coeff, weights, params):
     nt = mesh.n_triangles
     areas = mesh.triangle_areas()
     grads = _gradients(mesh, areas)
-    stiff = _stiffness(grads, coeff.kappa * areas)
+    stiff = _stiffness(grads, coeff * areas)
     sides, across, penalty = _edge_sides(mesh, weights, params.variant, grads)
     own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
     # h_e = |e| in the penalty alpha / h_e kappa_e |e|

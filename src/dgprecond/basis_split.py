@@ -15,23 +15,13 @@ import scipy.sparse as sp
 from .assembly import _gradients, _stiffness, edge_jumps, edge_traces, flux_average
 
 
-@dataclass
-class SplitBasis:
-    """Sparse transform from split coefficients [z; v] to nodal DG dofs.
+def build_transform(mesh, weights):
+    """The sparse transform T from split coefficients [z; v] to nodal DG
+    dofs: each column expresses one split basis function in nodal dofs.
 
     Columns 0..n_edges-1 are the z-block (all edges, in edge order); the
-    remaining columns are the CR hats of the interior edges.  The transform
-    is CSC, so its transpose, which every product T^t A T starts with, is
-    CSR like A.
-    """
-
-    transform: sp.csc_matrix
-    n_z: int
-    n_v: int
-
-
-def build_transform(mesh, weights):
-    """Columns express each split basis function in nodal DG dofs.
+    remaining columns are the CR hats of the interior edges.  T is CSC, so
+    its transpose, which every product T^t A T starts with, is CSR like A.
 
     On each side of an edge its CR hat is 1 at the edge's endpoints and -1 at
     the opposite vertex.  The z-function of an edge is beta times the hat on
@@ -64,8 +54,7 @@ def build_transform(mesh, weights):
     v_vals = np.take(hat, interior, axis=0).ravel()
     hat *= scale[:, :, None]
     data = np.concatenate([np.take(hat.reshape(-1, 3), kept, axis=0).ravel(), v_vals])
-    T = sp.csc_matrix((data, indices, indptr), shape=(mesh.n_dofs, n_z + n_v))
-    return SplitBasis(T, n_z, n_v)
+    return sp.csc_matrix((data, indices, indptr), shape=(mesh.n_dofs, n_z + n_v))
 
 
 def to_split(u, mesh, weights):
@@ -89,8 +78,8 @@ def to_split(u, mesh, weights):
     return z, v
 
 
-def from_split(z, v, basis):
-    return basis.transform @ np.concatenate([z, v])
+def from_split(z, v, T):
+    return T @ np.concatenate([z, v])
 
 
 @dataclass
@@ -164,7 +153,7 @@ def extract_blocks(mesh, coeff, weights, params):
     del flux
     v_col = np.take(vidx, cols)
     on_v &= v_col >= 0
-    stiff = _stiffness(grads, coeff.kappa * areas)
+    stiff = _stiffness(grads, coeff * areas)
     A_vv = _summed(4.0 * stiff[on_v], v_row[on_v], v_col[on_v], (n_v, n_v))
     return BlockOperator(A_zz=A_zz, A_vz=A_vz, A_vv=A_vv)
 
@@ -177,7 +166,7 @@ def _summed(terms, rows, cols, shape):
     return A
 
 
-def split_matrix(mesh, coeff, weights, params, basis):
+def split_matrix(mesh, coeff, weights, params, T):
     """The IP1 split-basis matrix in canonical CSR, with no magnitude cut:
     [A_zz 0; A_vz A_vv] of extract_blocks plus D^t diag(alpha kappa_e / 12) D,
     D = J T (edge_jumps).  In that term the coupling of z_e with its own
@@ -186,17 +175,17 @@ def split_matrix(mesh, coeff, weights, params, basis):
     of the minus triangle: the product leaves round-off where it is 0.
     params.variant is not read."""
     S = extract_blocks(mesh, coeff, weights, params).matrix()
-    D = edge_jumps(mesh) @ basis.transform
+    D = edge_jumps(mesh) @ T
     P = D.T.tocsr() @ (sp.diags_array(params.alpha * weights.kappa_e / 12) @ D)
     P.sort_indices()  # canonical, so that scipy adds it to S by merging sorted rows
     # (kappa_a + kappa_b) / kappa_t, a, b the other edges of t, negated on the minus side
     kappa = np.take(weights.kappa_e, mesh.tri_edges)
-    ratio = (np.roll(kappa, 1, axis=1) + np.roll(kappa, -1, axis=1)) / coeff.kappa[:, None]
+    ratio = (np.roll(kappa, 1, axis=1) + np.roll(kappa, -1, axis=1)) / coeff[:, None]
     ratio[np.take(mesh.edge_plus, mesh.tri_edges) != np.arange(mesh.n_triangles)[:, None]] *= -1
     interior = mesh.interior_edges
     own = np.bincount(mesh.tri_edges.ravel(), ratio.ravel())[interior] * weights.kappa_e[interior]
-    rows = np.concatenate([interior, basis.n_z + np.arange(basis.n_v)])
-    cols = np.roll(rows, basis.n_v)
+    rows = np.concatenate([interior, mesh.n_edges + np.arange(len(interior))])
+    cols = np.roll(rows, len(interior))
     # own - p added to p gives own back, and cancels p exactly where own is 0
     fix = np.tile(params.alpha / 6 * own, 2) - np.asarray(P[rows, cols]).ravel()
     return S + _summed(fix, rows, cols, S.shape) + P

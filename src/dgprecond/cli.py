@@ -93,7 +93,7 @@ def _resolve(args):
         unknown = set(file_opts) - set(names)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        opts.update(file_opts)
+        opts.update((name, _typed(name, value)) for name, value in file_opts.items())
         given |= set(file_opts)
     opts.update((k, v) for k, v in vars(args).items() if v is not None)
     if env_out := os.environ.get("DG_PRECOND_OUT"):
@@ -122,6 +122,24 @@ def _resolve(args):
             raise ValueError(f"ratio {cfg.ratio} puts the coarse mesh below "
                              f"level 0 at level {level}")
     return opts, cfg
+
+
+def _typed(name, value):
+    """A config-file value as its flag gives it; ValueError unless it has the
+    flag's argparse type: an int for an int option, an int or a float for a
+    float option (a list of them for eps), a str for the others; a bool is
+    none of these.  An int becomes a float for a float option, so that a
+    table's JSON is the same from the file as from the flag."""
+    kind = _OPTIONS[name].get("type", str)
+    many = _OPTIONS[name].get("action") == "append"
+    values = value if many else [value]
+    accepted = (int, float) if kind is float else kind
+    if not (isinstance(values, list) and all(
+            isinstance(v, accepted) and not isinstance(v, bool) for v in values)):
+        noun = {int: "integers", float: "numbers", str: "strings"}[kind]
+        raise ValueError(f"config key {name} takes {'a list of ' if many else ''}{noun} "
+                         f"only, got {json.dumps(value)}")
+    return [kind(v) for v in values] if many else kind(value)
 
 
 def _check_read(what, table, given):
@@ -174,13 +192,13 @@ def cmd_solve(opts, cfg):
         if p.params.variant == IP0:
             report["method"] = "block-forward-substitution"
             blocks = p.blocks()
-            f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
-            u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.basis)
+            f_z, f_v = np.split(p.transform.T @ b, [mesh.n_edges])
+            u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.transform)
         elif p.params.theta == -1:
             report["method"] = "pcg-block-jacobi"
             S, B = block_jacobi_system(p, cfg.smoother_spec())
-            x, rep = pcg(S, p.basis.transform.T @ b, B, tol=cfg.tol, maxit=2000)
-            u = p.basis.transform @ x
+            x, rep = pcg(S, p.transform.T @ b, B, tol=cfg.tol, maxit=2000)
+            u = p.transform @ x
         else:
             report["method"] = "stationary-symmetric-part"
             u, rep = stationary_iteration(p.A, DirectSolve(symmetric_part(p.A)), b,
@@ -229,7 +247,7 @@ def cmd_verify(opts, cfg):
     identity and the spectral equivalence of the two penalty variants."""
     level = opts["level"]
     p = _problem(opts, cfg)
-    mesh, T, n_z = p.mesh, p.basis.transform, p.basis.n_z
+    mesh, T, n_z = p.mesh, p.transform, p.mesh.n_edges
     failures = 0
 
     def check(label, ok, detail):
@@ -281,7 +299,7 @@ def cmd_verify(opts, cfg):
     A1 = assemble(-1, IP1)
     params1 = MethodParams(-1, cfg.alpha, IP1)
     identity("split identity IP1 theta=-1",
-             split_matrix(mesh, p.coeff, p.weights, params1, p.basis), A1, params1, u)
+             split_matrix(mesh, p.coeff, p.weights, params1, T), A1, params1, u)
     J = edge_jumps(mesh)
     gap = J.T @ sp.diags(cfg.alpha * p.weights.kappa_e / 12) @ J - (A1 - p.A)
     err = abs(gap).max() / abs(A1).max()
@@ -314,9 +332,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         opts, cfg = _resolve(args)
-    # json.JSONDecodeError is a ValueError; TypeError: a config-file value of
-    # the wrong type
-    except (OSError, TypeError, ValueError) as exc:
+    # json.JSONDecodeError is a ValueError; OverflowError: a config int past float's range
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .mesh import (CoefficientField, EdgeWeights, MeshHierarchy,
-                   build_hierarchy, assign_coefficient, edge_weights)
+from .mesh import EdgeWeights, MeshHierarchy, build_hierarchy, assign_coefficient, edge_weights
 from .assembly import IP0, IP1, MethodParams, assemble_dg
 from .basis_split import build_transform, extract_blocks, split_matrix
 from .precond import (
@@ -199,7 +198,7 @@ class Problem:
     """One discretized problem on the finest mesh of a hierarchy."""
 
     hier: MeshHierarchy
-    coeff: CoefficientField
+    coeff: np.ndarray
     weights: EdgeWeights
     params: MethodParams
 
@@ -216,9 +215,9 @@ class Problem:
         return assemble_dg(self.mesh, self.coeff, self.weights, self.params)
 
     @functools.cached_property
-    def basis(self):
-        # built on first use: only the IP1 split system and the solve's
-        # right-hand side and solution need it
+    def transform(self):
+        # the split-basis transform T, built on first use: only the IP1
+        # split system and the solve's right-hand side and solution need it
         return build_transform(self.mesh, self.weights)
 
     def blocks(self):
@@ -228,8 +227,8 @@ class Problem:
 
 def build_problem(hier, eps, params):
     """Coefficient with contrast 1/eps and edge weights on the finest mesh
-    of hier, for method params; the DG matrix and the split basis are built
-    on first use."""
+    of hier, for method params; the DG matrix and the split-basis transform
+    are built on first use."""
     mesh = hier.finest
     coeff = assign_coefficient(mesh, eps)
     return Problem(hier, coeff, edge_weights(mesh, coeff), params)
@@ -313,16 +312,6 @@ def _measure(cfg, A, B, stream, eps):
     return {"K": K, "K_1": K_1, "iterations": rep.iterations}
 
 
-def _cr_precond(cfg, hier, A_vv, kind):
-    """The kind (one of CR_PRECONDS) of preconditioner of the CR block A_vv
-    on the finest mesh of hier; the two-level coarse mesh is at
-    cfg.coarse_level."""
-    if kind == "bpx":
-        return bpx(A_vv, hier, cfg.smoother_spec())
-    P = cr_prolongation(hier, cfg.coarse_level(hier.finest.level))
-    return two_level(A_vv, P, cfg.smoother_spec())
-
-
 def block_jacobi_system(p, spec=None):
     """Split-basis matrix S of p and its block-Jacobi preconditioner.
 
@@ -330,22 +319,26 @@ def block_jacobi_system(p, spec=None):
     the additive preconditioner with an exactly solved conforming correction
     on the same mesh (the CR preconditioner whose measured condition numbers
     stay level-independent, which is what the reference values show)."""
-    S = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.basis)
-    nz = p.basis.n_z
+    S = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.transform)
+    nz = p.mesh.n_edges
     P = cr_prolongation(p.hier, p.mesh.level)
     return S, block_jacobi_dg(S.diagonal()[:nz], two_level(S[nz:, nz:].tocsr(), P, spec))
 
 
 def _system(cfg, kind, p):
-    """The matrix that a kind of PCG table measures on problem p, and its
-    preconditioner."""
+    """The matrix that a kind of PCG table or spectrum measures on problem
+    p, and its preconditioner; the two-level coarse mesh is at
+    cfg.coarse_level."""
     if kind == "sipg1":
         return block_jacobi_system(p, cfg.smoother_spec())
     if kind == "zz":
         A_zz = p.blocks().A_zz
         return A_zz, DiagonalPrecond(A_zz.diagonal())
     A_vv = p.blocks().A_vv
-    return A_vv, _cr_precond(cfg, p.hier, A_vv, kind)
+    if kind == "bpx":
+        return A_vv, bpx(A_vv, p.hier, cfg.smoother_spec())
+    P = cr_prolongation(p.hier, cfg.coarse_level(p.mesh.level))
+    return A_vv, two_level(A_vv, P, cfg.smoother_spec())
 
 
 def _run_table(name, cfg):

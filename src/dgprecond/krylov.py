@@ -31,7 +31,7 @@ _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.floa
 
 
 class BreakdownError(RuntimeError):
-    """Negative curvature or indefinite preconditioner detected."""
+    """Negative curvature, an indefinite preconditioner or NaN detected."""
 
 
 @dataclass
@@ -52,7 +52,8 @@ def _as_apply(B):
 
 
 def pcg(A, b, B=None, tol=TOL, maxit=1000):
-    """Preconditioned conjugate gradients from x = 0; stops at ||r_k|| / ||r_0|| < tol."""
+    """Preconditioned conjugate gradients from x = 0; stops at ||r_k|| / ||r_0|| < tol.
+    Raises BreakdownError at the first r^t B r or p^t A p not positive (or NaN)."""
     apply_B = _as_apply(B)
     x = np.zeros(len(b))
     r = np.array(b, dtype=float)
@@ -65,13 +66,13 @@ def pcg(A, b, B=None, tol=TOL, maxit=1000):
 
     z = apply_B(r)
     rho = r @ z
-    if rho <= 0:
+    if not rho > 0:
         raise BreakdownError("preconditioner is not positive definite")
     p = z.copy()
     for k in range(maxit):
         Ap = A @ p
         pAp = p @ Ap
-        if pAp <= 0:
+        if not pAp > 0:
             raise BreakdownError("matrix is not positive definite")
         alpha = rho / pAp
         x += alpha * p
@@ -83,7 +84,7 @@ def pcg(A, b, B=None, tol=TOL, maxit=1000):
             break
         z = apply_B(r)
         rho_new = r @ z
-        if rho_new <= 0:
+        if not rho_new > 0:
             raise BreakdownError("preconditioner is not positive definite")
         p = z + (rho_new / rho) * p
         rho = rho_new
@@ -257,7 +258,8 @@ def condition_numbers(eigs):
 
 
 def stationary_iteration(A, B, f, maxit=200, tol=TOL):
-    """u_{k+1} = u_k + B(f - A u_k) from u_0 = 0; stop on relative residual."""
+    """u_{k+1} = u_k + B(f - A u_k) from u_0 = 0; stop on relative residual,
+    raise BreakdownError once it is above 10 or NaN."""
     apply_B = _as_apply(B)
     u = np.zeros(A.shape[0])
     r = np.array(f, dtype=float)
@@ -275,7 +277,7 @@ def stationary_iteration(A, B, f, maxit=200, tol=TOL):
         if rel < tol:
             report.converged = True
             break
-        if rel > 10.0:
+        if not rel <= 10.0:
             raise BreakdownError("stationary iteration diverged")
     report.iterations = len(report.rel_residual_history) - 1
     return u, report

@@ -150,13 +150,6 @@ class MeshHierarchy:
 
 
 @dataclass
-class CoefficientField:
-    """Piecewise-constant diffusion coefficient, one value per triangle."""
-
-    kappa: np.ndarray
-
-
-@dataclass
 class EdgeWeights:
     """Per-edge weights beta_e of the plus and gamma_e = 1 - beta_e of the
     minus side, and the harmonic-mean coefficient kappa_e.
@@ -287,7 +280,8 @@ def _in_inclusion(p):
 
 
 def assign_coefficient(mesh, eps):
-    """Coefficient 1 on the two inclusion squares, eps elsewhere.
+    """The piecewise-constant coefficient kappa, one value per triangle:
+    1 on the two inclusion squares, eps elsewhere.
 
     Membership is decided by the barycenter; a triangle whose corners end up
     on both sides of the subdomain interface is rejected.
@@ -304,7 +298,7 @@ def assign_coefficient(mesh, eps):
         raise UnresolvedCoefficientError(
             f"triangle {straddle[0]} straddles the coefficient interface"
         )
-    return CoefficientField(np.where(inside, 1.0, eps))
+    return np.where(inside, 1.0, eps)
 
 
 def edge_weights(mesh, coeff):
@@ -315,11 +309,11 @@ def edge_weights(mesh, coeff):
     or no correct digits where beta_e is close to 1.  Boundary edges get
     beta = 1, gamma = 0 and kappa_e = kappa of the adjacent element.
     """
-    if np.any(coeff.kappa <= 0):
+    if not np.all(coeff > 0):  # NaN > 0 is false too
         raise ValueError("kappa must be positive")
     bnd = mesh.boundary_edge_mask
-    kp = coeff.kappa[mesh.edge_plus]
-    km = np.where(bnd, kp, coeff.kappa[mesh.edge_minus])
+    kp = coeff[mesh.edge_plus]
+    km = np.where(bnd, kp, coeff[mesh.edge_minus])
     beta = np.where(bnd, 1.0, km / (kp + km))
     gamma = np.where(bnd, 0.0, kp / (kp + km))
     kappa_e = np.where(bnd, kp, 2.0 * kp * km / (kp + km))

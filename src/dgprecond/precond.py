@@ -40,10 +40,10 @@ class SmootherSpec:
 
 
 class DiagonalPrecond:
-    """Inverse of a positive diagonal d."""
+    """Inverse of a positive diagonal d; NaN counts as not positive."""
 
     def __init__(self, d):
-        if np.any(d <= 0):
+        if not np.all(d > 0):
             raise ValueError("diagonal must be positive")
         self.inv_diag = 1.0 / d
 
@@ -113,7 +113,7 @@ class Smoother:
         self.A = A.tocsr()
         self.spec = spec
         d = self.A.diagonal()
-        if np.any(d <= 0):
+        if not np.all(d > 0):
             raise ValueError("matrix diagonal must be positive")
         if spec.kind == JACOBI:
             # a single Jacobi sweep is the plain inverse diagonal; repeated
@@ -152,26 +152,17 @@ class Smoother:
 
 
 def conforming_prolongation(hier, j):
-    """Interior-vertex P1 prolongation from level j to level j+1.
+    """Interior-vertex P1 prolongation from level j to level j+1: the
+    identity stacked on cr_from_conforming of the level-j mesh.
 
-    Coarse vertices keep their values; fine vertex ``n_vertices + e`` (see
-    ``refine``) averages the two endpoints of coarse edge ``e``.  Boundary
+    Under ``refine`` the coarse interior vertices keep their numbers and
+    come first among the fine ones, and fine vertex ``n_vertices + e``,
+    the midpoint of coarse edge ``e``, is interior exactly when ``e`` is,
+    where a P1 function takes the CR coefficient of ``e``.  Boundary
     vertices carry homogeneous values on both levels.
     """
-    coarse = hier.meshes[j]
-    nv = coarse.n_vertices
-    fi = hier.meshes[j + 1].interior_vertices
-    cidx = coarse.interior_vertex_index()
-    # the coarse parents of each fine vertex: itself twice, or an edge's ends
-    parents = np.vstack([np.repeat(np.arange(nv)[:, None], 2, axis=1), coarse.edge_vertices])
-    c = cidx[parents[fi]]
-    old = fi < nv
-    keep = c >= 0
-    keep[old, 1] = False
-    rows = np.broadcast_to(np.arange(len(fi))[:, None], c.shape)[keep]
-    vals = np.broadcast_to(np.where(old, 1.0, 0.5)[:, None], c.shape)[keep]
-    return sp.csr_matrix((vals, (rows, c[keep])),
-                         shape=(len(fi), len(coarse.interior_vertices)))
+    inject = cr_from_conforming(hier.meshes[j])
+    return sp.vstack([sp.identity(inject.shape[1], format="csr"), inject], format="csr")
 
 
 def cr_from_conforming(mesh):
@@ -286,14 +277,11 @@ def forward_substitution_solve(blocks, f_z, f_v):
     diagonal, to which it is spectrally equivalent uniformly in the contrast
     and the mesh size (Ayuso de Dios and Zikatanov 2009), down to a relative
     residual of ZZ_RTOL; then the CR block, with the z coupling moved to the
-    right-hand side, by sparse LU.  Raises RuntimeError when the z diagonal is
-    not positive or the z solve misses ZZ_RTOL.
+    right-hand side, by sparse LU.  Raises ValueError (DiagonalPrecond) for
+    a z diagonal that is not positive, RuntimeError when the z solve misses.
     """
     A_zz, f_z = blocks.A_zz, np.asarray(f_z, dtype=float)
-    d = A_zz.diagonal()
-    if not np.all(d > 0):
-        raise RuntimeError("complement block diagonal is not positive")
-    z, rep = pcg(A_zz, f_z, DiagonalPrecond(d), tol=ZZ_RTOL)
+    z, rep = pcg(A_zz, f_z, DiagonalPrecond(A_zz.diagonal()), tol=ZZ_RTOL)
     residual = np.linalg.norm(A_zz @ z - f_z)
     if not (rep.converged and residual <= ZZ_RTOL * np.linalg.norm(f_z)):
         raise RuntimeError(f"complement block solve missed {ZZ_RTOL:g} "

@@ -71,11 +71,11 @@ def test_criterion_2_iipg_zz_diagonal():
             p = build_problem(hier, eps, MethodParams(0, 8.0, IP0))
             blocks = p.blocks()
             off_diagonal += blocks.A_zz.nnz - np.count_nonzero(blocks.A_zz.diagonal())
-            n_z = p.basis.n_z
+            n_z = p.mesh.n_edges
             x_z = np.zeros(p.mesh.n_dofs)
             x_z[:n_z] = np.random.default_rng(level).standard_normal(n_z)
             apply = functools.partial(apply_dg, p.mesh, p.coeff, p.weights, p.params)
-            ratios = identity_ratios(blocks.matrix(), x_z, p.basis.transform, p.A, apply)
+            ratios = identity_ratios(blocks.matrix(), x_z, p.transform, p.A, apply)
             worst = max(worst, ratios[:n_z].max())
     _report(2, "incomplete-variant zz block diagonal",
             off_diagonal == 0 and worst <= IDENTITY_BOUND,
@@ -90,9 +90,9 @@ def test_criterion_3_orthogonality():
         for eps in (1e-5, 1.0, 1e5):
             for theta in (-1, 0, 1):
                 p = build_problem(hier, eps, MethodParams(theta, 8.0, IP0))
-                T = p.basis.transform
+                T = p.transform
                 S = (T.T @ p.A @ T).tocsr()
-                zv = S[: p.basis.n_z, p.basis.n_z :]
+                zv = S[: p.mesh.n_edges, p.mesh.n_edges :]
                 worst_cell = np.abs(zv.data).max() if zv.nnz else 0.0
                 worst = max(worst, worst_cell / np.abs(p.A.data).max())
     _report(3, "CR-to-complement coupling vanishes", worst < 1e-12,
@@ -175,10 +175,10 @@ def test_criterion_9_forward_substitution_oracle():
             for theta in (-1, 0, 1):
                 p = build_problem(hier, eps, MethodParams(theta, 8.0, IP0))
                 blocks = p.blocks()
-                f = p.basis.transform.T @ b
-                z, v = forward_substitution_solve(blocks, f[: p.basis.n_z],
-                                                  f[p.basis.n_z :])
-                u = from_split(z, v, p.basis)
+                f = p.transform.T @ b
+                z, v = forward_substitution_solve(blocks, f[: p.mesh.n_edges],
+                                                  f[p.mesh.n_edges :])
+                u = from_split(z, v, p.transform)
                 u_ref = scipy.linalg.solve(p.A.toarray(), b)
                 rel = np.linalg.norm(p.A @ (u - u_ref)) / np.linalg.norm(b)
                 worst = max(worst, rel)

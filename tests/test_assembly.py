@@ -65,7 +65,7 @@ def oracle_form(mesh, coeff, weights, params, u, w):
         area = 0.5 * abs(np.linalg.det(np.column_stack([pts, np.ones(3)])))
         grad_dot = co_u[t][:2] @ co_w[t][:2]
         for _, qw in TRI_QUAD:
-            total += coeff.kappa[t] * area * qw * grad_dot
+            total += coeff[t] * area * qw * grad_dot
 
     def val(c, x, y):
         return c[0] * x + c[1] * y + c[2]
@@ -78,13 +78,13 @@ def oracle_form(mesh, coeff, weights, params, u, w):
         p1 = mesh.vertices[mesh.edge_vertices[e, 1]]
         ke = weights.kappa_e[e]
         if tm == BOUNDARY:
-            flux_u = coeff.kappa[tp] * co_u[tp][:2] @ n
-            flux_w = coeff.kappa[tp] * co_w[tp][:2] @ n
+            flux_u = coeff[tp] * co_u[tp][:2] @ n
+            flux_w = coeff[tp] * co_w[tp][:2] @ n
             jump = lambda c, x, y: val(c, x, y)
             sides = (tp,)
         else:
             beta = weights.beta[e]
-            kp, km = coeff.kappa[tp], coeff.kappa[tm]
+            kp, km = coeff[tp], coeff[tm]
             flux_u = (beta * kp * co_u[tp][:2] + (1 - beta) * km * co_u[tm][:2]) @ n
             flux_w = (beta * kp * co_w[tp][:2] + (1 - beta) * km * co_w[tm][:2]) @ n
             jump = lambda c_p, c_m, x, y: val(c_p, x, y) - val(c_m, x, y)

@@ -24,22 +24,20 @@ from dgprecond.experiments import build_problem
 @pytest.fixture(scope="module", params=[1.0, 1e-3])
 def setting(request):
     p = build_problem(build_hierarchy(0), request.param, MethodParams(-1, 8.0, IP0))
-    return p.mesh, p.coeff, p.weights, p.basis
+    return p.mesh, p.coeff, p.weights, p.transform
 
 
 def test_transform_is_square_and_invertible(setting):
-    mesh, _, _, basis = setting
-    T = basis.transform
+    mesh, _, _, T = setting
     assert T.shape == (mesh.n_dofs, mesh.n_dofs)
-    assert basis.n_z == mesh.n_edges
-    assert basis.n_v == len(mesh.interior_edges)
+    assert T.shape[1] == mesh.n_edges + len(mesh.interior_edges)
     assert np.linalg.matrix_rank(T.toarray()) == mesh.n_dofs
 
 
 def test_transform_csc_matches_coo_scatter(setting):
     # the columns of every basis function scattered at their nodal dofs;
     # a boundary z-column's minus half is 0 and gets summed away
-    mesh, _, weights, basis = setting
+    mesh, _, weights, T = setting
     dofs, traces = edge_traces(mesh)
     hat = 2.0 * np.abs(traces).sum(axis=1) - 1.0
     z_vals = np.repeat(np.column_stack([weights.beta, -weights.gamma]), 3, axis=1) * hat
@@ -47,34 +45,33 @@ def test_transform_csc_matches_coo_scatter(setting):
     ref = sp.csc_matrix(
         (np.concatenate([z_vals.ravel(), hat[interior].ravel()]),
          (np.concatenate([dofs.ravel(), dofs[interior].ravel()]),
-          np.repeat(np.arange(basis.n_z + basis.n_v), 6))),
-        shape=(mesh.n_dofs, basis.n_z + basis.n_v))
+          np.repeat(np.arange(mesh.n_dofs), 6))),
+        shape=(mesh.n_dofs, mesh.n_dofs))
     ref.sum_duplicates()
-    T = basis.transform
     assert T.format == "csc" and T.has_canonical_format
-    assert np.array_equal(np.diff(T.indptr)[: basis.n_z],
+    assert np.array_equal(np.diff(T.indptr)[: mesh.n_edges],
                           np.where(mesh.boundary_edge_mask, 3, 6))
-    assert np.all(np.diff(T.indptr)[basis.n_z:] == 6)
+    assert np.all(np.diff(T.indptr)[mesh.n_edges:] == 6)
     assert np.array_equal(T.indptr, ref.indptr)
     assert np.array_equal(T.indices, ref.indices)
     assert np.array_equal(T.data, ref.data)
 
 
 def test_split_roundtrip(setting):
-    mesh, _, weights, basis = setting
+    mesh, _, weights, T = setting
     rng = np.random.default_rng(5)
     for _ in range(3):
         u = rng.standard_normal(mesh.n_dofs)
         z, v = to_split(u, mesh, weights)
-        assert np.allclose(from_split(z, v, basis), u, atol=1e-12)
+        assert np.allclose(from_split(z, v, T), u, atol=1e-12)
 
 
 def test_to_split_inverts_transform(setting):
     # coefficients of a split-basis expansion are recovered exactly
-    mesh, _, weights, basis = setting
+    mesh, _, weights, T = setting
     rng = np.random.default_rng(6)
-    c = rng.standard_normal(basis.n_z + basis.n_v)
-    u = basis.transform @ c
+    c = rng.standard_normal(mesh.n_edges + len(mesh.interior_edges))
+    u = T @ c
     z, v = to_split(u, mesh, weights)
     assert np.allclose(np.concatenate([z, v]), c, atol=1e-12)
 
@@ -93,19 +90,19 @@ def test_conforming_function_has_zero_interior_jumps(setting):
     assert np.allclose(v, mids, atol=1e-13)
 
 
-def _ratios(mesh, coeff, weights, params, basis, S, x, A=None):
+def _ratios(mesh, coeff, weights, params, T, S, x, A=None):
     """identity_ratios of S for the DG matrix of params at x."""
     if A is None:
         A = assemble_dg(mesh, coeff, weights, params)
     apply = functools.partial(apply_dg, mesh, coeff, weights, params)
-    return identity_ratios(S, x, basis.transform, A, apply)
+    return identity_ratios(S, x, T, A, apply)
 
 
-def _split_parts(basis):
+def _split_parts(mesh):
     """A seeded x of split coefficients, its z part and its CR part, each
     with the other part zero."""
-    x = np.random.default_rng(0).standard_normal(basis.n_z + basis.n_v)
-    z = np.arange(len(x)) < basis.n_z
+    x = np.random.default_rng(0).standard_normal(mesh.n_dofs)
+    z = np.arange(len(x)) < mesh.n_edges
     return x, np.where(z, x, 0.0), np.where(z, 0.0, x)
 
 
@@ -113,22 +110,22 @@ def _split_parts(basis):
 def test_ip0_block_lower_triangular(setting, theta):
     # the z rows of T^t A T x_v, the coupling of CR trial with z test
     # functions, are zero to round-off, and the closed form matches the rest
-    mesh, coeff, weights, basis = setting
+    mesh, coeff, weights, T = setting
     params = MethodParams(theta, 8.0, IP0)
     A = assemble_dg(mesh, coeff, weights, params)
     S = extract_blocks(mesh, coeff, weights, params).matrix()
-    x, _, x_v = _split_parts(basis)
-    assert _ratios(mesh, coeff, weights, params, basis, S, x_v, A)[:basis.n_z].max() <= IDENTITY_BOUND
-    assert _ratios(mesh, coeff, weights, params, basis, S, x, A).max() <= IDENTITY_BOUND
+    x, _, x_v = _split_parts(mesh)
+    assert _ratios(mesh, coeff, weights, params, T, S, x_v, A)[:mesh.n_edges].max() <= IDENTITY_BOUND
+    assert _ratios(mesh, coeff, weights, params, T, S, x, A).max() <= IDENTITY_BOUND
 
 
 def test_sipg0_fully_decouples(setting):
     # theta = -1 kills the remaining coupling block as well, and none of its
     # round-off is stored; theta = 0 and 1 keep it
-    mesh, coeff, weights, basis = setting
+    mesh, coeff, weights, _ = setting
     for theta in (-1, 0, 1):
         blocks = extract_blocks(mesh, coeff, weights, MethodParams(theta, 8.0, IP0))
-        assert blocks.A_vz.shape == (basis.n_v, basis.n_z)
+        assert blocks.A_vz.shape == (len(mesh.interior_edges), mesh.n_edges)
         assert (blocks.A_vz.nnz == 0) == (theta == -1)
 
 
@@ -136,24 +133,24 @@ def test_iipg0_zz_block_is_diagonal(setting):
     # the closed form is alpha diag(kappa_e) (|e| = h_e cancels); that the
     # DG form's zz block is diagonal too is the identity on the z rows of
     # T^t A T x_z
-    mesh, coeff, weights, basis = setting
+    mesh, coeff, weights, T = setting
     params = MethodParams(0, 8.0, IP0)
     blocks = extract_blocks(mesh, coeff, weights, params)
-    assert blocks.A_zz.nnz == basis.n_z
+    assert blocks.A_zz.nnz == mesh.n_edges
     assert np.array_equal(blocks.A_zz.diagonal(), 8.0 * weights.kappa_e)
-    _, x_z, _ = _split_parts(basis)
-    ratios = _ratios(mesh, coeff, weights, params, basis, blocks.matrix(), x_z)
-    assert ratios[:basis.n_z].max() <= IDENTITY_BOUND
+    _, x_z, _ = _split_parts(mesh)
+    ratios = _ratios(mesh, coeff, weights, params, T, blocks.matrix(), x_z)
+    assert ratios[:mesh.n_edges].max() <= IDENTITY_BOUND
 
 
 def test_ip1_violates_block_structure(setting):
     # the IP1 matrix couples CR trial with z test functions: the z rows of
     # T^t A_IP1 T x_v miss the IP0 zero block far beyond round-off
-    mesh, coeff, weights, basis = setting
+    mesh, coeff, weights, T = setting
     params = MethodParams(-1, 8.0, IP1)
     S = extract_blocks(mesh, coeff, weights, params).matrix()
-    _, _, x_v = _split_parts(basis)
-    assert _ratios(mesh, coeff, weights, params, basis, S, x_v)[:basis.n_z].max() > 1e10
+    _, _, x_v = _split_parts(mesh)
+    assert _ratios(mesh, coeff, weights, params, T, S, x_v)[:mesh.n_edges].max() > 1e10
 
 
 def test_vv_block_is_cr_stiffness_plus_penalty(setting):
@@ -171,12 +168,12 @@ def test_vv_block_independent_of_theta(setting):
     # a property of the DG form, so checked on the CR rows of T^t A T x_v
     # for every theta against the one theta = -1 closed form; the closed
     # form does not read theta for A_vv
-    mesh, coeff, weights, basis = setting
+    mesh, coeff, weights, T = setting
     S = extract_blocks(mesh, coeff, weights, MethodParams(-1, 8.0, IP0)).matrix()
-    _, _, x_v = _split_parts(basis)
+    _, _, x_v = _split_parts(mesh)
     for theta in (-1, 0, 1):
-        ratios = _ratios(mesh, coeff, weights, MethodParams(theta, 8.0, IP0), basis, S, x_v)
-        assert ratios[basis.n_z:].max() <= IDENTITY_BOUND
+        ratios = _ratios(mesh, coeff, weights, MethodParams(theta, 8.0, IP0), T, S, x_v)
+        assert ratios[mesh.n_edges:].max() <= IDENTITY_BOUND
 
 
 def test_shape_guards(setting):
@@ -187,12 +184,12 @@ def test_shape_guards(setting):
 
 def test_split_works_on_refined_mesh():
     p = build_problem(build_hierarchy(1), 1e-2, MethodParams(-1, 8.0, IP0))
-    mesh, weights, basis = p.mesh, p.weights, p.basis
+    mesh, weights, T = p.mesh, p.weights, p.transform
     blocks = p.blocks()
-    assert blocks.A_vv.shape == (basis.n_v, basis.n_v)
+    assert blocks.A_vv.shape == (len(mesh.interior_edges), len(mesh.interior_edges))
     u = np.random.default_rng(9).standard_normal(mesh.n_dofs)
     z, v = to_split(u, mesh, weights)
-    assert np.allclose(from_split(z, v, basis), u, atol=1e-12)
+    assert np.allclose(from_split(z, v, T), u, atol=1e-12)
 
 
 # (A_zz, A_vz, A_vv) nonzeros at level 2: the entries that are nonzero in
@@ -223,17 +220,17 @@ def _cut_product(T, A):
     return P
 
 
-def _assert_matches_product(S, params, mesh, coeff, weights, basis):
+def _assert_matches_product(S, params, mesh, coeff, weights, T):
     """S stores, in canonical CSR, the pattern of the cut product T^t A T,
     and keeps the identity S x = T^t A T x entry by entry."""
     A = assemble_dg(mesh, coeff, weights, params)
-    P = _cut_product(basis.transform, A)
+    P = _cut_product(T, A)
     assert S.has_canonical_format and S.shape == P.shape
     assert np.array_equal(S.indptr, P.indptr) and np.array_equal(S.indices, P.indices)
-    x, _, x_v = _split_parts(basis)
-    assert _ratios(mesh, coeff, weights, params, basis, S, x, A).max() <= IDENTITY_BOUND
+    x, _, x_v = _split_parts(mesh)
+    assert _ratios(mesh, coeff, weights, params, T, S, x, A).max() <= IDENTITY_BOUND
     if params.variant == IP0:
-        zero = _ratios(mesh, coeff, weights, params, basis, S, x_v, A)[:basis.n_z]
+        zero = _ratios(mesh, coeff, weights, params, T, S, x_v, A)[:mesh.n_edges]
         assert zero.max() <= IDENTITY_BOUND
 
 
@@ -261,9 +258,9 @@ def test_ip1_split_matrix_matches_the_product(hierarchy3, level, theta, eps):
     coeff = assign_coefficient(mesh, eps)
     weights = edge_weights(mesh, coeff)
     params = MethodParams(theta, 8.0, IP1)
-    basis = build_transform(mesh, weights)
-    _assert_matches_product(split_matrix(mesh, coeff, weights, params, basis), params,
-                            mesh, coeff, weights, basis)
+    T = build_transform(mesh, weights)
+    _assert_matches_product(split_matrix(mesh, coeff, weights, params, T), params,
+                            mesh, coeff, weights, T)
 
 
 @settings(deadline=None, max_examples=40)
@@ -278,12 +275,12 @@ def test_split_identity_holds_at_any_contrast(log_eps, level, variant, theta):
     if variant == IP0:
         S = p.blocks().matrix()
     else:
-        S = split_matrix(p.mesh, p.coeff, p.weights, params, p.basis)
-    x, _, x_v = _split_parts(p.basis)
-    args = p.mesh, p.coeff, p.weights, params, p.basis, S
+        S = split_matrix(p.mesh, p.coeff, p.weights, params, p.transform)
+    x, _, x_v = _split_parts(p.mesh)
+    args = p.mesh, p.coeff, p.weights, params, p.transform, S
     assert _ratios(*args, x, p.A).max() <= IDENTITY_BOUND
     if variant == IP0:
-        assert _ratios(*args, x_v, p.A)[:p.basis.n_z].max() <= IDENTITY_BOUND
+        assert _ratios(*args, x_v, p.A)[:p.mesh.n_edges].max() <= IDENTITY_BOUND
 
 
 @pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-5, 1.0, 1e5, 1e14, 1e16])
@@ -297,21 +294,20 @@ def test_transform_entries_match_their_rational_values(level, eps):
     # Fraction, and every entry not listed is 0
     mesh = build_hierarchy(level).finest
     coeff = assign_coefficient(mesh, eps)
-    basis = build_transform(mesh, edge_weights(mesh, coeff))
-    T = basis.transform.toarray()
+    T = build_transform(mesh, edge_weights(mesh, coeff)).toarray()
 
     def hat(t, e):
         ends = set(mesh.edge_vertices[e].tolist())
         return {3 * t + k: 1 if v in ends else -1 for k, v in enumerate(mesh.triangles[t].tolist())}
 
     exact = {}
-    cr_columns = iter(range(basis.n_z, basis.n_z + basis.n_v))
+    cr_columns = iter(range(mesh.n_edges, mesh.n_dofs))
     for e in range(mesh.n_edges):
         tp, tm = mesh.edge_plus[e], mesh.edge_minus[e]
         if tm == BOUNDARY:
             exact.update(((d, e), Fraction(h)) for d, h in hat(tp, e).items())
             continue
-        kp, km = Fraction(coeff.kappa[tp]), Fraction(coeff.kappa[tm])
+        kp, km = Fraction(coeff[tp]), Fraction(coeff[tm])
         j = next(cr_columns)
         for t, weight in ((tp, km / (kp + km)), (tm, -kp / (kp + km))):
             for d, h in hat(t, e).items():
@@ -340,7 +336,7 @@ def test_closed_form_diagonals_stay_positive_at_extreme_contrast(eps, variant):
         blocks = p.blocks()
         diagonal = np.concatenate([blocks.A_zz.diagonal(), blocks.A_vv.diagonal()])
     else:
-        diagonal = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.basis).diagonal()
+        diagonal = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.transform).diagonal()
     assert np.all(diagonal > 0)
 
 
@@ -367,9 +363,9 @@ def level4():
 
 def test_transform_memory_stays_near_its_result(level4):
     mesh, _, weights = level4
-    basis, peak = _traced_peak(build_transform, mesh, weights)
+    T, peak = _traced_peak(build_transform, mesh, weights)
     # 2.28 times at level 4; building it from edge_traces took 3.49
-    assert peak <= 2.5 * _nbytes(basis.transform)
+    assert peak <= 2.5 * _nbytes(T)
 
 
 def test_closed_form_memory_stays_near_its_result(level4):

@@ -393,6 +393,37 @@ def test_level_above_max_is_refused_before_any_mesh(capsys, tmp_path, monkeypatc
     assert "0..7" in _one_error_line(capsys)
 
 
+# each took a traceback, a table named two-level-w2.0 or the value 1
+@pytest.mark.parametrize("argv", [
+    ["table", "two-level", {"seed": 1.5}], ["table", "two-level", {"sweeps": 2.5}],
+    ["solve", {"level": 1.5}], ["table", "zz", {"out_dir": 5}],
+    ["table", "two-level", {"ratio": 2.0}], ["solve", {"level": True}],
+    ["solve", {"tol": True}], ["solve", {"alpha": True}], ["solve", {"eps": [True]}],
+])
+def test_config_value_of_the_wrong_type_is_one_error_line(capsys, tmp_path, monkeypatch,
+                                                          argv):
+    def no_mesh(level):
+        raise AssertionError(f"a hierarchy of level {level} was built")
+
+    monkeypatch.setattr(cli, "build_hierarchy", no_mesh)
+    monkeypatch.setattr(experiments, "build_hierarchy", no_mesh)
+    assert main(_argv(tmp_path, argv)) == 2
+    key, = argv[-1]
+    assert _one_error_line(capsys).startswith(f"error: config key {key} takes ")
+
+
+def test_config_int_past_the_float_range_is_one_error_line(capsys, tmp_path):
+    assert main(_argv(tmp_path, ["solve", {"alpha": 10**400}])) == 2
+    assert _one_error_line(capsys) == "error: int too large to convert to float"
+
+
+def test_config_int_for_a_float_option_is_read_as_a_float(tmp_path):
+    # as from the flags, so that a table's JSON config has the same bytes
+    argv = _argv(tmp_path, ["table", "zz", {"alpha": 16, "eps": [1]}])
+    _, cfg = cli._resolve(cli._parser().parse_args(argv))
+    assert repr((cfg.alpha, cfg.eps_list)) == "(16.0, (1.0,))"
+
+
 def test_single_problem_command_takes_one_eps(capsys):
     assert main(["solve", "--eps", "1e-5", "--eps", "1"]) == 2
     assert _one_error_line(capsys) == "error: solve takes one eps, got 2"

@@ -96,9 +96,8 @@ def test_cr_cell_against_the_dense_spectrum(kind, eps):
     # 1e-7 by 4.1e-5 and 5.8e-6
     cfg = ExperimentConfig(eps_list=(eps,), levels=(0,))
     cell = RUNNERS[kind](cfg).cell(eps, 0)
-    hier = build_hierarchy(0)
-    A = experiments.build_problem(hier, eps, experiments.table_params(kind, cfg)).blocks().A_vv
-    B = experiments._cr_precond(cfg, hier, A, kind)
+    p = experiments.build_problem(build_hierarchy(0), eps, experiments.table_params(kind, cfg))
+    A, B = experiments._system(cfg, kind, p)
     n = A.shape[0]
     assert n == 40
     B_dense = np.column_stack([B.apply(e) for e in np.eye(n)])

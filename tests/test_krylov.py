@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from dgprecond.assembly import IP0, MethodParams
 from dgprecond import krylov
-from dgprecond.experiments import ExperimentConfig, _cr_precond, build_problem, table_params
+from dgprecond.experiments import ExperimentConfig, _system, build_problem, table_params
 from dgprecond.mesh import build_hierarchy
 from dgprecond.precond import bpx
 from dgprecond.krylov import (
@@ -68,6 +68,13 @@ def test_pcg_indefinite_matrix_raises():
     A = sp.diags([1.0, -1.0, 2.0]).tocsr()
     with pytest.raises(BreakdownError):
         pcg(A, np.ones(3), tol=1e-12)
+
+
+def test_pcg_nan_matrix_raises_at_the_first_step():
+    # p^t A p is NaN, which a test pAp <= 0 let through for all maxit steps
+    A = sp.diags_array([1.0, np.nan, 2.0], format="csr")
+    with pytest.raises(BreakdownError, match="matrix is not positive definite"):
+        pcg(A, np.ones(3), maxit=1)
 
 
 def test_pcg_indefinite_preconditioner_raises():
@@ -203,9 +210,8 @@ def test_certified_decides_as_eigh_tridiagonal_on_a_two_level_run(monkeypatch):
     # its own next beta and with betas at, just below and just above each
     # threshold of the test: the direct LAPACK calls give the same decision
     cfg = ExperimentConfig()
-    hier = build_hierarchy(4)
-    A = build_problem(hier, 1e-5, table_params("two-level", cfg)).blocks().A_vv
-    B = _cr_precond(cfg, hier, A, "two-level")
+    p = build_problem(build_hierarchy(4), 1e-5, table_params("two-level", cfg))
+    A, B = _system(cfg, "two-level", p)
     seen = []
     certified = krylov._certified
 

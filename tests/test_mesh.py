@@ -177,15 +177,15 @@ def test_hierarchy_memory_stays_near_its_meshes():
 def test_coefficient_assignment(level):
     m = build_hierarchy(level).finest
     c = assign_coefficient(m, 1e-3)
-    assert np.sum(c.kappa == 1.0) == 4 * 4**level
-    assert np.sum(c.kappa == 1e-3) == m.n_triangles - 4 * 4**level
-    assert c.kappa.max() / c.kappa.min() == pytest.approx(1e3)
+    assert np.sum(c == 1.0) == 4 * 4**level
+    assert np.sum(c == 1e-3) == m.n_triangles - 4 * 4**level
+    assert c.max() / c.min() == pytest.approx(1e3)
     # inclusion triangles have barycenters inside the two squares
     bary = m.barycenters()
     inside = ((bary[:, 0] > -0.5) & (bary[:, 0] < 0) & (bary[:, 1] > -0.5) & (bary[:, 1] < 0)) | (
         (bary[:, 0] > 0) & (bary[:, 0] < 0.5) & (bary[:, 1] > 0) & (bary[:, 1] < 0.5)
     )
-    assert np.array_equal(c.kappa == 1.0, inside)
+    assert np.array_equal(c == 1.0, inside)
 
 
 def test_unresolved_coefficient_raises():
@@ -202,6 +202,15 @@ def test_bad_eps_rejected(eps):
         assign_coefficient(build_initial_mesh(), eps)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
+def test_edge_weights_refuse_a_coefficient_not_positive(kappa):
+    m = build_initial_mesh()
+    coeff = np.ones(m.n_triangles)
+    coeff[5] = kappa
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        edge_weights(m, coeff)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.floats(min_value=-8, max_value=8))
 def test_edge_weights_invariants(log_eps):
@@ -216,15 +225,15 @@ def test_edge_weights_invariants(log_eps):
     assert np.all((beta > 0) & (beta < 1))
     assert np.allclose(beta + gamma, 1.0, rtol=0, atol=2 * np.finfo(float).eps)
     # beta+ kappa+ = beta- kappa- = kappa_e / 2
-    kp = c.kappa[m.edge_plus[interior]]
-    km = c.kappa[m.edge_minus[interior]]
+    kp = c[m.edge_plus[interior]]
+    km = c[m.edge_minus[interior]]
     assert np.allclose(beta * kp, gamma * km)
     assert np.allclose(w.kappa_e[interior], 2 * kp * km / (kp + km))
     # harmonic mean between min and max
     assert np.all(w.kappa_e[interior] <= np.maximum(kp, km) * (1 + 1e-12))
     assert np.all(w.kappa_e[interior] >= np.minimum(kp, km) * (1 - 1e-12))
     assert np.all(w.beta[boundary] == 1.0) and np.all(w.gamma[boundary] == 0.0)
-    assert np.allclose(w.kappa_e[boundary], c.kappa[m.edge_plus[boundary]])
+    assert np.allclose(w.kappa_e[boundary], c[m.edge_plus[boundary]])
 
 
 def test_hierarchy_structure():

@@ -57,6 +57,15 @@ def test_diagonal_precond():
         DiagonalPrecond(np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("kind", [JACOBI, SYM_GS])
+def test_nan_diagonal_is_refused(kind):
+    # NaN <= 0 is false: a test written that way let NaN through
+    with pytest.raises(ValueError, match="diagonal must be positive"):
+        DiagonalPrecond(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="diagonal must be positive"):
+        Smoother(sp.diags_array([1.0, np.nan], format="csr"), SmootherSpec(kind))
+
+
 def test_direct_solve():
     A = _spd(12, seed=2)
     r = np.random.default_rng(3).standard_normal(12)
@@ -426,7 +435,7 @@ def test_complement_block_solve_is_robust(level, monkeypatch):
             blocks = p.blocks()
             A = blocks.A_zz
             assert abs(A - A.T).max() <= 1e-15 * abs(A).max()
-            f_z, f_v = np.split(p.basis.transform.T @ b, [p.basis.n_z])
+            f_z, f_v = np.split(p.transform.T @ b, [p.mesh.n_edges])
             z, _ = forward_substitution_solve(blocks, f_z, f_v)
             assert reports[-1].iterations <= 20
             assert np.linalg.norm(A @ z - f_z) <= 1e-14 * np.linalg.norm(f_z)
@@ -453,8 +462,9 @@ def test_complement_block_solve_fails_loudly(monkeypatch):
     with pytest.raises(RuntimeError, match="missed"):
         forward_substitution_solve(blocks, f_z, f_v)
 
+    # refused by DiagonalPrecond, the one check of the diagonal
     negative = dataclasses.replace(blocks, A_zz=-blocks.A_zz)
-    with pytest.raises(RuntimeError, match="not positive"):
+    with pytest.raises(ValueError, match="diagonal must be positive"):
         forward_substitution_solve(negative, f_z, f_v)
 
 
