@@ -27,6 +27,7 @@ from .basis_split import (
     BlockOperator,
     build_transform,
     from_split,
+    split_rhs,
     extract_blocks,
     split_matrix,
 )

@@ -21,7 +21,7 @@ _GAUSS_S = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 @dataclass
 class MethodParams:
-    """theta in {-1, 0, 1} (SIPG / IIPG / NIPG), penalty alpha > 0."""
+    """theta in {-1, 0, 1} (SIPG / IIPG / NIPG), finite penalty alpha > 0."""
 
     theta: int
     alpha: float
@@ -30,8 +30,8 @@ class MethodParams:
     def __post_init__(self):
         if self.theta not in (-1, 0, 1):
             raise ValueError(f"theta must be -1, 0 or 1, got {self.theta}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:  # also false for NaN
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.variant not in (IP0, IP1):
             raise ValueError(f"variant must be IP0 or IP1, got {self.variant!r}")
 

@@ -15,6 +15,29 @@ import scipy.sparse as sp
 from .assembly import _gradients, _stiffness, edge_jumps, edge_traces, flux_average
 
 
+def _side_values(mesh, weights):
+    """T's entries, edge by edge and side by side: for each edge e and side
+    s (0 plus, 1 minus), tri[e, s] the triangle and z[e, s, k], psi[e, s, k]
+    the values of e's z-column and of its CR column at that triangle's local
+    dof k.
+
+    On each side of an edge its CR hat psi is 1 at the edge's endpoints and
+    -1 at the opposite vertex.  The z-function of an edge is beta times the
+    hat on the plus side and -gamma = -(1 - beta) times it on the minus side.
+    A boundary edge's minus side repeats its plus triangle, with z-values
+    gamma = 0 times the hat; it has no CR column.
+    """
+    bnd = mesh.boundary_edge_mask
+    tri = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
+    # -1 at the local vertex off the edge: the three local indices sum to 3
+    off = 3 - mesh.edge_local[:, :, 0] - mesh.edge_local[:, :, 1]
+    psi = np.ones(6 * mesh.n_edges)
+    psi[np.arange(0, len(psi), 3) + off.ravel()] = -1.0
+    psi = psi.reshape(-1, 2, 3)
+    z = psi * np.column_stack([weights.beta, -weights.gamma])[:, :, None]
+    return tri, z, psi
+
+
 def build_transform(mesh, weights):
     """The sparse transform T from split coefficients [z; v] to nodal DG
     dofs: each column expresses one split basis function in nodal dofs.
@@ -23,38 +46,74 @@ def build_transform(mesh, weights):
     remaining columns are the CR hats of the interior edges.  T is CSC, so
     its transpose, which every product T^t A T starts with, is CSR like A.
 
-    On each side of an edge its CR hat is 1 at the edge's endpoints and -1 at
-    the opposite vertex.  The z-function of an edge is beta times the hat on
-    the plus side and -gamma = -(1 - beta) times it on the minus side; on a
-    boundary edge beta = 1 and gamma = 0 leave the plus-side hat alone.  Only
-    nonzero values are stored, so a boundary z-column has 3 entries and every
-    other column 6.  The CSC arrays are written directly, rows ascending in
-    each column.
+    The entries are those of _side_values.  Only nonzero values are stored,
+    so a boundary z-column has 3 entries and every other column 6.  The CSC
+    arrays are written directly, rows ascending in each column: the plus
+    triangle has the smaller index.  solve applies T and T^t without it
+    (split_rhs, from_split).
     """
-    bnd = mesh.boundary_edge_mask
     interior = mesh.interior_edges
     n_z, n_v = mesh.n_edges, len(interior)
-    scale = np.column_stack([weights.beta, -weights.gamma])
-    # a hat is never 0, so a side stores its z-values where its scale is not;
-    # kept numbers the (edge, side) pairs that do
-    kept = scale != 0
+    tri, z, psi = _side_values(mesh, weights)
+    # a hat is never 0, so a side stores its z-values where its weight is
+    # not; kept numbers the (edge, side) pairs that do
+    kept = z[:, :, 0] != 0
     indptr = np.zeros(n_z + n_v + 1, dtype=np.int32)
     np.cumsum(np.concatenate([3 * np.add(kept[:, 0], kept[:, 1], dtype=np.int32),
                               np.full(n_v, 6)]), out=indptr[1:])
     kept = np.flatnonzero(kept)
-    sides = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
-    dofs = 3 * sides[:, :, None].astype(np.int32) + np.arange(3, dtype=np.int32)
+    dofs = 3 * tri[:, :, None].astype(np.int32) + np.arange(3, dtype=np.int32)
     indices = np.concatenate([np.take(dofs.reshape(-1, 3), kept, axis=0).ravel(),
                               np.take(dofs, interior, axis=0).ravel()])
-    del sides, dofs
-    # the CR hat on each side: 1 at the edge's endpoints, -1 at the opposite
-    # vertex
-    local = mesh.edge_local
-    hat = np.where((local[:, :, :1] == np.arange(3)) | (local[:, :, 1:] == np.arange(3)), 1.0, -1.0)
-    v_vals = np.take(hat, interior, axis=0).ravel()
-    hat *= scale[:, :, None]
-    data = np.concatenate([np.take(hat.reshape(-1, 3), kept, axis=0).ravel(), v_vals])
+    del tri, dofs
+    data = np.empty(len(indices))
+    n_kept = 3 * len(kept)
+    np.take(z.reshape(-1, 3), kept, axis=0, out=data[:n_kept].reshape(-1, 3))
+    np.take(psi, interior, axis=0, out=data[n_kept:].reshape(-1, 2, 3))
     return sp.csc_matrix((data, indices, indptr), shape=(mesh.n_dofs, n_z + n_v))
+
+
+def split_rhs(b, mesh, weights):
+    """T^t b (build_transform) without T, equal to scipy's product entry for
+    entry: each entry sums its terms from 0 in T's stored order, the plus
+    side's local dofs 0, 1, 2, then the minus side's.  T stores no zeros;
+    the terms that are 0 here, a boundary edge's minus ones, add +-0 to a
+    sum started at +0, which leaves it as it is."""
+    tri, z, psi = _side_values(mesh, weights)
+    # the CR sums of every edge; those of the interior edges are T^t b's
+    f_z, f_psi = np.zeros(mesh.n_edges), np.zeros(mesh.n_edges)
+    dof0 = 3 * tri
+    for s in (0, 1):
+        for k in range(3):
+            b_k = np.take(b, dof0[:, s] + k)
+            f_z += z[:, s, k] * b_k
+            f_psi += psi[:, s, k] * b_k
+    return np.concatenate([f_z, np.take(f_psi, mesh.interior_edges)])
+
+
+def from_split(z, v, mesh, weights):
+    """T [z; v] (build_transform) without T, equal to scipy's product entry
+    for entry: each nodal dof sums from 0 the z-terms of its triangle's
+    edges in ascending edge order, then their CR terms.  A boundary edge
+    has no CR column; its term here is +-0 and leaves the sum as it is."""
+    _, z_vals, psi = _side_values(mesh, weights)
+    # each triangle's edges in ascending order
+    a, b, c = mesh.tri_edges.T
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    edges = (lo, a + b + c - lo - hi, hi)
+    # the row of each (triangle, edge) pair in the (edge, side) rows of
+    # _side_values: a triangle is on the minus side of the edges it is not
+    # the plus triangle of
+    tri = np.arange(mesh.n_triangles)
+    rows = [2 * e + (np.take(mesh.edge_plus, e) != tri) for e in edges]
+    v_e = np.zeros(mesh.n_edges)
+    v_e[mesh.interior_edges] = v
+    u = np.zeros((mesh.n_triangles, 3))
+    for values, coeffs in ((z_vals, z), (psi, v_e)):
+        values = values.reshape(-1, 3)
+        for e, r in zip(edges, rows):
+            u += np.take(values, r, axis=0) * np.take(coeffs, e)[:, None]
+    return u.ravel()
 
 
 def to_split(u, mesh, weights):
@@ -76,10 +135,6 @@ def to_split(u, mesh, weights):
     interior = mesh.interior_edges
     v = weights.gamma[interior] * sides[interior, 0] - weights.beta[interior] * sides[interior, 1]
     return z, v
-
-
-def from_split(z, v, T):
-    return T @ np.concatenate([z, v])
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .mesh import build_hierarchy
 from .assembly import (IP0, IP1, MethodParams, apply_dg, assemble_dg, assemble_conforming,
                        assemble_rhs, edge_jumps, export_coordinate, symmetric_part)
 from .basis_split import (IDENTITY_BOUND, extract_blocks, from_split, identity_ratios,
-                          split_matrix)
+                          split_matrix, split_rhs)
 from .precond import (SYM_GS, JACOBI, DirectSolve, cr_prolongation,
                       forward_substitution_solve)
 from .krylov import estimate_spectrum, pcg, stationary_iteration
@@ -189,16 +189,19 @@ def cmd_solve(opts, cfg):
     b = assemble_rhs(mesh, lambda x, y: 1.0)
     report = {}
     try:
+        # the split system's right-hand side T^t b and solution T [z; v],
+        # gathered from the mesh: T itself is built for the IP1 split
+        # system alone
         if p.params.variant == IP0:
             report["method"] = "block-forward-substitution"
             blocks = p.blocks()
-            f_z, f_v = np.split(p.transform.T @ b, [mesh.n_edges])
-            u = from_split(*forward_substitution_solve(blocks, f_z, f_v), p.transform)
+            f_z, f_v = np.split(split_rhs(b, mesh, p.weights), [mesh.n_edges])
+            u = from_split(*forward_substitution_solve(blocks, f_z, f_v), mesh, p.weights)
         elif p.params.theta == -1:
             report["method"] = "pcg-block-jacobi"
             S, B = block_jacobi_system(p, cfg.smoother_spec())
-            x, rep = pcg(S, p.transform.T @ b, B, tol=cfg.tol, maxit=2000)
-            u = p.transform @ x
+            x, rep = pcg(S, split_rhs(b, mesh, p.weights), B, tol=cfg.tol, maxit=2000)
+            u = from_split(*np.split(x, [mesh.n_edges]), mesh, p.weights)
         else:
             report["method"] = "stationary-symmetric-part"
             u, rep = stationary_iteration(p.A, DirectSolve(symmetric_part(p.A)), b,

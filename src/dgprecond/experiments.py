@@ -68,8 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"levels must be one or more in 0..{MAX_LEVEL}, got {self.levels}")
         if self.ratio not in (1, 2, 4):
             raise ValueError(f"ratio must be 1, 2 or 4, got {self.ratio}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # theta, alpha, variant, smoother kind and sweeps: their own checks
@@ -217,7 +217,8 @@ class Problem:
     @functools.cached_property
     def transform(self):
         # the split-basis transform T, built on first use: only the IP1
-        # split system and the solve's right-hand side and solution need it
+        # split system and verify's identity checks need it; the solve
+        # applies T and T^t from the mesh (basis_split.split_rhs, from_split)
         return build_transform(self.mesh, self.weights)
 
     def blocks(self):

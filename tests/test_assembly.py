@@ -237,8 +237,9 @@ def test_variant_guards(setting):
 def test_method_params_validation():
     with pytest.raises(ValueError):
         MethodParams(theta=2, alpha=8.0)
-    with pytest.raises(ValueError):
-        MethodParams(theta=-1, alpha=0.0)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            MethodParams(theta=-1, alpha=alpha)
     with pytest.raises(ValueError):
         MethodParams(theta=-1, alpha=8.0, variant="IP2")
 

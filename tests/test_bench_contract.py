@@ -5,10 +5,12 @@ and solve calls of a table cell and of ``dgprecond solve`` go through those
 names, so that no layer call escapes the benchmark's spans.  No table cell
 calls ``assemble_dg``: the zz, two-level and bpx cells take the closed-form
 split blocks, and sipg1 adds to them the IP1 penalty term, for which it
-calls ``build_transform``.  The solve calls ``build_transform`` too, but
-not ``assemble_dg``: its residual check calls ``assembly.apply_dg``, which
-no LAYER_CALLS name covers, so perfbench counts its time under "(outside
-layer calls)" until the spans move into the package (ROADMAP item 1)."""
+calls ``build_transform``.  The IP0 solve calls neither: it gathers T^t b
+and T [z; v] from the mesh (``split_rhs``, ``from_split``), and its
+residual check calls ``assembly.apply_dg``.  No LAYER_CALLS name covers
+``split_rhs`` or ``apply_dg``, so perfbench counts their time under
+"(outside layer calls)" until the spans move into the package (ROADMAP
+item 1)."""
 
 import importlib.util
 from collections import Counter
@@ -89,7 +91,7 @@ def test_solve_calls_go_through_layer_names(counts, capsys, monkeypatch):
     capsys.readouterr()
     assert counts == dict.fromkeys(
         ("build_hierarchy", "assign_coefficient", "edge_weights", "assemble_rhs",
-         "build_transform", "extract_blocks", "forward_substitution_solve", "from_split"),
+         "extract_blocks", "forward_substitution_solve", "from_split"),
         1,
     )
     # the residual check, which no LAYER_CALLS name covers

@@ -116,6 +116,24 @@ def test_solve_skips_the_nodal_matrix_unless_it_iterates_on_it(capsys, monkeypat
         main(["solve", "--level", "1", "--variant", "IP1", "--theta", "0"])
 
 
+class _Transformed(Exception):
+    pass
+
+
+def test_solve_gathers_the_transform_from_the_mesh(capsys, monkeypatch):
+    # the IP0 solve applies T^t and T without T (split_rhs, from_split);
+    # the IP1 solve builds T for its split system
+    def refuse(*args):
+        raise _Transformed
+
+    monkeypatch.setattr(experiments, "build_transform", refuse)
+    code, out = run(capsys, "solve", "--level", "2", "--eps", "1e-5")
+    assert code == 0
+    assert json.loads(out)["rel_residual"] < 1e-6
+    with pytest.raises(_Transformed):
+        main(["solve", "--level", "1", "--variant", "IP1"])
+
+
 def test_solve_breakdown_is_one_error_line():
     # the stationary iteration diverges for NIPG at this contrast; run as a
     # process, so that its exit code and its whole stderr are seen
@@ -391,6 +409,29 @@ def test_level_above_max_is_refused_before_any_mesh(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(experiments, "build_hierarchy", no_mesh)
     assert main(_argv(tmp_path, argv)) == 2
     assert "0..7" in _one_error_line(capsys)
+
+
+# each got past the input checks: a solve that exited 1 on a nonpositive
+# diagonal or preconditioner, a verify that printed nan, an IP1 solve and a
+# zz table that stopped after one PCG iteration
+@pytest.mark.parametrize("argv, option", [
+    (["solve", "--level", "1", "--alpha", "nan"], "alpha"),
+    (["solve", "--level", "1", "--alpha", "inf"], "alpha"),
+    (["verify", "--level", "1", "--alpha", "inf"], "alpha"),
+    (["solve", {"alpha": float("inf")}], "alpha"),
+    (["solve", "--level", "2", "--variant", "IP1", "--tol", "inf"], "tol"),
+    (["table", "zz", "--levels", "0", "--tol", "inf"], "tol"),
+    (["table", "zz", {"tol": float("nan")}], "tol"),
+])
+def test_non_finite_alpha_or_tol_is_refused_before_any_mesh(capsys, tmp_path, monkeypatch,
+                                                            argv, option):
+    def no_mesh(level):
+        raise AssertionError(f"a hierarchy of level {level} was built")
+
+    monkeypatch.setattr(cli, "build_hierarchy", no_mesh)
+    monkeypatch.setattr(experiments, "build_hierarchy", no_mesh)
+    assert main(_argv(tmp_path, argv)) == 2
+    assert f"{option} must be finite and positive" in _one_error_line(capsys)
 
 
 # each took a traceback, a table named two-level-w2.0 or the value 1
