@@ -3,7 +3,6 @@ coefficients, a coefficient-dependent space splitting and robust two-level
 and multilevel preconditioners."""
 
 from .mesh import (
-    BOUNDARY,
     Mesh,
     MeshHierarchy,
     EdgeWeights,

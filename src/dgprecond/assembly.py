@@ -72,12 +72,12 @@ def edge_traces(mesh):
     plus trace itself.
     """
     bnd = mesh.boundary_edge_mask
-    sides = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
-    dofs = (3 * sides[:, :, None] + np.arange(3)).reshape(-1, 6)
+    tri = mesh.edge_occurrence // 3
+    dofs = (3 * tri[:, :, None] + np.arange(3)).reshape(-1, 6)
     sign = np.column_stack([np.ones(len(bnd)), np.where(bnd, 0.0, -1.0)])
     # (edge, endpoint k, side, local dof): the side's sign at the local
     # vertex of endpoint k
-    at_end = mesh.edge_local.transpose(0, 2, 1)[..., None] == np.arange(3)
+    at_end = mesh.triangles[tri][:, None] == mesh.edge_vertices[:, :, None, None]
     traces = np.where(at_end, sign[:, None, :, None], 0.0)
     return dofs, traces.reshape(-1, 2, 6)
 
@@ -212,13 +212,10 @@ def _edge_sides(mesh, weights, variant, grads):
     and ``penalty`` the (row of sides, weight) of each point of the rule.
     """
     nt = mesh.n_triangles
-    edges, bnd, local = mesh.tri_edges.T, mesh.boundary_edge_mask, mesh.edge_local
-    minus = np.take(mesh.edge_plus, edges) != np.arange(nt)
-    # the column of each side of an edge: its local edge index is the local
-    # vertex off the edge, 3 minus the two on it
-    side_col = ((3 - local[:, :, 0] - local[:, :, 1]) * nt
-                + np.column_stack([mesh.edge_plus, mesh.edge_minus]))
-    side_col[bnd, 1] = 3 * nt
+    edges, occ, minus = mesh.tri_edges.T, mesh.edge_occurrence, mesh.tri_minus.T
+    # the column of each side of an edge, i nt + t for occurrence 3 t + i
+    side_col = (occ % 3) * nt + occ // 3
+    side_col[mesh.boundary_edge_mask, 1] = 3 * nt
     across = np.where(minus, np.take(side_col[:, 0], edges), np.take(side_col[:, 1], edges))
     rule_points, rule_weights = _PENALTY_RULE[variant]
     points = list(dict.fromkeys((0.5, *rule_points)))
@@ -243,9 +240,9 @@ def flux_average(mesh, weights, grads, out=None):
     average {kappa grad phi}_beta . n+ on its local edge j, phi the P1 basis
     function of its local vertex i, from the _gradients grads.
 
-    beta kappa+ = (1 - beta) kappa- = kappa_e / 2, so a side's term is
-    kappa_e / 2 grad phi . n+; on a boundary edge it is the plus side's
-    kappa grad phi . n (kappa_e = kappa+)."""
+    beta kappa+ = gamma kappa- = kappa_e / 2, with gamma = kappa+ / (kappa+
+    + kappa-), so a side's term is kappa_e / 2 grad phi . n+; on a boundary
+    edge it is the plus side's kappa grad phi . n (kappa_e = kappa+)."""
     edges = mesh.tri_edges.T
     kw = np.take(weights.kappa_e * np.where(mesh.boundary_edge_mask, 1.0, 0.5), edges)
     n = [np.take(mesh.edge_normal[:, d], edges) for d in range(2)]

@@ -23,16 +23,16 @@ def _side_values(mesh, weights):
 
     On each side of an edge its CR hat psi is 1 at the edge's endpoints and
     -1 at the opposite vertex.  The z-function of an edge is beta times the
-    hat on the plus side and -gamma = -(1 - beta) times it on the minus side.
-    A boundary edge's minus side repeats its plus triangle, with z-values
-    gamma = 0 times the hat; it has no CR column.
+    hat on the plus side and -gamma times it on the minus side, gamma =
+    kappa+ / (kappa+ + kappa-).  A boundary edge's minus side repeats its
+    plus triangle, with z-values gamma = 0 times the hat; it has no CR
+    column.
     """
-    bnd = mesh.boundary_edge_mask
-    tri = np.column_stack([mesh.edge_plus, np.where(bnd, mesh.edge_plus, mesh.edge_minus)])
-    # -1 at the local vertex off the edge: the three local indices sum to 3
-    off = 3 - mesh.edge_local[:, :, 0] - mesh.edge_local[:, :, 1]
+    occ = mesh.edge_occurrence
+    tri = occ // 3
+    # -1 at the local vertex off the edge, the side's local edge index
     psi = np.ones(6 * mesh.n_edges)
-    psi[np.arange(0, len(psi), 3) + off.ravel()] = -1.0
+    psi[np.arange(0, len(psi), 3) + (occ % 3).ravel()] = -1.0
     psi = psi.reshape(-1, 2, 3)
     z = psi * np.column_stack([weights.beta, -weights.gamma])[:, :, None]
     return tri, z, psi
@@ -97,15 +97,12 @@ def from_split(z, v, mesh, weights):
     edges in ascending edge order, then their CR terms.  A boundary edge
     has no CR column; its term here is +-0 and leaves the sum as it is."""
     _, z_vals, psi = _side_values(mesh, weights)
-    # each triangle's edges in ascending order
-    a, b, c = mesh.tri_edges.T
-    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    edges = (lo, a + b + c - lo - hi, hi)
     # the row of each (triangle, edge) pair in the (edge, side) rows of
-    # _side_values: a triangle is on the minus side of the edges it is not
-    # the plus triangle of
-    tri = np.arange(mesh.n_triangles)
-    rows = [2 * e + (np.take(mesh.edge_plus, e) != tri) for e in edges]
+    # _side_values, each triangle's in ascending edge order
+    a, b, c = (2 * mesh.tri_edges + mesh.tri_minus).T
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    rows = (lo, a + b + c - lo - hi, hi)
+    edges = [r // 2 for r in rows]
     v_e = np.zeros(mesh.n_edges)
     v_e[mesh.interior_edges] = v
     u = np.zeros((mesh.n_triangles, 3))
@@ -161,10 +158,10 @@ def extract_blocks(mesh, coeff, weights, params):
     theta |f| {kappa grad v}_beta . n_f with it as the trial function.
     Integrated by parts on each triangle, the element term of the z-function
     of f against any split function u is |f| {kappa grad u}_beta . n_f, as
-    beta kappa+ = (1 - beta) kappa- = kappa_e / 2.  It cancels the test
-    term, so the CR-to-z coupling is zero and is not formed; against a CR
-    test function it adds to the trial term.  With z_e the z-function and
-    psi_e the CR hat of edge e:
+    beta kappa+ = gamma kappa- = kappa_e / 2, gamma = kappa+ / (kappa+ +
+    kappa-).  It cancels the test term, so the CR-to-z coupling is zero and
+    is not formed; against a CR test function it adds to the trial term.
+    With z_e the z-function and psi_e the CR hat of edge e:
     - A_vv is the element stiffness of the CR hats of the interior edges,
       grad psi = -2 grad lambda on each side;
     - A_zz = alpha diag(kappa_e) + theta G, G[e, f] = |f| {kappa grad z_e}_beta . n_f;
@@ -173,7 +170,7 @@ def extract_blocks(mesh, coeff, weights, params):
     params.variant is not read.  Each block is canonical CSR of the entries
     computed as nonzero, with no magnitude cut.
     """
-    ne, nt = mesh.n_edges, mesh.n_triangles
+    ne = mesh.n_edges
     areas = mesh.triangle_areas()
     grads = _gradients(mesh, areas)
     edges = mesh.tri_edges.T
@@ -190,10 +187,10 @@ def extract_blocks(mesh, coeff, weights, params):
     else:
         # the z-function of an edge is beta times its CR hat on the plus
         # side and -gamma times it on the minus side
-        minus = np.take(mesh.edge_plus, edges) != np.arange(nt)
-        side = np.where(minus, -np.take(weights.gamma, edges), np.take(weights.beta, edges))
+        side = np.where(mesh.tri_minus.T, -np.take(weights.gamma, edges),
+                        np.take(weights.beta, edges))
         G = (params.theta * side)[:, None] * flux
-        del side, minus
+        del side
         A_zz = _summed(G, rows, cols, (ne, ne)) + penalty
         del G
     n_v = len(mesh.interior_edges)
@@ -236,7 +233,7 @@ def split_matrix(mesh, coeff, weights, params, T):
     # (kappa_a + kappa_b) / kappa_t, a, b the other edges of t, negated on the minus side
     kappa = np.take(weights.kappa_e, mesh.tri_edges)
     ratio = (np.roll(kappa, 1, axis=1) + np.roll(kappa, -1, axis=1)) / coeff[:, None]
-    ratio[np.take(mesh.edge_plus, mesh.tri_edges) != np.arange(mesh.n_triangles)[:, None]] *= -1
+    ratio[mesh.tri_minus] *= -1
     interior = mesh.interior_edges
     own = np.bincount(mesh.tri_edges.ravel(), ratio.ravel())[interior] * weights.kappa_e[interior]
     rows = np.concatenate([interior, mesh.n_edges + np.arange(len(interior))])

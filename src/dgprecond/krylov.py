@@ -22,10 +22,11 @@ RTOL = 1e-6
 # At an invariant Krylov space the next Lanczos residual is round-off, and its
 # A-norm grows with theta_max / theta_min: up to 16 * eps_mach * theta_max^2 /
 # theta_min on spectra of three to six distinct values spread over up to six
-# decades (B = I, or B on an A of condition up to 1e3), against at least 42 times that one step before the space closes
-# when two of the values are 1e-4 relative apart (1e-4 and 1.0001e-4 under 1
-# and 7).  A beta below ROUNDOFF times that scale stops Lanczos; values closer
-# than it cannot be told apart by the recurrence anyway.
+# decades (B = I, or B on an A of condition up to 1e3), against at least 42
+# times that one step before the space closes when two of the values are 1e-4
+# relative apart (1e-4 and 1.0001e-4 under 1 and 7).  A beta below ROUNDOFF
+# times that scale stops Lanczos; values closer than it cannot be told apart
+# by the recurrence anyway.
 ROUNDOFF = 32
 _STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 

@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BOUNDARY = -1
-
 # Inclusion squares carrying coefficient 1; everything else gets the
 # background value eps.
 _INCLUSIONS = ((-0.5, 0.0, -0.5, 0.0), (0.0, 0.5, 0.0, 0.5))
@@ -39,17 +37,19 @@ class Mesh:
     edge_vertices : (ne, 2) int array, endpoint indices with v0 < v1.
     edge_midpoint : (ne, 2) float array.
     edge_length : (ne,) float array.
-    edge_plus : (ne,) int array, adjacent triangle with smaller index.
-    edge_minus : (ne,) int array, other triangle or BOUNDARY.
+    edge_occurrence : (ne, 2) int array; entry (e, s) is the flat index
+        3 t + i into ``tri_edges`` of edge e on its plus (s = 0) or minus
+        (s = 1) side: t is that side's triangle, and i its local edge and
+        the local vertex off the edge.  The plus triangle has the smaller
+        index.  On a boundary edge the minus column repeats the plus one.
     edge_normal : (ne, 2) unit normal pointing from plus to minus side
         (outward on the boundary).
     tri_edges : (nt, 3) int array; entry (t, i) is the edge opposite local
         vertex i of triangle t.  Edges are numbered in order of first
         appearance in ``tri_edges.ravel()``; this is the dof order of both
         split-basis blocks and so the Gauss-Seidel sweep order.
-    edge_local : (ne, 2, 2) int array; entry (e, s, k) is the local index of
-        ``edge_vertices[e, k]`` in the plus (s = 0) or minus (s = 1)
-        triangle.  On boundary edges the minus entries repeat the plus ones.
+    tri_minus : (nt, 3) bool array; whether t is the minus triangle of
+        ``tri_edges[t, i]``.
     """
 
     level: int
@@ -58,11 +58,10 @@ class Mesh:
     edge_vertices: np.ndarray
     edge_midpoint: np.ndarray
     edge_length: np.ndarray
-    edge_plus: np.ndarray
-    edge_minus: np.ndarray
+    edge_occurrence: np.ndarray
     edge_normal: np.ndarray
     tri_edges: np.ndarray
-    edge_local: np.ndarray
+    tri_minus: np.ndarray
 
     @property
     def n_vertices(self):
@@ -83,15 +82,15 @@ class Mesh:
 
     @property
     def boundary_edge_mask(self):
-        return self.edge_minus == BOUNDARY
+        return self.edge_occurrence[:, 0] == self.edge_occurrence[:, 1]
 
     @property
     def interior_edges(self):
-        return np.flatnonzero(self.edge_minus != BOUNDARY)
+        return np.flatnonzero(~self.boundary_edge_mask)
 
     @property
     def boundary_edges(self):
-        return np.flatnonzero(self.edge_minus == BOUNDARY)
+        return np.flatnonzero(self.boundary_edge_mask)
 
     @property
     def interior_vertices(self):
@@ -151,8 +150,9 @@ class MeshHierarchy:
 
 @dataclass
 class EdgeWeights:
-    """Per-edge weights beta_e of the plus and gamma_e = 1 - beta_e of the
-    minus side, and the harmonic-mean coefficient kappa_e.
+    """Per-edge weights beta_e = kappa^- / (kappa^+ + kappa^-) of the plus
+    and gamma_e = kappa^+ / (kappa^+ + kappa^-) of the minus side, which sum
+    to 1 in exact arithmetic, and the harmonic-mean coefficient kappa_e.
 
     On a boundary edge the weighted average is the plus side's value:
     ``beta`` is 1, ``gamma`` 0 and ``kappa_e`` the coefficient of the single
@@ -162,9 +162,6 @@ class EdgeWeights:
     beta: np.ndarray
     gamma: np.ndarray
     kappa_e: np.ndarray
-
-
-_LOCAL_ENDS = np.array([[1, 2], [2, 1], [2, 0], [0, 2], [0, 1], [1, 0]])
 
 
 def _build_edges(vertices, triangles):
@@ -178,9 +175,6 @@ def _build_edges(vertices, triangles):
     # per occurrence (triangle, local edge): local vertices i + 1 and i + 2
     a, b = np.roll(triangles, -1, axis=1).ravel(), np.roll(triangles, -2, axis=1).ravel()
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # the local indices of the lower and the higher endpoint of local edge
-    # i, in row 2 i of _LOCAL_ENDS, or 2 i + 1 where vertex i + 1 is higher
-    local_ends = np.tile(np.arange(0, 6, 2, dtype=np.int8), nt) + (a > b)
     del a, b
     # a stable sort of the endpoint keys puts the two occurrences of an
     # interior edge side by side, the first appearance in front
@@ -195,33 +189,31 @@ def _build_edges(vertices, triangles):
     occ_edge = np.cumsum(is_first) - 1
     occ_edge[second] = occ_edge[partner]
     tri_edges = occ_edge.reshape(nt, 3)
+    # the second occurrence of an interior edge is on its minus triangle
+    tri_minus = ~is_first.reshape(nt, 3)
     del key, srt, repeat, partner, is_first
 
     edge_vertices = np.column_stack([np.take(lo, first), np.take(hi, first)])
-    edge_plus = first // 3
-    # the second occurrence of an interior edge is on its minus triangle
-    edge_minus = np.full(len(first), BOUNDARY, dtype=np.int64)
-    edge_minus[occ_edge[second]] = second // 3
-    edge_local = np.empty((len(first), 2, 2), dtype=np.int64)
-    edge_local[:, 0] = edge_local[:, 1] = np.take(_LOCAL_ENDS, np.take(local_ends, first), axis=0)
-    edge_local[occ_edge[second], 1] = np.take(_LOCAL_ENDS, np.take(local_ends, second), axis=0)
+    edge_occurrence = np.column_stack([first, first])
+    edge_occurrence[np.take(occ_edge, second), 1] = second
     # the vertex of the plus triangle off each edge: local vertex i of
     # occurrence (t, i)
     off_edge = np.take(triangles.ravel(), first)
-    del lo, hi, local_ends, first, second
+    del lo, hi, first, second
     p0 = np.take(vertices, edge_vertices[:, 0], axis=0)
     p1 = np.take(vertices, edge_vertices[:, 1], axis=0)
     edge_midpoint = 0.5 * (p0 + p1)
     tangent = p1 - p0
+    del p0, p1
     # the Euclidean norm, summed as np.linalg.norm sums it
     edge_length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / edge_length[:, None]
-    del p0, p1, tangent
+    del tangent
     # orient outward from the plus triangle, away from its vertex off the edge
     away = edge_midpoint - np.take(vertices, off_edge, axis=0)
     normal *= np.where(normal[:, 0] * away[:, 0] + normal[:, 1] * away[:, 1] < 0, -1.0, 1.0)[:, None]
-    return (edge_vertices, edge_midpoint, edge_length, edge_plus, edge_minus, normal,
-            tri_edges, edge_local)
+    return (edge_vertices, edge_midpoint, edge_length, edge_occurrence, normal, tri_edges,
+            tri_minus)
 
 
 def _make_mesh(level, vertices, triangles):
@@ -312,8 +304,8 @@ def edge_weights(mesh, coeff):
     if not np.all(coeff > 0):  # NaN > 0 is false too
         raise ValueError("kappa must be positive")
     bnd = mesh.boundary_edge_mask
-    kp = coeff[mesh.edge_plus]
-    km = np.where(bnd, kp, coeff[mesh.edge_minus])
+    # a boundary edge's minus side repeats its plus one
+    kp, km = coeff[mesh.edge_occurrence // 3].T
     beta = np.where(bnd, 1.0, km / (kp + km))
     gamma = np.where(bnd, 0.0, kp / (kp + km))
     kappa_e = np.where(bnd, kp, 2.0 * kp * km / (kp + km))

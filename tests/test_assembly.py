@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 import dgprecond.assembly as assembly
 from dgprecond.mesh import (
-    BOUNDARY,
     build_initial_mesh,
     build_hierarchy,
     assign_coefficient,
@@ -70,14 +69,14 @@ def oracle_form(mesh, coeff, weights, params, u, w):
     def val(c, x, y):
         return c[0] * x + c[1] * y + c[2]
 
-    for e in range(mesh.n_edges):
-        tp, tm = mesh.edge_plus[e], mesh.edge_minus[e]
+    for e, bnd in enumerate(mesh.boundary_edge_mask):
+        tp, tm = mesh.edge_occurrence[e] // 3
         n = mesh.edge_normal[e]
         length = mesh.edge_length[e]
         p0 = mesh.vertices[mesh.edge_vertices[e, 0]]
         p1 = mesh.vertices[mesh.edge_vertices[e, 1]]
         ke = weights.kappa_e[e]
-        if tm == BOUNDARY:
+        if bnd:
             flux_u = coeff[tp] * co_u[tp][:2] @ n
             flux_w = coeff[tp] * co_w[tp][:2] @ n
             jump = lambda c, x, y: val(c, x, y)
@@ -91,7 +90,7 @@ def oracle_form(mesh, coeff, weights, params, u, w):
         mean_ju = mean_jw = 0.0
         for s, qw in EDGE_QUAD:
             x, y = (1 - s) * p0 + s * p1
-            if tm == BOUNDARY:
+            if bnd:
                 ju, jw = val(co_u[tp], x, y), val(co_w[tp], x, y)
             else:
                 ju = jump(co_u[tp], co_u[tm], x, y)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dgprecond.mesh import BOUNDARY, assign_coefficient, build_hierarchy, edge_weights
+from dgprecond.mesh import assign_coefficient, build_hierarchy, edge_weights
 from dgprecond.assembly import IP0, IP1, MethodParams, apply_dg, assemble_dg, edge_traces
 from dgprecond.basis_split import (
     IDENTITY_BOUND,
@@ -322,9 +322,9 @@ def test_transform_entries_match_their_rational_values(level, eps):
 
     exact = {}
     cr_columns = iter(range(mesh.n_edges, mesh.n_dofs))
-    for e in range(mesh.n_edges):
-        tp, tm = mesh.edge_plus[e], mesh.edge_minus[e]
-        if tm == BOUNDARY:
+    for e, bnd in enumerate(mesh.boundary_edge_mask):
+        tp, tm = mesh.edge_occurrence[e] // 3
+        if bnd:
             exact.update(((d, e), Fraction(h)) for d, h in hat(tp, e).items())
             continue
         kp, km = Fraction(coeff[tp]), Fraction(coeff[tm])
