@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import triangle_area
+
 IP0 = "IP0"
 IP1 = "IP1"
 
@@ -36,13 +38,13 @@ class MethodParams:
             raise ValueError(f"variant must be IP0 or IP1, got {self.variant!r}")
 
 
-def _gradients(mesh, areas):
-    """(3, 2, nt) gradients of the P1 basis functions of the three local
-    vertices of every triangle, from its area.  The triangles are
-    counterclockwise, so the edge from vertex i+1 to vertex i+2, turned by
-    +90 degrees, points toward vertex i."""
-    p = mesh.corners()
-    grads = np.empty((3, 2, mesh.n_triangles))
+def _gradients(mesh, areas, tris=slice(None)):
+    """(3, 2, ...) gradients of the P1 basis functions of the three local
+    vertices of the triangles tris (all by default), from their areas.  The
+    triangles are counterclockwise, so the edge from vertex i+1 to vertex
+    i+2, turned by +90 degrees, points toward vertex i."""
+    p = mesh.corners(tris)
+    grads = np.empty((3, 2, *areas.shape))
     for i in range(3):
         t = p[(i + 2) % 3] - p[(i + 1) % 3]
         grads[i] = np.array([-t[:, 1], t[:, 0]]) / (2.0 * areas)
@@ -93,9 +95,27 @@ def edge_jumps(mesh):
 # quadrature of the penalty on an edge: the projected jump (IP0) is the jump
 # at the midpoint, the full jump (IP1) is integrated by 2-point Gauss
 _PENALTY_RULE = {IP0: ((0.5,), (1.0,)), IP1: (_GAUSS_S, (0.5, 0.5))}
-# triangles per chunk of assemble_dg and apply_dg, whose arrays then stay in
-# a core's L2 cache
+# triangles or edges per chunk of the whole-mesh kernels, whose arrays then
+# stay in a core's L2 cache and whose temporaries stay small next to their
+# result
 _CHUNK = 1024
+
+
+def _chunks(n):
+    """Slices of _CHUNK consecutive indices that cover range(n)."""
+    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+
+def _with_halo(t, tris):
+    """The triangles of slice t followed by the entries of the index array
+    tris outside t, and the position of every entry of tris in that list.
+    A chunk of red-refined triangles is mostly the children of a few coarse
+    ones, so few of its neighbours lie outside it."""
+    outside = (tris < t.start) | (tris >= t.stop)
+    halo = tris[outside]
+    pos = tris - t.start
+    pos[outside] = np.arange(t.stop - t.start, t.stop - t.start + len(halo))
+    return np.concatenate([np.arange(t.start, t.stop), halo]), pos
 
 
 def assemble_dg(mesh, coeff, weights, params):
@@ -112,20 +132,24 @@ def assemble_dg(mesh, coeff, weights, params):
     ascending in each block row, with int32 indices.
     """
     nt = mesh.n_triangles
-    stiff, sides, across, own, block = _terms(mesh, coeff, weights, params)
     # (triangle, block, row, column): the triangle's own block, then its
-    # neighbour's across local edge 0, 1 and 2
+    # neighbour's across local edge 0, 1 and 2; the block of a boundary
+    # edge's missing side is zero, in the triangle's own column
     blocks = np.empty((nt, 4, 3, 3))
-    for lo in range(0, nt, _CHUNK):
-        t = slice(lo, min(lo + _CHUNK, nt))
+    cols = np.empty((nt, 4), dtype=np.int64)
+    for t in _chunks(nt):
+        stiff, sides, tris, across, bnd, block = _terms(mesh, coeff, weights, params, t)
+        own = sides[..., :t.stop - t.start]
+        # the triangle of each side across
+        nbr = np.take(tris, across % len(tris))
+        across = np.take(sides.reshape(*sides.shape[:2], -1), across, axis=2)
+        across[:, :, bnd] = 0.0
         vals = blocks[t].transpose(1, 2, 3, 0)
-        _diagonal_block(stiff, own, block, t, vals[0])
-        block(t, np.take(sides, across[:, t], axis=2), vals[1:].transpose(1, 2, 0, 3))
-    # the block of a boundary edge's missing side is zero, in the triangle's
-    # own column
-    tri = np.arange(nt)
-    cols = np.column_stack([tri, *np.where(across < 3 * nt, across % nt, tri)])
-    del stiff, sides, across, own, block, vals, tri
+        _diagonal_block(stiff, own, block, vals[0])
+        block(across, vals[1:].transpose(1, 2, 0, 3))
+        cols[t, 0] = np.arange(t.start, t.stop)
+        cols[t, 1:] = nbr.T
+    del stiff, sides, tris, across, bnd, block, own, nbr, vals
     A = sp.bsr_matrix((blocks.reshape(-1, 3, 3), cols.ravel(),
                        np.arange(0, 4 * nt + 1, 4, dtype=np.int32)), shape=(3 * nt, 3 * nt))
     del blocks, cols
@@ -148,105 +172,115 @@ def apply_dg(mesh, coeff, weights, params, u):
     at any thread count.
     """
     nt = mesh.n_triangles
-    stiff, sides, across, own, block = _terms(mesh, coeff, weights, params)
-    ut = u.reshape(nt, 3).T
-    # (row of sides, column of sides): each side's functionals applied to
-    # its triangle's dofs, 0 in the missing side of a boundary edge
-    traces = np.zeros((sides.shape[0], 3 * nt + 1))
-    np.add.reduce(own * ut[None, :, None], axis=1, out=traces[:, :-1].reshape(-1, 3, nt))
+    u = u.reshape(nt, 3)
+    ut = u.T
     Au = np.empty((3, nt))
-    for lo in range(0, nt, _CHUNK):
-        t = slice(lo, min(lo + _CHUNK, nt))
-        m = t.stop - lo
-        diag = _diagonal_block(stiff, own, block, t, np.empty((3, 3, m)))
+    for t in _chunks(nt):
+        stiff, sides, tris, across, bnd, block = _terms(mesh, coeff, weights, params, t)
+        m = t.stop - t.start
+        diag = _diagonal_block(stiff, sides[..., :m], block, np.empty((3, 3, m)))
         np.add.reduce(diag * ut[None, :, t], axis=1, out=Au[:, t])
-        across_terms = block(t, np.take(traces, across[:, t], axis=1)[:, None],
-                             np.empty((3, 1, 3, m)))
+        # (row of sides, local edge, triangle): each side's functionals
+        # applied to its triangle's dofs, then those of the side across, 0
+        # for a boundary edge
+        traces = np.add.reduce(sides * np.take(u, tris, axis=0).T[None, :, None], axis=1)
+        traces = np.take(traces.reshape(len(traces), -1), across, axis=1)
+        traces[:, bnd] = 0.0
+        across_terms = block(traces[:, None], np.empty((3, 1, 3, m)))
         for i in range(3):
             Au[:, t] += across_terms[:, 0, i]
     return Au.T.ravel()
 
 
-def _terms(mesh, coeff, weights, params):
-    """What assemble_dg and apply_dg build A from: the (3, 3, nt) element
-    stiffness, the sides and across of _edge_sides, own, the sides in
-    (row of sides, dof, local edge, triangle) order, and block(t, cols,
-    out), the _edge_block of the triangles of slice t as rows."""
-    nt = mesh.n_triangles
-    areas = mesh.triangle_areas()
-    grads = _gradients(mesh, areas)
-    stiff = _stiffness(grads, coeff * areas)
-    sides, across, penalty = _edge_sides(mesh, weights, params.variant, grads)
-    own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
+def _terms(mesh, coeff, weights, params, t):
+    """What assemble_dg and apply_dg build the block rows of the m triangles
+    of slice t from: their (3, 3, m) element stiffness; sides, the
+    _edge_sides of the triangles tris, those of t followed by their
+    neighbours outside t; across (3, m), the column of the other side of
+    each of their local edges in sides flattened over local edge and
+    triangle, the own one for a boundary edge; bnd (3, m), whether the edge
+    is on the boundary; and block(cols, out), the _edge_block with the
+    sides of t as rows."""
+    m = t.stop - t.start
+    edges, minus = mesh.tri_edges[t].T, mesh.tri_minus[t].T
+    # the occurrence 3 t' + i' of the other side of every local edge; a
+    # boundary edge's minus side repeats its plus one
+    occ = np.take(mesh.edge_occurrence, edges, axis=0)
+    other = np.where(minus, occ[..., 0], occ[..., 1])
+    nbr, loc = np.divmod(other, 3)
+    bnd = other == 3 * np.arange(t.start, t.stop) + np.arange(3)[:, None]
+    tris, pos = _with_halo(t, nbr)
+    areas = mesh.triangle_areas(tris)
+    grads = _gradients(mesh, areas, tris)
+    stiff = _stiffness(grads[..., :m], coeff[t] * areas[:m])
+    sides, penalty = _edge_sides(mesh, weights, params.variant, grads, tris)
+    own = sides[..., :m]
     # h_e = |e| in the penalty alpha / h_e kappa_e |e|
-    pen = params.alpha / mesh.edge_length * weights.kappa_e * mesh.edge_length
+    length = np.take(mesh.edge_length, edges)
+    pen = params.alpha / length * np.take(weights.kappa_e, edges) * length
 
-    def block(t, cols, out):
-        edges = mesh.tri_edges[t].T
-        return _edge_block(own[..., t], cols, out, theta=params.theta, penalty=penalty,
-                           length=np.take(mesh.edge_length, edges), pen=np.take(pen, edges))
+    def block(cols, out):
+        return _edge_block(own, cols, out, theta=params.theta, penalty=penalty,
+                           length=length, pen=pen)
 
-    return stiff, sides, across, own, block
+    return stiff, sides, tris, loc * len(tris) + pos, bnd, block
 
 
-def _diagonal_block(stiff, own, block, t, out):
-    """The diagonal blocks of the triangles of slice t, from the _terms
-    stiff, own and block, written to out (3, 3, triangles): the element
-    stiffness plus the block of each edge with itself, added in local edge
-    order 0, 1, 2."""
-    self_blocks = block(t, own[..., t], np.empty((3, *out.shape)))
-    np.add(stiff[..., t], self_blocks[:, :, 0], out=out)
+def _diagonal_block(stiff, own, block, out):
+    """The diagonal blocks of a chunk of triangles, from the _terms stiff,
+    own and block, written to out (3, 3, triangles): the element stiffness
+    plus the block of each edge with itself, added in local edge order 0,
+    1, 2."""
+    self_blocks = block(own, np.empty((3, *out.shape)))
+    np.add(stiff, self_blocks[:, :, 0], out=out)
     out += self_blocks[:, :, 1]
     out += self_blocks[:, :, 2]
     return out
 
 
-def _edge_sides(mesh, weights, variant, grads):
-    """Triangle t's side of its local edge i, for every occurrence (t, i).
+def _edge_sides(mesh, weights, variant, grads, tris):
+    """Each triangle of the index array tris's side of its local edges.
 
-    Returns ``sides`` (1 + p, 3, 3 nt + 1), whose column i nt + t holds,
-    over the dofs of t, the weighted flux average {kappa grad phi}_beta . n+
-    and the jump [phi] along n+ at the midpoint and at the other points of
-    the variant's penalty rule; the last column, zero, is the missing side
-    of a boundary edge.  ``across`` (3, nt) is the column of the other side
-    and ``penalty`` the (row of sides, weight) of each point of the rule.
+    Returns ``sides`` (1 + p, 3, 3, len(tris)), whose entry (0, k, i, t)
+    is, over dof k of triangle tris[t], the weighted flux average {kappa
+    grad phi}_beta . n+ on its local edge i, and (1 + j, k, i, t) the jump
+    [phi] along n+ at the midpoint (j = 0) and at the other points of the
+    variant's penalty rule, from the _gradients grads of tris; and
+    ``penalty``, the (row of sides, weight) of each point of the rule.
     """
-    nt = mesh.n_triangles
-    edges, occ, minus = mesh.tri_edges.T, mesh.edge_occurrence, mesh.tri_minus.T
-    # the column of each side of an edge, i nt + t for occurrence 3 t + i
-    side_col = (occ % 3) * nt + occ // 3
-    side_col[mesh.boundary_edge_mask, 1] = 3 * nt
-    across = np.where(minus, np.take(side_col[:, 0], edges), np.take(side_col[:, 1], edges))
     rule_points, rule_weights = _PENALTY_RULE[variant]
     points = list(dict.fromkeys((0.5, *rule_points)))
     penalty = tuple((1 + points.index(s), w) for s, w in zip(rule_points, rule_weights))
-    sides = np.zeros((1 + len(points), 3, 3 * nt + 1))
-    own = sides[:, :, :-1].reshape(*sides.shape[:2], 3, nt)
-    flux_average(mesh, weights, grads, out=own[0])
+    sides = np.zeros((1 + len(points), 3, 3, len(tris)))
+    flux_average(mesh, weights, grads, tris, out=sides[0])
     # the jump at parameter s along the edge, from edge_vertices[e, 0] where
     # it is 1 - s, times -1 on the minus side; local edge i runs from local
     # vertex i + 1 to i + 2, and the jump is 0 at vertex i
-    sign = np.where(minus, -1.0, 1.0)
-    first = (mesh.triangles[:, [1, 2, 0]] < mesh.triangles[:, [2, 0, 1]]).T
+    sign = np.where(mesh.tri_minus[tris].T, -1.0, 1.0)
+    vertices = mesh.triangles[tris]
+    first = (vertices[:, [1, 2, 0]] < vertices[:, [2, 0, 1]]).T
+    i = np.arange(3)
     for j, s in enumerate(points):
-        for i in range(3):
-            own[1 + j, (i + 1) % 3, i] = sign[i] * np.where(first[i], 1 - s, s)
-            own[1 + j, (i + 2) % 3, i] = sign[i] * np.where(first[i], s, 1 - s)
-    return sides, across, penalty
+        sides[1 + j, (i + 1) % 3, i] = sign * np.where(first, 1 - s, s)
+        sides[1 + j, (i + 2) % 3, i] = sign * np.where(first, s, 1 - s)
+    return sides, penalty
 
 
-def flux_average(mesh, weights, grads, out=None):
-    """(3, 3, nt): entry (i, j, t) is triangle t's term of the weighted flux
-    average {kappa grad phi}_beta . n+ on its local edge j, phi the P1 basis
-    function of its local vertex i, from the _gradients grads.
+def flux_average(mesh, weights, grads, tris=slice(None), out=None):
+    """(3, 3, ...): entry (i, j, t) is triangle tris[t]'s term of the
+    weighted flux average {kappa grad phi}_beta . n+ on its local edge j,
+    phi the P1 basis function of its local vertex i, from the _gradients
+    grads of the triangles tris (all by default).
 
     beta kappa+ = gamma kappa- = kappa_e / 2, with gamma = kappa+ / (kappa+
     + kappa-), so a side's term is kappa_e / 2 grad phi . n+; on a boundary
     edge it is the plus side's kappa grad phi . n (kappa_e = kappa+)."""
-    edges = mesh.tri_edges.T
-    kw = np.take(weights.kappa_e * np.where(mesh.boundary_edge_mask, 1.0, 0.5), edges)
-    n = [np.take(mesh.edge_normal[:, d], edges) for d in range(2)]
-    return np.multiply(kw, grads[:, None, 0] * n[0] + grads[:, None, 1] * n[1], out=out)
+    edges = mesh.tri_edges[tris].T
+    occ = np.take(mesh.edge_occurrence, edges, axis=0)
+    kw = np.take(weights.kappa_e, edges) * np.where(occ[..., 0] == occ[..., 1], 1.0, 0.5)
+    n = np.take(mesh.edge_normal, edges, axis=0)
+    return np.multiply(kw, grads[:, None, 0] * n[..., 0] + grads[:, None, 1] * n[..., 1],
+                       out=out)
 
 
 def _edge_block(rows, cols, out, *, theta, penalty, length, pen):
@@ -283,17 +317,21 @@ def assemble_conforming(mesh, coeff):
 def assemble_rhs(mesh, f):
     """DG load vector via the 3-point edge-midpoint rule (order-2 exact).
 
-    ``f(x, y)`` is called once, on the arrays of all quadrature-point
-    coordinates, so it must work elementwise on arrays; a constant result
-    broadcasts.
+    ``f(x, y)`` is called on the arrays of the quadrature-point coordinates
+    of _CHUNK triangles at a time, so it must work elementwise on arrays; a
+    constant result broadcasts.
     """
-    p = mesh.corners()
-    # midpoint opposite local vertex i
-    mids = np.stack([0.5 * (p[(i + 1) % 3] + p[(i + 2) % 3]) for i in range(3)], axis=1)
-    fv = np.broadcast_to(f(mids[..., 0], mids[..., 1]), mids.shape[:2])
-    contrib = (mesh.triangle_areas() / 3.0)[:, None] * fv * 0.5
-    # P1 basis values at edge midpoints: 0 at the opposite one, 1/2 else
-    return (contrib[:, [1, 0, 0]] + contrib[:, [2, 2, 1]]).ravel()
+    b = np.empty((mesh.n_triangles, 3))
+    for t in _chunks(mesh.n_triangles):
+        p = mesh.corners(t)
+        # midpoint opposite local vertex i
+        mids = np.stack([0.5 * (p[(i + 1) % 3] + p[(i + 2) % 3]) for i in range(3)], axis=1)
+        fv = np.broadcast_to(f(mids[..., 0], mids[..., 1]), mids.shape[:2])
+        contrib = (triangle_area(*p) / 3.0)[:, None] * fv * 0.5
+        # P1 basis values at edge midpoints: 0 at the opposite one, 1/2 else
+        for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+            np.add(contrib[:, j], contrib[:, k], out=b[t, i])
+    return b.ravel()
 
 
 def symmetric_part(A):

@@ -11,15 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from .assembly import _gradients, _stiffness, edge_jumps, edge_traces, flux_average
+from .assembly import (_chunks, _gradients, _stiffness, _with_halo, edge_jumps,
+                       flux_average)
 
 
-def _side_values(mesh, weights):
-    """T's entries, edge by edge and side by side: for each edge e and side
-    s (0 plus, 1 minus), tri[e, s] the triangle and z[e, s, k], psi[e, s, k]
-    the values of e's z-column and of its CR column at that triangle's local
-    dof k.
+def _side_values(mesh, weights, edges=slice(None)):
+    """T's entries, edge by edge and side by side: for each edge e of the
+    slice edges (all by default) and side s (0 plus, 1 minus), tri[e, s]
+    the triangle and z[e, s, k], psi[e, s, k] the values of e's z-column and
+    of its CR column at that triangle's local dof k.
 
     On each side of an edge its CR hat psi is 1 at the edge's endpoints and
     -1 at the opposite vertex.  The z-function of an edge is beta times the
@@ -28,13 +30,13 @@ def _side_values(mesh, weights):
     plus triangle, with z-values gamma = 0 times the hat; it has no CR
     column.
     """
-    occ = mesh.edge_occurrence
+    occ = mesh.edge_occurrence[edges]
     tri = occ // 3
     # -1 at the local vertex off the edge, the side's local edge index
-    psi = np.ones(6 * mesh.n_edges)
+    psi = np.ones(6 * len(occ))
     psi[np.arange(0, len(psi), 3) + (occ % 3).ravel()] = -1.0
     psi = psi.reshape(-1, 2, 3)
-    z = psi * np.column_stack([weights.beta, -weights.gamma])[:, :, None]
+    z = psi * np.column_stack([weights.beta[edges], -weights.gamma[edges]])[:, :, None]
     return tri, z, psi
 
 
@@ -78,60 +80,61 @@ def split_rhs(b, mesh, weights):
     entry: each entry sums its terms from 0 in T's stored order, the plus
     side's local dofs 0, 1, 2, then the minus side's.  T stores no zeros;
     the terms that are 0 here, a boundary edge's minus ones, add +-0 to a
-    sum started at +0, which leaves it as it is."""
-    tri, z, psi = _side_values(mesh, weights)
-    # the CR sums of every edge; those of the interior edges are T^t b's
-    f_z, f_psi = np.zeros(mesh.n_edges), np.zeros(mesh.n_edges)
-    dof0 = 3 * tri
-    for s in (0, 1):
-        for k in range(3):
-            b_k = np.take(b, dof0[:, s] + k)
-            f_z += z[:, s, k] * b_k
-            f_psi += psi[:, s, k] * b_k
-    return np.concatenate([f_z, np.take(f_psi, mesh.interior_edges)])
+    sum started at +0, which leaves it as it is.  _CHUNK edges at a time."""
+    ne = mesh.n_edges
+    inner = ~mesh.boundary_edge_mask
+    f = np.empty(ne + np.count_nonzero(inner))
+    f_v = f[ne:]
+    n_v = 0
+    for e in _chunks(ne):
+        tri, z, psi = _side_values(mesh, weights, e)
+        # the chunk's z-entries, summed in place, and the CR sums of its
+        # edges; those of the interior edges are T^t b's
+        f_z = f[e]
+        f_z[:] = 0.0
+        f_psi = np.zeros(len(tri))
+        dof0 = 3 * tri
+        for s in (0, 1):
+            for k in range(3):
+                b_k = np.take(b, dof0[:, s] + k)
+                f_z += z[:, s, k] * b_k
+                f_psi += psi[:, s, k] * b_k
+        f_psi = f_psi[inner[e]]
+        f_v[n_v:n_v + len(f_psi)] = f_psi
+        n_v += len(f_psi)
+    return f
 
 
 def from_split(z, v, mesh, weights):
     """T [z; v] (build_transform) without T, equal to scipy's product entry
     for entry: each nodal dof sums from 0 the z-terms of its triangle's
     edges in ascending edge order, then their CR terms.  A boundary edge
-    has no CR column; its term here is +-0 and leaves the sum as it is."""
-    _, z_vals, psi = _side_values(mesh, weights)
-    # the row of each (triangle, edge) pair in the (edge, side) rows of
-    # _side_values, each triangle's in ascending edge order
-    a, b, c = (2 * mesh.tri_edges + mesh.tri_minus).T
-    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    rows = (lo, a + b + c - lo - hi, hi)
-    edges = [r // 2 for r in rows]
+    has no CR column; its term here is +-0 and leaves the sum as it is.
+    _CHUNK triangles at a time, with the values of _side_values: on its
+    triangle the CR hat of local edge i is -1 at local dof i and 1 at the
+    others, and the z-function is beta times it on the plus side and
+    -gamma times it on the minus one."""
     v_e = np.zeros(mesh.n_edges)
     v_e[mesh.interior_edges] = v
-    u = np.zeros((mesh.n_triangles, 3))
-    for values, coeffs in ((z_vals, z), (psi, v_e)):
-        values = values.reshape(-1, 3)
-        for e, r in zip(edges, rows):
-            u += np.take(values, r, axis=0) * np.take(coeffs, e)[:, None]
+    u = np.empty((mesh.n_triangles, 3))
+    for t in _chunks(mesh.n_triangles):
+        # (position, triangle): each triangle's edges in ascending order,
+        # their local index i and their side
+        a, b, c = mesh.tri_edges[t].T
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        edges = np.stack([lo, a + b + c - lo - hi, hi])
+        i = np.where(edges == a, 0, np.where(edges == b, 1, 2))
+        minus = np.take_along_axis(mesh.tri_minus[t], i.T, axis=1).T
+        # (position, local dof, triangle)
+        psi = np.where(i[:, None] == np.arange(3)[:, None], -1.0, 1.0)
+        weight = np.where(minus, -np.take(weights.gamma, edges), np.take(weights.beta, edges))
+        ut = np.zeros((3, t.stop - t.start))
+        for values, coeffs in ((psi * weight[:, None], z), (psi, v_e)):
+            coeffs = np.take(coeffs, edges)
+            for k in range(3):
+                ut += values[k] * coeffs[k]
+        u[t] = ut.T
     return u.ravel()
-
-
-def to_split(u, mesh, weights):
-    """Closed-form decomposition coefficients: the reference that
-    test_to_split_inverts_transform checks build_transform against.
-
-    v_e is the gamma-weighted trace average at the edge midpoint, z_e the
-    jump along n+ (the trace value itself on boundary edges).
-    """
-    u = np.asarray(u)
-    if u.shape != (mesh.n_dofs,):
-        raise ValueError("nodal vector has wrong length")
-    dofs, traces = edge_traces(mesh)
-    mid = 0.5 * (traces[:, 0] + traces[:, 1])
-    # (ne, 2): plus-side midpoint value, minus of the minus-side one (0 on
-    # the boundary)
-    sides = np.einsum("esd,esd->es", mid.reshape(-1, 2, 3), u[dofs].reshape(-1, 2, 3))
-    z = sides[:, 0] + sides[:, 1]
-    interior = mesh.interior_edges
-    v = weights.gamma[interior] * sides[interior, 0] - weights.beta[interior] * sides[interior, 1]
-    return z, v
 
 
 @dataclass
@@ -168,46 +171,109 @@ def extract_blocks(mesh, coeff, weights, params):
     - A_vz = (1 + theta) H, H[e, f] = |f| {kappa grad psi_e}_beta . n_f,
       stored with no entries for theta = -1.
     params.variant is not read.  Each block is canonical CSR of the entries
-    computed as nonzero, with no magnitude cut.
+    computed as nonzero, with no magnitude cut, filled _CHUNK triangles at
+    a time (_RowFill): the rows of the edges whose plus side lies in the
+    chunk, from the terms of the chunk's triangles and of the minus sides
+    outside it.
     """
     ne = mesh.n_edges
-    areas = mesh.triangle_areas()
-    grads = _gradients(mesh, areas)
-    edges = mesh.tri_edges.T
-    # flux[i, j, t]: |f| times triangle t's term of {kappa grad psi}_beta . n_f,
-    # psi the CR hat of t's local edge i (-2 grad lambda_i on t) and f its
-    # local edge j; it goes to row i and column j of the edges of t
-    flux = flux_average(mesh, weights, grads)
-    flux *= -2.0 * np.take(mesh.edge_length, edges)
-    index = edges.astype(np.int32)
-    rows, cols = np.broadcast_arrays(index[:, None], index[None])
-    penalty = sp.diags_array(params.alpha * weights.kappa_e, format="csr")
-    if params.theta == 0:
-        A_zz = penalty
-    else:
-        # the z-function of an edge is beta times its CR hat on the plus
-        # side and -gamma times it on the minus side
-        side = np.where(mesh.tri_minus.T, -np.take(weights.gamma, edges),
-                        np.take(weights.beta, edges))
-        G = (params.theta * side)[:, None] * flux
-        del side
-        A_zz = _summed(G, rows, cols, (ne, ne)) + penalty
-        del G
-    n_v = len(mesh.interior_edges)
+    theta = params.theta
+    occ = mesh.edge_occurrence
+    inner = ~mesh.boundary_edge_mask
+    n_v = np.count_nonzero(inner)
     vidx = np.full(ne, -1, dtype=np.int32)
-    vidx[mesh.interior_edges] = np.arange(n_v, dtype=np.int32)
-    v_row = np.take(vidx, rows)
-    on_v = v_row >= 0
-    if params.theta == -1:
-        A_vz = sp.csr_matrix((n_v, ne))
-    else:
-        A_vz = _summed((1.0 + params.theta) * flux[on_v], v_row[on_v], cols[on_v], (n_v, ne))
-    del flux
-    v_col = np.take(vidx, cols)
-    on_v &= v_col >= 0
-    stiff = _stiffness(grads, coeff * areas)
-    A_vv = _summed(4.0 * stiff[on_v], v_row[on_v], v_col[on_v], (n_v, n_v))
-    return BlockOperator(A_zz=A_zz, A_vz=A_vz, A_vv=A_vv)
+    vidx[inner] = np.arange(n_v, dtype=np.int32)
+    penalty = params.alpha * weights.kappa_e
+    A_zz = None if theta == 0 else _RowFill((ne, ne))
+    A_vz = None if theta == -1 else _RowFill((n_v, ne))
+    A_vv = _RowFill((n_v, n_v))
+    rows = slice(0, 0)
+    for t in _chunks(mesh.n_triangles):
+        # the rows of the edges whose plus side lies in t, numbered by first
+        # appearance, and the triangles of both their sides; a boundary
+        # edge's minus side repeats its plus one
+        rows = slice(rows.stop, rows.stop + np.count_nonzero(~mesh.tri_minus[t]))
+        tri, loc = np.divmod(occ[rows], 3)
+        tris, pos = _with_halo(t, tri)
+        areas = mesh.triangle_areas(tris)
+        grads = _gradients(mesh, areas, tris)
+        # flux[i, j, t]: |f| times triangle t's term of {kappa grad
+        # psi}_beta . n_f, psi the CR hat of t's local edge i (-2 grad
+        # lambda_i on t) and f its local edge j; it goes to row i and column
+        # j of the edges of t
+        flux = flux_average(mesh, weights, grads, tris)
+        flux *= -2.0 * np.take(mesh.edge_length, mesh.tri_edges[tris].T)
+        # a row's entries: on each side (row, side, j) the term of the row's
+        # edge, local edge loc there, with the side's local edge j, at that
+        # edge's column (flat indices into the (3, 3, triangles) terms)
+        at = (3 * len(tris) * loc + pos)[:, :, None] + len(tris) * np.arange(3)
+        cols = np.take(mesh.tri_edges, tri, axis=0)
+        if A_zz is not None:
+            # the z-function of an edge is beta times its CR hat on the plus
+            # side and -gamma times it on the minus side
+            side = np.column_stack([weights.beta[rows], -weights.gamma[rows]])
+            G = np.take(flux, at)
+            G[~inner[rows], 1] = 0.0
+            G *= np.repeat(theta * side, 3, axis=1).reshape(G.shape)
+            A_zz.add(G, cols, loc, penalty[rows])
+        # the CR rows: the interior edges
+        on_v = np.flatnonzero(inner[rows])
+        at, cols, loc = (np.take(a, on_v, axis=0) for a in (at, cols, loc))
+        if A_vz is not None:
+            A_vz.add((1.0 + theta) * np.take(flux, at), cols, loc)
+        stiff = _stiffness(grads, coeff[tris] * areas)
+        A_vv.add(4.0 * np.take(stiff, at), np.take(vidx, cols), loc)
+    A_zz = sp.diags_array(penalty, format="csr") if A_zz is None else A_zz.matrix()
+    A_vz = sp.csr_matrix((n_v, ne)) if A_vz is None else A_vz.matrix()
+    return BlockOperator(A_zz=A_zz, A_vz=A_vz, A_vv=A_vv.matrix())
+
+
+class _RowFill:
+    """A CSR matrix filled a chunk of consecutive rows at a time, into
+    arrays of 5 entries a row that are cut to the entries at the end.
+
+    Row r takes the (m, 2, 3) entries [r] of add: on its plus side (0) and
+    its minus side (1) the term with each of the side's local edges, at the
+    columns cols (-1: none); loc (m, 2) is the row's own local edge.  The
+    diagonal is the sum of both sides' own terms; any other entry comes from
+    one side, with no summation.  scipy's sparsetools sort each row's
+    columns and drop the entries that are 0, with no magnitude cut, so the
+    matrix is the canonical CSR of the summed terms."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        self.indices = np.empty(5 * shape[0], dtype=np.int32)
+        self.data = np.empty(5 * shape[0])
+        self.rows = 0
+
+    def add(self, vals, cols, loc, diagonal=0.0):
+        """Append the rows of vals and cols, with diagonal added to the
+        diagonal entries after the sum of the sides."""
+        m = len(vals)
+        x, j = vals.reshape(-1), cols.astype(np.int32).reshape(-1)
+        # the flat places of the two sides' own terms
+        ptr = np.arange(0, 6 * m + 1, 6, dtype=np.int32)
+        own = ptr[:-1] + loc[:, 0], ptr[:-1] + 3 + loc[:, 1]
+        diag = np.take(x, own[0])
+        diag += np.take(x, own[1])
+        diag += diagonal
+        x[own[0]], x[own[1]] = diag, 0.0
+        missing = j < 0
+        x[missing], j[missing] = 0.0, 0
+        _sparsetools.csr_sort_indices(m, ptr, j, x)
+        _sparsetools.csr_eliminate_zeros(m, self.shape[1], ptr, j, x)
+        lo, nnz = self.indptr[self.rows], ptr[-1]
+        self.indices[lo:lo + nnz], self.data[lo:lo + nnz] = j[:nnz], x[:nnz]
+        self.indptr[self.rows + 1:self.rows + m + 1] = lo + ptr[1:]
+        self.rows += m
+
+    def matrix(self):
+        nnz = self.indptr[-1]
+        # in place: realloc shrinks the arrays without a copy
+        self.data.resize(nnz, refcheck=False)
+        self.indices.resize(nnz, refcheck=False)
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
 def _summed(terms, rows, cols, shape):

@@ -184,7 +184,10 @@ def cmd_assemble(opts, cfg):
 
 
 def cmd_solve(opts, cfg):
-    p = _problem(opts, cfg)
+    # no solve reads a coarser mesh than the finest: only that one is kept
+    hier = build_hierarchy(opts["level"])
+    del hier.meshes[:-1]
+    p = build_problem(hier, _eps(opts), cfg.method_params())
     mesh = p.mesh
     b = assemble_rhs(mesh, lambda x, y: 1.0)
     report = {}

@@ -322,7 +322,9 @@ def block_jacobi_system(p, spec=None):
     stay level-independent, which is what the reference values show)."""
     S = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.transform)
     nz = p.mesh.n_edges
-    P = cr_prolongation(p.hier, p.mesh.level)
+    # from the finest level to itself: cr_from_conforming of the finest
+    # mesh, which reads no coarser one (solve keeps the finest alone)
+    P = cr_prolongation(p.hier, p.hier.levels - 1)
     return S, block_jacobi_dg(S.diagonal()[:nz], two_level(S[nz:, nz:].tocsr(), P, spec))
 
 

@@ -19,6 +19,14 @@ from .assembly import symmetric_part
 TOL = 1e-7
 # relative accuracy at which Lanczos certifies the Ritz values it is asked for
 RTOL = 1e-6
+# stationary_iteration calls the iteration diverged once the energy
+# ||c_k||_{A_S} of its correction has grown at DIVERGENCE_STEPS steps in a
+# row to above DIVERGENCE_GROWTH times its least value.  It never grows in
+# exact arithmetic while the iteration converges; past convergence,
+# round-off moved it to at most 41 times its least value (IP1, theta 0 and
+# 1, eps 1e-5, levels 3-5, 300 steps), in single jumps
+DIVERGENCE_STEPS = 3
+DIVERGENCE_GROWTH = 100.0
 # At an invariant Krylov space the next Lanczos residual is round-off, and its
 # A-norm grows with theta_max / theta_min: up to 16 * eps_mach * theta_max^2 /
 # theta_min on spectra of three to six distinct values spread over up to six
@@ -259,8 +267,15 @@ def condition_numbers(eigs):
 
 
 def stationary_iteration(A, B, f, maxit=200, tol=TOL):
-    """u_{k+1} = u_k + B(f - A u_k) from u_0 = 0; stop on relative residual,
-    raise BreakdownError once it is above 10 or NaN."""
+    """u_{k+1} = u_k + c_k, c_k = B r_k, r_k = f - A u_k, from u_0 = 0;
+    stops on the relative residual ||r_k|| / ||f|| < tol.
+
+    For B = A_S^{-1}, A_S symmetric positive definite, c_{k+1} = E c_k with
+    E = I - B A, so the energy ||c_k||_{A_S} = sqrt(r_k . c_k) falls by at
+    least ||E||_{A_S} at every step of an iteration that converges, while
+    ||r_k|| may first grow far above ||f||.  Raises BreakdownError once that
+    energy is NaN or grows as DIVERGENCE_STEPS and DIVERGENCE_GROWTH say,
+    and once r_k . c_k < 0: B is not positive definite."""
     apply_B = _as_apply(B)
     u = np.zeros(A.shape[0])
     r = np.array(f, dtype=float)
@@ -270,16 +285,26 @@ def stationary_iteration(A, B, f, maxit=200, tol=TOL):
         report.converged = True
         report.rel_residual_history = [0.0]
         return u, report
+    least = last = np.inf
+    rising = 0
     for k in range(maxit):
-        u = u + apply_B(r)
+        c = apply_B(r)
+        energy = r @ c
+        if energy < 0:
+            raise BreakdownError("preconditioner is not positive definite")
+        energy = np.sqrt(energy)
+        rising = rising + 1 if energy > last else 0
+        if np.isnan(energy) or (rising >= DIVERGENCE_STEPS
+                                and energy > DIVERGENCE_GROWTH * least):
+            raise BreakdownError("stationary iteration diverged")
+        least, last = min(least, energy), energy
+        u = u + c
         r = f - A @ u
         rel = np.linalg.norm(r) / r0
         report.rel_residual_history.append(float(rel))
         if rel < tol:
             report.converged = True
             break
-        if not rel <= 10.0:
-            raise BreakdownError("stationary iteration diverged")
     report.iterations = len(report.rel_residual_history) - 1
     return u, report
 

@@ -24,6 +24,11 @@ def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def triangle_area(p0, p1, p2):
+    """Area of the triangles with corners p0, p1, p2 (..., 2)."""
+    return 0.5 * np.abs(_cross2(p1 - p0, p2 - p0))
+
+
 @dataclass
 class Mesh:
     """Conforming triangulation with full edge/element adjacency.
@@ -106,15 +111,14 @@ class Mesh:
         idx[interior] = np.arange(len(interior))
         return idx
 
-    def corners(self):
-        """The (nt, 2) coordinates of local vertex 0, 1 and 2 of every
-        triangle; np.take copies rows several times faster than fancy
-        indexing."""
-        return [np.take(self.vertices, self.triangles[:, i], axis=0) for i in range(3)]
+    def corners(self, tris=slice(None)):
+        """The (..., 2) coordinates of local vertex 0, 1 and 2 of the
+        triangles tris (a slice or an index array; all by default); np.take
+        copies rows several times faster than fancy indexing."""
+        return [np.take(self.vertices, self.triangles[tris, i], axis=0) for i in range(3)]
 
-    def triangle_areas(self):
-        p0, p1, p2 = self.corners()
-        return 0.5 * np.abs(_cross2(p1 - p0, p2 - p0))
+    def triangle_areas(self, tris=slice(None)):
+        return triangle_area(*self.corners(tris))
 
     def barycenters(self):
         p0, p1, p2 = self.corners()

@@ -286,5 +286,7 @@ def forward_substitution_solve(blocks, f_z, f_v):
     if not (rep.converged and residual <= ZZ_RTOL * np.linalg.norm(f_z)):
         raise RuntimeError(f"complement block solve missed {ZZ_RTOL:g} "
                            f"after {rep.iterations} iterations")
-    v = DirectSolve(blocks.A_vv).apply(np.asarray(f_v, dtype=float) - blocks.A_vz @ z)
+    # extract_blocks builds A_vv exactly symmetric, so the CSC view of its
+    # transpose holds A_vv itself, and SuperLU takes it without a copy
+    v = DirectSolve(blocks.A_vv.T).apply(np.asarray(f_v, dtype=float) - blocks.A_vz @ z)
     return z, v

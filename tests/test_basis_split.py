@@ -7,12 +7,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dgprecond import assembly
 from dgprecond.mesh import assign_coefficient, build_hierarchy, edge_weights
-from dgprecond.assembly import IP0, IP1, MethodParams, apply_dg, assemble_dg, edge_traces
+from dgprecond.assembly import (IP0, IP1, MethodParams, apply_dg, assemble_dg, assemble_rhs,
+                                edge_traces)
 from dgprecond.basis_split import (
     IDENTITY_BOUND,
     build_transform,
-    to_split,
     from_split,
     extract_blocks,
     identity_ratios,
@@ -20,6 +21,27 @@ from dgprecond.basis_split import (
     split_rhs,
 )
 from dgprecond.experiments import build_problem
+
+
+def to_split(u, mesh, weights):
+    """Closed-form decomposition coefficients: the reference that
+    test_to_split_inverts_transform checks build_transform against.
+
+    v_e is the gamma-weighted trace average at the edge midpoint, z_e the
+    jump along n+ (the trace value itself on boundary edges).
+    """
+    u = np.asarray(u)
+    if u.shape != (mesh.n_dofs,):
+        raise ValueError("nodal vector has wrong length")
+    dofs, traces = edge_traces(mesh)
+    mid = 0.5 * (traces[:, 0] + traces[:, 1])
+    # (ne, 2): plus-side midpoint value, minus of the minus-side one (0 on
+    # the boundary)
+    sides = np.einsum("esd,esd->es", mid.reshape(-1, 2, 3), u[dofs].reshape(-1, 2, 3))
+    z = sides[:, 0] + sides[:, 1]
+    interior = mesh.interior_edges
+    v = weights.gamma[interior] * sides[interior, 0] - weights.beta[interior] * sides[interior, 1]
+    return z, v
 
 
 @pytest.fixture(scope="module", params=[1.0, 1e-3])
@@ -392,6 +414,83 @@ def test_transform_memory_stays_near_its_result(level4):
 def test_closed_form_memory_stays_near_its_result(level4):
     mesh, coeff, weights = level4
     blocks, peak = _traced_peak(extract_blocks, mesh, coeff, weights, MethodParams(-1, 8.0, IP0))
-    # 4.05 times at level 4; concatenating the triangle terms with the
-    # penalty, on int64 indices, took 5.80
+    # 2.2 times at level 4 with the rows filled a chunk of triangles at a
+    # time; summing whole-mesh COO terms took 4.05, and concatenating them
+    # with the penalty, on int64 indices, 5.80
     assert peak <= 4.5 * _nbytes(blocks.A_zz, blocks.A_vz, blocks.A_vv)
+
+
+def _solve_kernels(mesh, coeff, weights):
+    """The whole-mesh kernels of the IP0 solve, in its order, each a
+    function of nothing that returns its result's arrays."""
+    params = MethodParams(-1, 8.0, IP0)
+    rng = np.random.default_rng(4)
+    b, u = rng.standard_normal((2, mesh.n_dofs))
+    z, v = np.split(u, [mesh.n_edges])
+
+    def blocks():
+        B = extract_blocks(mesh, coeff, weights, params)
+        return [a for M in (B.A_zz, B.A_vz, B.A_vv) for a in (M.data, M.indices, M.indptr)]
+
+    return {
+        "assemble_rhs": lambda: [assemble_rhs(mesh, lambda x, y: 1.0 + x * y)],
+        "extract_blocks": blocks,
+        "split_rhs": lambda: [split_rhs(b, mesh, weights)],
+        "from_split": lambda: [from_split(z, v, mesh, weights)],
+        "apply_dg": lambda: [apply_dg(mesh, coeff, weights, params, u)],
+    }
+
+
+# the traced peak of each kernel over its result at level 4, eps 1e-5;
+# measured 2.15, 2.2, 2.75, 3.6 and 8.1 with 1,024-triangle chunks, against
+# 8.3, 4.05, 11, 14 and 22 for the whole-mesh temporaries they replace.
+# apply_dg's result is one vector, next to which its chunk's sides and
+# blocks are large
+KERNEL_PEAK_BOUNDS = {"assemble_rhs": 3.0, "extract_blocks": 3.0, "split_rhs": 3.5,
+                      "from_split": 4.5, "apply_dg": 10.0}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_PEAK_BOUNDS))
+def test_solve_kernel_transients_stay_near_their_results(level4, kernel):
+    arrays, peak = _traced_peak(_solve_kernels(*level4)[kernel])
+    assert peak <= KERNEL_PEAK_BOUNDS[kernel] * sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_chunks_give_the_same_bytes_as_one_pass(monkeypatch, level):
+    # a few triangles a chunk, so that chunks and the neighbours outside
+    # them cut through the mesh, against one chunk over the whole mesh
+    mesh = _hierarchy(level).finest
+    coeff = assign_coefficient(mesh, 1e-5)
+    weights = edge_weights(mesh, coeff)
+    kernels = _solve_kernels(mesh, coeff, weights)
+    u = np.random.default_rng(level).standard_normal(mesh.n_dofs)
+    for theta in (0, 1):
+        params = MethodParams(theta, 8.0, IP1)
+        kernels[f"assemble_dg {theta}"] = lambda params=params: [
+            getattr(assemble_dg(mesh, coeff, weights, params), a) for a in ("data", "indices", "indptr")]
+        kernels[f"apply_dg {theta}"] = lambda params=params: [
+            apply_dg(mesh, coeff, weights, params, u)]
+        kernels[f"extract_blocks {theta}"] = lambda params=params: [
+            a for M in vars(extract_blocks(mesh, coeff, weights, params)).values()
+            for a in (M.data, M.indices, M.indptr)]
+    whole = {name: kernel() for name, kernel in kernels.items()}
+    monkeypatch.setattr(assembly, "_CHUNK", 7)
+    for name, kernel in kernels.items():
+        got = kernel()
+        assert [a.dtype for a in got] == [a.dtype for a in whole[name]], name
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole[name])), name
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-5, 1.0, 1e5, 1e14])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_cr_block_is_exactly_symmetric(level, eps):
+    # forward_substitution_solve factors the CSC view of A_vv^t as A_vv
+    mesh = _hierarchy(level).finest
+    coeff = assign_coefficient(mesh, eps)
+    A_vv = extract_blocks(mesh, coeff, edge_weights(mesh, coeff), MethodParams(-1, 8.0)).A_vv
+    A_t = A_vv.T.tocsr()
+    A_t.sort_indices()
+    assert np.array_equal(A_t.indptr, A_vv.indptr)
+    assert np.array_equal(A_t.indices, A_vv.indices)
+    assert A_t.data.tobytes() == A_vv.data.tobytes()

@@ -135,19 +135,33 @@ def test_solve_gathers_the_transform_from_the_mesh(capsys, monkeypatch):
 
 
 def test_solve_breakdown_is_one_error_line():
-    # the stationary iteration diverges for NIPG at this contrast; run as a
-    # process, so that its exit code and its whole stderr are seen
+    # with a penalty of 0.5 the skew part of NIPG outweighs its symmetric
+    # part, ||E||_{A_S} = 2.42 at this level, and the energy of the
+    # correction doubles at every step; run as a process, so that its exit
+    # code and its whole stderr are seen
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "dgprecond.cli", "solve", "--level", "3", "--eps",
-         "1e-5", "--variant", "IP1", "--theta", "1"],
+         "1e-5", "--variant", "IP1", "--theta", "1", "--alpha", "0.5"],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: stationary-symmetric-part: stationary iteration diverged"]
     assert "Traceback" not in proc.stderr
+
+
+def test_stationary_solve_converges_where_its_residual_first_grows(capsys):
+    # NIPG's first residual is 18.5 times ||b|| at this level, while the
+    # A_S-norm of its correction contracts by 0.58 a step
+    code, out = run(capsys, "solve", "--level", "3", "--eps", "1e-5", "--variant", "IP1",
+                    "--theta", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["method"] == "stationary-symmetric-part"
+    assert rep["converged"] and rep["iterations"] == 32
+    assert rep["rel_residual"] < 1e-7
 
 
 def test_solve_past_the_resolved_contrast_misses_the_residual_limit(capsys):

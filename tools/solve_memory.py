@@ -1,0 +1,97 @@
+"""Memory of `dgprecond solve`, stage by stage.
+
+Usage, from the root of a checkout (the package under test comes first on
+PYTHONPATH):
+
+    PYTHONPATH=src python3 tools/solve_memory.py --level 5 --eps 1e-5 --mode traced
+    PYTHONPATH=src python3 tools/solve_memory.py --level 5 --eps 1e-5 --mode rss
+
+The stages are the package functions that `solve` calls, wrapped by name in
+the `dgprecond.cli` and `dgprecond.experiments` namespaces.  With
+``--mode traced`` every call runs under tracemalloc on its own and reports
+its traced peak and the bytes of the arrays it returns, in MiB; SuperLU
+allocates outside tracemalloc, so the LU's own memory shows only in
+``--mode rss``, which reports ru_maxrss in MB after every call instead,
+untraced.  Run each mode in a fresh process: ru_maxrss never falls.  The
+last line of standard output is one JSON object.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import resource
+import sys
+import tracemalloc
+
+import numpy as np
+
+from dgprecond import cli, experiments
+
+# the stages of an IP0 solve, in the order it calls them
+STAGES = ((cli, "build_hierarchy"), (cli, "build_problem"), (cli, "assemble_rhs"),
+          (experiments, "extract_blocks"), (cli, "split_rhs"),
+          (cli, "forward_substitution_solve"), (cli, "from_split"), (cli, "apply_dg"))
+
+
+def _rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _nbytes(x):
+    """Bytes of the arrays in a result: arrays, sparse matrices and tuples
+    or dataclasses of them."""
+    if isinstance(x, np.ndarray):
+        return x.nbytes
+    if isinstance(x, (tuple, list)):
+        return sum(_nbytes(y) for y in x)
+    if hasattr(x, "indptr"):
+        return x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
+    if hasattr(x, "__dataclass_fields__"):
+        return sum(_nbytes(y) for y in vars(x).values())
+    return 0
+
+
+def _wrap(fn, name, mode, record):
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record.append({"stage": name, "peak_mib": round(peak / 2**20, 3),
+                       "result_mib": round(_nbytes(result) / 2**20, 3)})
+        return result
+
+    def rss(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        record.append({"stage": name, "ru_maxrss_mb": round(_rss_mb(), 2)})
+        return result
+
+    return traced if mode == "traced" else rss
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--eps", default="1e-5")
+    p.add_argument("--mode", choices=("traced", "rss"), required=True)
+    args = p.parse_args(argv)
+    record = []
+    start = _rss_mb()
+    for namespace, name in STAGES:
+        setattr(namespace, name, _wrap(getattr(namespace, name), name, args.mode, record))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["solve", "--level", str(args.level), "--eps", args.eps])
+    report = {"level": args.level, "eps": float(args.eps), "mode": args.mode, "exit": code,
+              "solve": json.loads(out.getvalue()), "stages": record}
+    if args.mode == "rss":
+        report["ru_maxrss_mb_after_imports"] = round(start, 2)
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
