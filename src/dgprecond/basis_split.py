@@ -230,7 +230,7 @@ def extract_blocks(mesh, coeff, weights, params):
 
 class _RowFill:
     """A CSR matrix filled a chunk of consecutive rows at a time, into
-    arrays of 5 entries a row that are cut to the entries at the end.
+    arrays of 5 entries a row whose entries are copied out at the end.
 
     Row r takes the (m, 2, 3) entries [r] of add: on its plus side (0) and
     its minus side (1) the term with each of the side's local edges, at the
@@ -270,10 +270,8 @@ class _RowFill:
 
     def matrix(self):
         nnz = self.indptr[-1]
-        # in place: realloc shrinks the arrays without a copy
-        self.data.resize(nnz, refcheck=False)
-        self.indices.resize(nnz, refcheck=False)
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return sp.csr_matrix((self.data[:nnz].copy(), self.indices[:nnz].copy(), self.indptr),
+                             shape=self.shape)
 
 
 def _summed(terms, rows, cols, shape):
