@@ -229,8 +229,9 @@ def extract_blocks(mesh, coeff, weights, params):
 
 
 class _RowFill:
-    """A CSR matrix filled a chunk of consecutive rows at a time, into
-    arrays of 5 entries a row whose entries are copied out at the end.
+    """A CSR matrix filled a chunk of consecutive rows at a time: each
+    chunk's entries are kept, and joined into the matrix's arrays at the
+    end.
 
     Row r takes the (m, 2, 3) entries [r] of add: on its plus side (0) and
     its minus side (1) the term with each of the side's local edges, at the
@@ -243,8 +244,7 @@ class _RowFill:
     def __init__(self, shape):
         self.shape = shape
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        self.indices = np.empty(5 * shape[0], dtype=np.int32)
-        self.data = np.empty(5 * shape[0])
+        self.indices, self.data = [], []
         self.rows = 0
 
     def add(self, vals, cols, loc, diagonal=0.0):
@@ -264,14 +264,14 @@ class _RowFill:
         _sparsetools.csr_sort_indices(m, ptr, j, x)
         _sparsetools.csr_eliminate_zeros(m, self.shape[1], ptr, j, x)
         lo, nnz = self.indptr[self.rows], ptr[-1]
-        self.indices[lo:lo + nnz], self.data[lo:lo + nnz] = j[:nnz], x[:nnz]
+        self.indices.append(j[:nnz].copy())
+        self.data.append(x[:nnz].copy())
         self.indptr[self.rows + 1:self.rows + m + 1] = lo + ptr[1:]
         self.rows += m
 
     def matrix(self):
-        nnz = self.indptr[-1]
-        return sp.csr_matrix((self.data[:nnz].copy(), self.indices[:nnz].copy(), self.indptr),
-                             shape=self.shape)
+        return sp.csr_matrix((np.concatenate(self.data), np.concatenate(self.indices),
+                              self.indptr), shape=self.shape)
 
 
 def _summed(terms, rows, cols, shape):
