@@ -195,13 +195,13 @@ def apply_dg(mesh, coeff, weights, params, u):
 
 def _terms(mesh, coeff, weights, params, t):
     """What assemble_dg and apply_dg build the block rows of the m triangles
-    of slice t from: their (3, 3, m) element stiffness; sides, the
-    _edge_sides of the triangles tris, those of t followed by their
-    neighbours outside t; across (3, m), the column of the other side of
-    each of their local edges in sides flattened over local edge and
-    triangle, the own one for a boundary edge; bnd (3, m), whether the edge
-    is on the boundary; and block(cols, out), the _edge_block with the
-    sides of t as rows."""
+    of slice t from: stiff, their (3, 3, m) element stiffness; sides, the
+    _edge_sides of tris, the triangles of t followed by their neighbours
+    outside t; tris; across (3, m), the column of the other side of each
+    of their local edges in sides flattened over local edge and triangle,
+    the own one for a boundary edge; bnd (3, m), whether the edge is on the
+    boundary; and block(cols, out), the _edge_block with the sides of t as
+    rows."""
     m = t.stop - t.start
     edges, minus = mesh.tri_edges[t].T, mesh.tri_minus[t].T
     # the occurrence 3 t' + i' of the other side of every local edge; a
