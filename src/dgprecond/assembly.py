@@ -336,10 +336,13 @@ def assemble_rhs(mesh, f):
 
 
 def symmetric_part(A):
-    """(A + A^T) / 2."""
+    """(A + A^T) / 2 in CSR, scaled in place.  Its entries are exactly
+    symmetric, a + b = b + a, so the CSC view of its transpose holds it."""
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    return ((A + A.T) * 0.5).tocsr()
+    S = (A + A.T).tocsr()
+    S.data *= 0.5
+    return S
 
 
 def export_coordinate(A, path):

@@ -64,7 +64,7 @@ def build_transform(mesh, weights):
     np.cumsum(np.concatenate([3 * np.add(kept[:, 0], kept[:, 1], dtype=np.int32),
                               np.full(n_v, 6)]), out=indptr[1:])
     kept = np.flatnonzero(kept)
-    dofs = 3 * tri[:, :, None].astype(np.int32) + np.arange(3, dtype=np.int32)
+    dofs = 3 * tri[:, :, None] + np.arange(3, dtype=np.int32)
     indices = np.concatenate([np.take(dofs.reshape(-1, 3), kept, axis=0).ravel(),
                               np.take(dofs, interior, axis=0).ravel()])
     del tri, dofs

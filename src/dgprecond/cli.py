@@ -207,7 +207,8 @@ def cmd_solve(opts, cfg):
             u = from_split(*np.split(x, [mesh.n_edges]), mesh, p.weights)
         else:
             report["method"] = "stationary-symmetric-part"
-            u, rep = stationary_iteration(p.A, DirectSolve(symmetric_part(p.A)), b,
+            # the CSC view of A_S^t, which is A_S: no tocsc() copy
+            u, rep = stationary_iteration(p.A, DirectSolve(symmetric_part(p.A).T), b,
                                           tol=cfg.tol, maxit=500)
     # a BreakdownError of the iteration, a singular factorization, or a
     # preconditioner refusing a nonpositive diagonal
@@ -220,7 +221,7 @@ def cmd_solve(opts, cfg):
     report["rel_residual"] = np.linalg.norm(Au - b) / np.linalg.norm(b)
     report["dofs"] = mesh.n_dofs
     print(json.dumps(report, sort_keys=True))
-    return 0 if report["rel_residual"] < 1e-6 else 1
+    return 0 if report["rel_residual"] < 1e-6 and report.get("converged", True) else 1
 
 
 def cmd_table(opts, cfg):

@@ -37,31 +37,35 @@ class Mesh:
     ----------
     level : refinement level (0 = coarsest).
     vertices : (nv, 2) float array.
-    triangles : (nt, 3) int array, counterclockwise vertex indices (refine
-        keeps the orientation of the level-0 triangles).
-    edge_vertices : (ne, 2) int array, endpoint indices with v0 < v1.
-    edge_midpoint : (ne, 2) float array.
+    triangles : (nt, 3) int32 array, counterclockwise vertex indices
+        (refine keeps the orientation of the level-0 triangles).
+    edge_vertices : (ne, 2) int32 array, endpoint indices with v0 < v1.
     edge_length : (ne,) float array.
-    edge_occurrence : (ne, 2) int array; entry (e, s) is the flat index
+    edge_occurrence : (ne, 2) int32 array; entry (e, s) is the flat index
         3 t + i into ``tri_edges`` of edge e on its plus (s = 0) or minus
         (s = 1) side: t is that side's triangle, and i its local edge and
         the local vertex off the edge.  The plus triangle has the smaller
         index.  On a boundary edge the minus column repeats the plus one.
     edge_normal : (ne, 2) unit normal pointing from plus to minus side
         (outward on the boundary).
-    tri_edges : (nt, 3) int array; entry (t, i) is the edge opposite local
+    tri_edges : (nt, 3) int32 array; entry (t, i) is the edge opposite local
         vertex i of triangle t.  Edges are numbered in order of first
         appearance in ``tri_edges.ravel()``; this is the dof order of both
         split-basis blocks and so the Gauss-Seidel sweep order.
     tri_minus : (nt, 3) bool array; whether t is the minus triangle of
         ``tri_edges[t, i]``.
+
+    Every index is below 2**31 up to level 7 (1,572,864 dofs), so the index
+    arrays are int32.  Arithmetic on them stays int32 under NumPy 2, so the
+    one product of two index-sized numbers, the edge-pairing key of
+    _build_edges, is formed in int64.  ``edge_midpoint`` is derived from the
+    vertices, not stored.
     """
 
     level: int
     vertices: np.ndarray
     triangles: np.ndarray
     edge_vertices: np.ndarray
-    edge_midpoint: np.ndarray
     edge_length: np.ndarray
     edge_occurrence: np.ndarray
     edge_normal: np.ndarray
@@ -79,6 +83,13 @@ class Mesh:
     @property
     def n_edges(self):
         return len(self.edge_vertices)
+
+    @property
+    def edge_midpoint(self):
+        """(ne, 2) float array, the midpoint of every edge."""
+        p0 = np.take(self.vertices, self.edge_vertices[:, 0], axis=0)
+        p1 = np.take(self.vertices, self.edge_vertices[:, 1], axis=0)
+        return 0.5 * (p0 + p1)
 
     @property
     def n_dofs(self):
@@ -173,56 +184,69 @@ def _build_edges(vertices, triangles):
 
     Local edge i of a triangle joins its local vertices (i+1) % 3 and
     (i+2) % 3.  Edges are numbered by first appearance over (triangle, local
-    edge), so the first occurrence of an edge is on its plus triangle.
+    edge), so the first occurrence of an edge is on its plus triangle.  The
+    index arrays are int32 like triangles.  The temporaries are freed in
+    groups, before the next ones are made, so that a refinement's traced
+    peak is about 1.6 times the mesh it returns.
     """
     nt = len(triangles)
     # per occurrence (triangle, local edge): local vertices i + 1 and i + 2
-    a, b = np.roll(triangles, -1, axis=1).ravel(), np.roll(triangles, -2, axis=1).ravel()
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    del a, b
+    lo = np.roll(triangles, -1, axis=1).ravel()
+    hi = np.roll(triangles, -2, axis=1).ravel()
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
     # a stable sort of the endpoint keys puts the two occurrences of an
-    # interior edge side by side, the first appearance in front
-    key = lo * len(vertices) + hi
+    # interior edge side by side, the first appearance in front; the key
+    # is int64, as lo * n_vertices passes 2**31 from level 6 on
+    key = lo.astype(np.int64)
+    key *= len(vertices)
+    key += hi
     srt = np.argsort(key, kind="stable")
-    repeat = np.diff(np.take(key, srt)) == 0
+    key = np.take(key, srt)
+    repeat = key[1:] == key[:-1]
     second, partner = srt[1:][repeat], srt[:-1][repeat]
+    del key, srt, repeat
     is_first = np.ones(3 * nt, dtype=bool)
     is_first[second] = False
-    first = np.flatnonzero(is_first)
     # edges numbered by first appearance: the dof order of the split blocks
-    occ_edge = np.cumsum(is_first) - 1
-    occ_edge[second] = occ_edge[partner]
-    tri_edges = occ_edge.reshape(nt, 3)
+    tri_edges = np.cumsum(is_first, dtype=np.int32).reshape(nt, 3)
+    tri_edges -= 1
+    occ_edge = tri_edges.reshape(-1)
+    occ_edge[second] = np.take(occ_edge, partner)
     # the second occurrence of an interior edge is on its minus triangle
     tri_minus = ~is_first.reshape(nt, 3)
-    del key, srt, repeat, partner, is_first
-
-    edge_vertices = np.column_stack([np.take(lo, first), np.take(hi, first)])
+    first = np.flatnonzero(is_first).astype(np.int32)
     edge_occurrence = np.column_stack([first, first])
     edge_occurrence[np.take(occ_edge, second), 1] = second
+    edge_vertices = np.column_stack([np.take(lo, first), np.take(hi, first)])
     # the vertex of the plus triangle off each edge: local vertex i of
     # occurrence (t, i)
     off_edge = np.take(triangles.ravel(), first)
-    del lo, hi, first, second
+    del lo, hi, second, partner, is_first, first
     p0 = np.take(vertices, edge_vertices[:, 0], axis=0)
-    p1 = np.take(vertices, edge_vertices[:, 1], axis=0)
-    edge_midpoint = 0.5 * (p0 + p1)
-    tangent = p1 - p0
-    del p0, p1
+    away = np.take(vertices, edge_vertices[:, 1], axis=0)
+    tangent = away - p0
+    # orient outward from the plus triangle, away from its vertex off the
+    # edge: from it to the edge midpoint, with the bits of Mesh.edge_midpoint
+    away += p0
+    del p0
+    away *= 0.5
+    away -= np.take(vertices, off_edge, axis=0)
     # the Euclidean norm, summed as np.linalg.norm sums it
     edge_length = np.sqrt(tangent[:, 0] * tangent[:, 0] + tangent[:, 1] * tangent[:, 1])
-    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / edge_length[:, None]
+    normal = np.empty_like(tangent)
+    normal[:, 0] = tangent[:, 1]
+    np.negative(tangent[:, 0], out=normal[:, 1])
     del tangent
-    # orient outward from the plus triangle, away from its vertex off the edge
-    away = edge_midpoint - np.take(vertices, off_edge, axis=0)
-    normal *= np.where(normal[:, 0] * away[:, 0] + normal[:, 1] * away[:, 1] < 0, -1.0, 1.0)[:, None]
-    return (edge_vertices, edge_midpoint, edge_length, edge_occurrence, normal, tri_edges,
-            tri_minus)
+    normal /= edge_length[:, None]
+    dot = normal[:, 0] * away[:, 0]
+    dot += normal[:, 1] * away[:, 1]
+    np.negative(normal, out=normal, where=(dot < 0)[:, None])
+    return edge_vertices, edge_length, edge_occurrence, normal, tri_edges, tri_minus
 
 
 def _make_mesh(level, vertices, triangles):
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
+    triangles = np.asarray(triangles, dtype=np.int32)
     return Mesh(level, vertices, triangles, *_build_edges(vertices, triangles))
 
 
@@ -250,11 +274,12 @@ def refine(mesh):
     ``4t .. 4t+3``.
     """
     vertices = np.vstack([mesh.vertices, mesh.edge_midpoint])
-    v0, v1, v2 = mesh.triangles.T
-    # m_i = midpoint of the edge opposite vertex i
-    m0, m1, m2 = (mesh.n_vertices + mesh.tri_edges).T
-    children = np.stack([[v0, m2, m1], [v1, m0, m2], [v2, m1, m0], [m0, m1, m2]])
-    return _make_mesh(mesh.level + 1, vertices, children.transpose(2, 0, 1).reshape(-1, 3))
+    # corners 0-2 of a coarse triangle are its vertices v_i, corners 3-5
+    # the new vertices m_i at the midpoints of the edges opposite them; the
+    # children are [v0, m2, m1], [v1, m0, m2], [v2, m1, m0], [m0, m1, m2]
+    children = np.take(np.hstack([mesh.triangles, mesh.n_vertices + mesh.tri_edges]),
+                       [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]], axis=1)
+    return _make_mesh(mesh.level + 1, vertices, children.reshape(-1, 3))
 
 
 def build_hierarchy(J):

@@ -110,23 +110,24 @@ class Smoother:
 
     def __init__(self, A, spec=None):
         spec = spec or SmootherSpec()
-        self.A = A.tocsr()
+        A = A.tocsr()
         self.spec = spec
-        d = self.A.diagonal()
+        d = A.diagonal()
         if not np.all(d > 0):
             raise ValueError("matrix diagonal must be positive")
         if spec.kind == JACOBI:
             # a single Jacobi sweep is the plain inverse diagonal; repeated
             # sweeps are damped by 1/2 to guarantee a convergent splitting
+            self.A = A
             self._inv_diag = (1.0 if spec.sweeps == 1 else 0.5) / d
             return
+        # Gauss-Seidel keeps its two triangles, not A
         n = len(d)
         self._inv_diag = 1.0 / d
-        self._forward = _strict_lower(self.A, self._inv_diag)
+        self._forward = _strict_lower(A, self._inv_diag)
         # -D^{-1} U in reversed numbering is the strict lower part of A with
         # rows and columns reversed; row slicing keeps each row's entry order
-        flipped = sp.csr_matrix((self.A.data, n - 1 - self.A.indices, self.A.indptr),
-                                shape=(n, n))[::-1]
+        flipped = sp.csr_matrix((A.data, n - 1 - A.indices, A.indptr), shape=(n, n))[::-1]
         self._backward = _strict_lower(flipped, self._inv_diag[::-1])
 
     def _sym_gs(self, r):

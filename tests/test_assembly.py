@@ -165,6 +165,22 @@ def test_nonsymmetric_symmetric_part_spd(setting, theta):
     assert eigs[0] > 0
 
 
+@pytest.mark.parametrize("eps", [1e-14, 1e-5, 1.0, 1e5, 1e14])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_symmetric_part_is_exactly_symmetric(level, eps):
+    # the stationary solve factors the CSC view of A_S^t as A_S
+    mesh = build_hierarchy(level).finest
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    for theta in (0, 1):
+        A_S = symmetric_part(assemble_dg(mesh, coeff, weights, MethodParams(theta, 8.0, IP1)))
+        A_t = A_S.T.tocsr()
+        A_t.sort_indices()
+        assert np.array_equal(A_t.indptr, A_S.indptr)
+        assert np.array_equal(A_t.indices, A_S.indices)
+        assert A_t.data.tobytes() == A_S.data.tobytes()
+
+
 def test_ip0_ip1_differ_only_in_penalty(setting):
     # consistency terms are identical; the gap is symmetric positive
     # semidefinite (extra penalty on the linear part of the jump)

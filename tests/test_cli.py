@@ -164,6 +164,19 @@ def test_stationary_solve_converges_where_its_residual_first_grows(capsys):
     assert rep["rel_residual"] < 1e-7
 
 
+def test_unconverged_stationary_solve_exits_1(capsys):
+    # no step reaches a relative residual of 1e-30: the iteration stops at
+    # its 500-step cap, below the residual limit (9.0e-10), and the
+    # verdict follows converged, not the residual alone
+    code, out = run(capsys, "solve", "--level", "1", "--variant", "IP1", "--theta", "1",
+                    "--eps", "1e-5", "--tol", "1e-30")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["method"] == "stationary-symmetric-part"
+    assert not rep["converged"] and rep["iterations"] == 500
+    assert rep["rel_residual"] < 1e-6
+
+
 def test_solve_past_the_resolved_contrast_misses_the_residual_limit(capsys):
     # at eps far below 1 the closed-form split system keeps positive
     # diagonals and the solve runs, but its relative residual misses 1e-6,

@@ -140,6 +140,22 @@ def test_many_sgs_sweeps_approach_exact_inverse():
     assert np.allclose(sm.apply(r), spla.spsolve(A.tocsc(), r), atol=1e-8)
 
 
+def test_sym_gs_smoother_keeps_its_triangles_not_the_matrix():
+    # apply reads only the two triangles and the inverse diagonal; the
+    # matrix itself would be one more copy for the preconditioner's lifetime
+    _, _, _, blocks = _vv_block(2, 1e-5)
+    A = blocks.A_vv
+    sm = Smoother(A, SmootherSpec(SYM_GS, 5))
+    assert not any(sp.issparse(v) for v in vars(sm).values())
+    held = sum(a.nbytes for v in vars(sm).values()
+               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray))
+    # the inverse diagonal, and the two strict triangles, which hold A's
+    # off-diagonal entries once
+    n = A.shape[0]
+    assert held == 8 * n + 2 * A.indptr.nbytes + (A.nnz - n) * (
+        A.data.itemsize + A.indices.itemsize)
+
+
 def test_factored_sym_gs_sweep_matches_triangular_solves():
     # one sweep equals forward then backward substitution with the triangles
     # of the matrix itself
