@@ -140,7 +140,9 @@ def from_split(z, v, mesh, weights):
 @dataclass
 class BlockOperator:
     """Split-basis stiffness blocks; the structurally zero block, the
-    coupling of CR trial with z test functions, is not stored."""
+    coupling of CR trial with z test functions, is not stored.  Whoever
+    holds the operator owns the blocks; forward_substitution_solve sets
+    A_zz and A_vz to None, leaving A_vv alone."""
 
     A_zz: sp.csr_matrix
     A_vz: sp.csr_matrix

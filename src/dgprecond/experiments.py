@@ -216,13 +216,18 @@ class Problem:
 
     @functools.cached_property
     def transform(self):
-        # the split-basis transform T, built on first use: only the IP1
-        # split system and verify's identity checks need it; the solve
-        # applies T and T^t from the mesh (basis_split.split_rhs, from_split)
+        # the split-basis transform T, built on first use and then kept with
+        # the problem: only verify's identity checks and the tests read it.
+        # block_jacobi_system builds its own T and frees it once the split
+        # matrix is formed, and the solve applies T and T^t from the mesh
+        # (basis_split.split_rhs, from_split)
         return build_transform(self.mesh, self.weights)
 
     def blocks(self):
-        """The closed-form IP0 split blocks of the problem's method."""
+        """The closed-form IP0 split blocks of the problem's method, a new
+        BlockOperator on every call that the problem does not keep: the
+        caller owns it (forward_substitution_solve takes A_zz and A_vz out
+        of the one it is handed)."""
         return extract_blocks(self.mesh, self.coeff, self.weights, self.params)
 
 
@@ -319,8 +324,13 @@ def block_jacobi_system(p, spec=None):
     The complement block gets its inverse matrix diagonal; the CR block gets
     the additive preconditioner with an exactly solved conforming correction
     on the same mesh (the CR preconditioner whose measured condition numbers
-    stay level-independent, which is what the reference values show)."""
-    S = split_matrix(p.mesh, p.coeff, p.weights, p.params, p.transform)
+    stay level-independent, which is what the reference values show).
+
+    T is built for split_matrix alone and p does not keep it, so it is
+    unreachable before the coarse LU and any PCG on S.  The caller owns S
+    and the preconditioner, which keeps no copy of S's CR block."""
+    S = split_matrix(p.mesh, p.coeff, p.weights, p.params,
+                     build_transform(p.mesh, p.weights))
     nz = p.mesh.n_edges
     # from the finest level to itself: cr_from_conforming of the finest
     # mesh, which reads no coarser one (solve keeps the finest alone)

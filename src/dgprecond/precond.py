@@ -218,13 +218,15 @@ class AdditivePrecond:
         self.transfers = [T.tocsr() for T in transfers]
         # T^t as CSR once: a transposed view would be rebuilt on every apply
         self.restrictions = [T.T.tocsr() for T in self.transfers]
-        self.A_levels = [A_vv]
+        # the level matrices are set-up only: the last one is freed once
+        # factored, the others once the smoother holds what it needs of
+        # their block diagonal; no apply reads them
+        A_levels = [A_vv]
         for T in self.transfers:
-            self.A_levels.append((T.T @ self.A_levels[-1] @ T).tocsr())
-        self.coarse = DirectSolve(self.A_levels[-1])
-        smoothed = self.A_levels[:-1]
-        self.splits = np.cumsum([A.shape[0] for A in smoothed])[:-1]
-        self.smoother = Smoother(sp.block_diag(smoothed, format="csr"), spec)
+            A_levels.append((T.T @ A_levels[-1] @ T).tocsr())
+        self.coarse = DirectSolve(A_levels.pop())
+        self.splits = np.cumsum([A.shape[0] for A in A_levels])[:-1]
+        self.smoother = Smoother(sp.block_diag(A_levels, format="csr"), spec)
 
     def apply(self, r):
         residuals = [r]
@@ -280,14 +282,22 @@ def forward_substitution_solve(blocks, f_z, f_v):
     residual of ZZ_RTOL; then the CR block, with the z coupling moved to the
     right-hand side, by sparse LU.  Raises ValueError (DiagonalPrecond) for
     a z diagonal that is not positive, RuntimeError when the z solve misses.
+
+    The solve takes A_zz and A_vz out of blocks: it sets both to None on
+    entry, whether or not it succeeds, and frees them once z and
+    f_v - A_vz z are formed, so SuperLU factors A_vv with neither alive.
+    The caller keeps blocks.A_vv alone.
     """
-    A_zz, f_z = blocks.A_zz, np.asarray(f_z, dtype=float)
+    A_zz, A_vz = blocks.A_zz, blocks.A_vz
+    blocks.A_zz = blocks.A_vz = None
+    f_z = np.asarray(f_z, dtype=float)
     z, rep = pcg(A_zz, f_z, DiagonalPrecond(A_zz.diagonal()), tol=ZZ_RTOL)
     residual = np.linalg.norm(A_zz @ z - f_z)
     if not (rep.converged and residual <= ZZ_RTOL * np.linalg.norm(f_z)):
         raise RuntimeError(f"complement block solve missed {ZZ_RTOL:g} "
                            f"after {rep.iterations} iterations")
+    rhs = np.asarray(f_v, dtype=float) - A_vz @ z
+    del A_zz, A_vz
     # extract_blocks builds A_vv exactly symmetric, so the CSC view of its
     # transpose holds A_vv itself, and SuperLU takes it without a copy
-    v = DirectSolve(blocks.A_vv.T).apply(np.asarray(f_v, dtype=float) - blocks.A_vz @ z)
-    return z, v
+    return z, DirectSolve(blocks.A_vv.T).apply(rhs)

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dgprecond import experiments
-from dgprecond.assembly import IP0, IP1
+from dgprecond import basis_split, experiments, precond
+from dgprecond.assembly import IP0, IP1, MethodParams
 from dgprecond.krylov import RTOL, SolveReport
 from dgprecond.mesh import build_hierarchy
 from dgprecond.experiments import (
@@ -18,10 +19,34 @@ from dgprecond.experiments import (
     GOLDEN,
     TOLERANCES,
     RUNNERS,
+    block_jacobi_system,
+    build_problem,
     dump_spectrum,
     compare_to_golden,
     format_comparison,
 )
+
+
+def test_block_jacobi_system_builds_the_transform_for_the_split_matrix_alone(monkeypatch):
+    # the problem does not keep T, and T is unreachable by the time the
+    # coarse correction is factored and the PCG runs
+    p = build_problem(build_hierarchy(2), 1e-5, MethodParams(-1, 8.0, IP1))
+    built, alive = [], []
+
+    def build(*args):
+        T = basis_split.build_transform(*args)
+        built.append(weakref.ref(T))
+        return T
+
+    def spy(*args, **kwargs):
+        alive.append([r() is not None for r in built])
+        return precond.two_level(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_transform", build)
+    monkeypatch.setattr(experiments, "two_level", spy)
+    block_jacobi_system(p)
+    assert len(built) == 1 and alive == [[False]]
+    assert "transform" not in vars(p)
 
 
 def test_zz_table_matches_reference():

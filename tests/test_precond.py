@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -367,8 +368,12 @@ def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
     A_vv = blocks.A_vv
     B = bpx(A_vv, hier, SmootherSpec(SYM_GS, 5))
     P = [cr_prolongation(hier, j) for j in range(hier.levels)]
-    # B.A_levels runs finest first: A_vv, then conforming levels J, ..., 0
-    A_levels = B.A_levels[:0:-1]
+    # B keeps no level matrix: they are rebuilt down its transfers, finest
+    # first (A_vv, then conforming levels J, ..., 0), and reversed
+    A_levels = [A_vv]
+    for T in B.transfers:
+        A_levels.append((T.T @ A_levels[-1] @ T).tocsr())
+    A_levels = A_levels[:0:-1]
     for j, P_j in enumerate(P):
         ref = (P_j.T @ A_vv @ P_j).toarray()
         assert np.abs(A_levels[j].toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -385,6 +390,23 @@ def test_bpx_level_by_level_transfers_match_composite_prolongations(eps):
         got = B.apply(x)
         assert got.shape == x.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_additive_precond_keeps_no_level_matrix(monkeypatch):
+    # the level matrices are set-up only: while the preconditioners are
+    # held, the coarsest level, which they factored, is freed
+    hier, mesh, coeff, blocks = _vv_block(3, 1e-5)
+    coarse = []
+
+    class Spy(DirectSolve):
+        def __init__(self, A):
+            coarse.append(weakref.ref(A))
+            super().__init__(A)
+
+    monkeypatch.setattr(precond, "DirectSolve", Spy)
+    held = [bpx(blocks.A_vv, hier), two_level(blocks.A_vv, cr_prolongation(hier, 2))]
+    assert len(held) == len(coarse) == 2
+    assert all(r() is None for r in coarse)
 
 
 def test_bpx_stored_restrictions_match_transposed_transfers():
@@ -427,8 +449,40 @@ def test_forward_substitution_solves_split_system():
     f_z = rng.standard_normal(blocks.A_zz.shape[0])
     f_v = rng.standard_normal(blocks.A_vv.shape[0])
     z, v = forward_substitution_solve(blocks, f_z, f_v)
+    # the solve took A_zz and A_vz out of the blocks it was handed
+    blocks = _vv_block(1, 1e-3)[3]
     assert np.allclose(blocks.A_zz @ z, f_z, atol=1e-9)
     assert np.allclose(blocks.A_vz @ z + blocks.A_vv @ v, f_v, atol=1e-9)
+
+
+@pytest.mark.parametrize("theta", [-1, 0, 1])
+def test_forward_substitution_factors_without_the_complement_blocks(theta, monkeypatch):
+    # SuperLU factors A_vv with A_zz and A_vz unreachable, though the caller
+    # still holds the blocks they came in, and the solution keeps its bytes
+    p = build_problem(build_hierarchy(2), 1e-5, MethodParams(theta, 8.0, IP0))
+    b = assemble_rhs(p.mesh, lambda x, y: 1.0)
+    f_z, f_v = np.split(split_rhs(b, p.mesh, p.weights), [p.mesh.n_edges])
+    # the reference, on a fresh extraction: the same PCG, then the same LU
+    ref = p.blocks()
+    z_ref, _ = krylov.pcg(ref.A_zz, f_z, DiagonalPrecond(ref.A_zz.diagonal()),
+                          tol=precond.ZZ_RTOL)
+    lu = spla.splu(ref.A_vv.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    v_ref = lu.solve(f_v - ref.A_vz @ z_ref)
+
+    blocks = p.blocks()
+    taken = weakref.ref(blocks.A_zz), weakref.ref(blocks.A_vz)
+    alive = []
+
+    class Spy(DirectSolve):
+        def __init__(self, A):
+            alive.append([r() is not None for r in taken])
+            super().__init__(A)
+
+    monkeypatch.setattr(precond, "DirectSolve", Spy)
+    z, v = forward_substitution_solve(blocks, f_z, f_v)
+    assert alive == [[False, False]]
+    assert blocks.A_zz is None and blocks.A_vz is None and blocks.A_vv is not None
+    assert z.tobytes() == z_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -460,16 +514,19 @@ def test_complement_block_solve_is_robust(level, monkeypatch):
 
 
 def test_complement_block_solve_fails_loudly(monkeypatch):
-    _, _, _, blocks = _vv_block(1, 1e-3)
-    f_z = np.ones(blocks.A_zz.shape[0])
-    f_v = np.ones(blocks.A_vv.shape[0])
+    # each call takes A_zz and A_vz out of its blocks: every call gets its own
+    def blocks():
+        return _vv_block(1, 1e-3)[3]
+
+    f_z = np.ones(blocks().A_zz.shape[0])
+    f_v = np.ones(blocks().A_vv.shape[0])
 
     def stalled(A, b, B=None, tol=1e-7, maxit=1000):
         return np.zeros(len(b)), krylov.SolveReport(iterations=maxit)
 
     monkeypatch.setattr(precond, "pcg", stalled)
     with pytest.raises(RuntimeError, match="missed"):
-        forward_substitution_solve(blocks, f_z, f_v)
+        forward_substitution_solve(blocks(), f_z, f_v)
 
     # a recurrence that claims convergence but a wrong answer
     def wrong(A, b, B=None, tol=1e-7, maxit=1000):
@@ -477,10 +534,11 @@ def test_complement_block_solve_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(precond, "pcg", wrong)
     with pytest.raises(RuntimeError, match="missed"):
-        forward_substitution_solve(blocks, f_z, f_v)
+        forward_substitution_solve(blocks(), f_z, f_v)
 
     # refused by DiagonalPrecond, the one check of the diagonal
-    negative = dataclasses.replace(blocks, A_zz=-blocks.A_zz)
+    fresh = blocks()
+    negative = dataclasses.replace(fresh, A_zz=-fresh.A_zz)
     with pytest.raises(ValueError, match="diagonal must be positive"):
         forward_substitution_solve(negative, f_z, f_v)
 

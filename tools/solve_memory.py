@@ -5,9 +5,12 @@ PYTHONPATH):
 
     PYTHONPATH=src python3 tools/solve_memory.py --level 5 --eps 1e-5 --mode traced
     PYTHONPATH=src python3 tools/solve_memory.py --level 5 --eps 1e-5 --mode rss
+    PYTHONPATH=src python3 tools/solve_memory.py --level 5 --eps 1e-5 --mode rss --variant IP1
 
 The stages are the package functions that `solve` calls, wrapped by name in
-the `dgprecond.cli` and `dgprecond.experiments` namespaces.  With
+the `dgprecond.cli` and `dgprecond.experiments` namespaces: those of the IP0
+block forward substitution, or with ``--variant IP1`` those of the theta = -1
+PCG on the split system (block_jacobi_system's calls, then the PCG).  With
 ``--mode traced`` every call runs under tracemalloc on its own and reports
 its traced peak and the bytes of the arrays it returns, in MiB; SuperLU
 allocates outside tracemalloc, so the LU's own memory shows only in
@@ -28,10 +31,18 @@ import numpy as np
 
 from dgprecond import cli, experiments
 
-# the stages of an IP0 solve, in the order it calls them
-STAGES = ((cli, "build_hierarchy"), (cli, "build_problem"), (cli, "assemble_rhs"),
-          (experiments, "extract_blocks"), (cli, "split_rhs"),
-          (cli, "forward_substitution_solve"), (cli, "from_split"), (cli, "apply_dg"))
+# the stages of an IP0 and of an IP1 theta = -1 solve, in the order it
+# calls them
+_SET_UP = ((cli, "build_hierarchy"), (cli, "build_problem"), (cli, "assemble_rhs"))
+STAGES = {
+    "IP0": _SET_UP + ((experiments, "extract_blocks"), (cli, "split_rhs"),
+                      (cli, "forward_substitution_solve"), (cli, "from_split"),
+                      (cli, "apply_dg")),
+    "IP1": _SET_UP + ((experiments, "build_transform"), (experiments, "split_matrix"),
+                      (experiments, "cr_prolongation"), (experiments, "two_level"),
+                      (experiments, "block_jacobi_dg"), (cli, "split_rhs"), (cli, "pcg"),
+                      (cli, "from_split"), (cli, "apply_dg")),
+}
 
 
 def _rss_mb():
@@ -77,16 +88,19 @@ def main(argv=None):
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--eps", default="1e-5")
     p.add_argument("--mode", choices=("traced", "rss"), required=True)
+    p.add_argument("--variant", choices=sorted(STAGES), default="IP0")
     args = p.parse_args(argv)
     record = []
     start = _rss_mb()
-    for namespace, name in STAGES:
+    for namespace, name in STAGES[args.variant]:
         setattr(namespace, name, _wrap(getattr(namespace, name), name, args.mode, record))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["solve", "--level", str(args.level), "--eps", args.eps])
-    report = {"level": args.level, "eps": float(args.eps), "mode": args.mode, "exit": code,
-              "solve": json.loads(out.getvalue()), "stages": record}
+        code = cli.main(["solve", "--level", str(args.level), "--eps", args.eps,
+                         "--variant", args.variant])
+    report = {"level": args.level, "eps": float(args.eps), "variant": args.variant,
+              "mode": args.mode, "exit": code, "solve": json.loads(out.getvalue()),
+              "stages": record}
     if args.mode == "rss":
         report["ru_maxrss_mb_after_imports"] = round(start, 2)
     print(json.dumps(report))
