@@ -284,6 +284,29 @@ def _summed(terms, rows, cols, shape):
     return A
 
 
+def _add_into(P, B):
+    """B + P in canonical CSR, P and B canonical, with the bytes of scipy's
+    B + P: B's entries are added into P's own data where P stores their
+    position (p + b is b + p), the sums that are exactly 0 are dropped as
+    scipy's sum drops them, and any entry of B outside P's stored pattern is
+    merged by a sparse sum.  P's arrays are reused: P is consumed."""
+    idx = P.indices.dtype
+    rows = np.repeat(np.arange(B.shape[0], dtype=idx), np.diff(B.indptr))
+    at = np.empty(B.nnz, dtype=idx)
+    _sparsetools.csr_sample_offsets(P.shape[0], P.shape[1], P.indptr, P.indices, B.nnz,
+                                    rows, B.indices, at)
+    del rows
+    inside = at >= 0
+    P.data[at[inside]] += B.data[inside]
+    P.eliminate_zeros()
+    if inside.all():
+        return P
+    B = B.copy()
+    B.data[inside] = 0.0
+    B.eliminate_zeros()
+    return P + B
+
+
 def split_matrix(mesh, coeff, weights, params, T):
     """The IP1 split-basis matrix in canonical CSR, with no magnitude cut:
     [A_zz 0; A_vz A_vv] of extract_blocks plus D^t diag(alpha kappa_e / 12) D,
@@ -291,11 +314,13 @@ def split_matrix(mesh, coeff, weights, params, T):
     psi_e is written as alpha kappa_e / 6 ((kappa_a + kappa_b) / kappa+ -
     (kappa_c + kappa_d) / kappa-), a, b the other edges of the plus and c, d
     of the minus triangle: the product leaves round-off where it is 0.
-    params.variant is not read."""
-    S = extract_blocks(mesh, coeff, weights, params).matrix()
+    The product P = D^t (W D) is formed first and D freed; the blocks plus
+    that correction are then summed into P's own arrays (_add_into), with
+    the bytes of their scipy sum with P.  params.variant is not read."""
     D = edge_jumps(mesh) @ T
     P = D.T.tocsr() @ (sp.diags_array(params.alpha * weights.kappa_e / 12) @ D)
-    P.sort_indices()  # canonical, so that scipy adds it to S by merging sorted rows
+    del D
+    P.sort_indices()  # canonical, as _add_into needs
     # (kappa_a + kappa_b) / kappa_t, a, b the other edges of t, negated on the minus side
     kappa = np.take(weights.kappa_e, mesh.tri_edges)
     ratio = (np.roll(kappa, 1, axis=1) + np.roll(kappa, -1, axis=1)) / coeff[:, None]
@@ -306,7 +331,10 @@ def split_matrix(mesh, coeff, weights, params, T):
     cols = np.roll(rows, len(interior))
     # own - p added to p gives own back, and cancels p exactly where own is 0
     fix = np.tile(params.alpha / 6 * own, 2) - np.asarray(P[rows, cols]).ravel()
-    return S + _summed(fix, rows, cols, S.shape) + P
+    del kappa, ratio, own
+    S = extract_blocks(mesh, coeff, weights, params).matrix()
+    S = S + _summed(fix, rows, cols, S.shape)
+    return _add_into(P, S)
 
 
 # the bound on the identity_ratios of a closed-form split-basis matrix at

@@ -189,7 +189,14 @@ def cmd_solve(opts, cfg):
     del hier.meshes[:-1]
     p = build_problem(hier, _eps(opts), cfg.method_params())
     mesh = p.mesh
-    b = assemble_rhs(mesh, lambda x, y: 1.0)
+
+    def load():
+        # the load vector of f = 1, assembled where it is read: the split
+        # branches hold it across no factorization, and the residual
+        # assembles it again, with the same bytes
+        return assemble_rhs(mesh, lambda x, y: 1.0)
+
+    b = None
     report = {}
     try:
         # the split system's right-hand side T^t b and solution T [z; v],
@@ -198,15 +205,20 @@ def cmd_solve(opts, cfg):
         if p.params.variant == IP0:
             report["method"] = "block-forward-substitution"
             blocks = p.blocks()
-            f_z, f_v = np.split(split_rhs(b, mesh, p.weights), [mesh.n_edges])
-            u = from_split(*forward_substitution_solve(blocks, f_z, f_v), mesh, p.weights)
+            # f_z and f_v are handed over with no name left holding them, so
+            # that forward_substitution_solve frees them with A_zz and A_vz
+            # before SuperLU factors A_vv
+            f = np.split(split_rhs(load(), mesh, p.weights), [mesh.n_edges])
+            u = from_split(*forward_substitution_solve(blocks, f.pop(0), f.pop()),
+                           mesh, p.weights)
         elif p.params.theta == -1:
             report["method"] = "pcg-block-jacobi"
             S, B = block_jacobi_system(p, cfg.smoother_spec())
-            x, rep = pcg(S, split_rhs(b, mesh, p.weights), B, tol=cfg.tol, maxit=2000)
+            x, rep = pcg(S, split_rhs(load(), mesh, p.weights), B, tol=cfg.tol, maxit=2000)
             u = from_split(*np.split(x, [mesh.n_edges]), mesh, p.weights)
         else:
             report["method"] = "stationary-symmetric-part"
+            b = load()
             # the CSC view of A_S^t, which is A_S: no tocsc() copy
             u, rep = stationary_iteration(p.A, DirectSolve(symmetric_part(p.A).T), b,
                                           tol=cfg.tol, maxit=500)
@@ -217,6 +229,8 @@ def cmd_solve(opts, cfg):
         return 1
     if report["method"] != "block-forward-substitution":
         report.update(iterations=rep.iterations, converged=rep.converged)
+    if b is None:
+        b = load()
     Au = apply_dg(mesh, p.coeff, p.weights, p.params, u)
     report["rel_residual"] = np.linalg.norm(Au - b) / np.linalg.norm(b)
     report["dofs"] = mesh.n_dofs

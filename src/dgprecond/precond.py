@@ -284,9 +284,11 @@ def forward_substitution_solve(blocks, f_z, f_v):
     a z diagonal that is not positive, RuntimeError when the z solve misses.
 
     The solve takes A_zz and A_vz out of blocks: it sets both to None on
-    entry, whether or not it succeeds, and frees them once z and
-    f_v - A_vz z are formed, so SuperLU factors A_vv with neither alive.
-    The caller keeps blocks.A_vv alone.
+    entry, whether or not it succeeds, and frees them, with its references
+    to f_z and f_v, once z and f_v - A_vz z are formed, so SuperLU factors
+    A_vv with none of them alive.  The caller keeps blocks.A_vv alone, and
+    f_z and f_v are freed only if the caller holds no other reference to
+    them (cli.cmd_solve passes them unnamed).
     """
     A_zz, A_vz = blocks.A_zz, blocks.A_vz
     blocks.A_zz = blocks.A_vz = None
@@ -297,7 +299,7 @@ def forward_substitution_solve(blocks, f_z, f_v):
         raise RuntimeError(f"complement block solve missed {ZZ_RTOL:g} "
                            f"after {rep.iterations} iterations")
     rhs = np.asarray(f_v, dtype=float) - A_vz @ z
-    del A_zz, A_vz
+    del A_zz, A_vz, f_z, f_v
     # extract_blocks builds A_vv exactly symmetric, so the CSC view of its
     # transpose holds A_vv itself, and SuperLU takes it without a copy
     return z, DirectSolve(blocks.A_vv.T).apply(rhs)

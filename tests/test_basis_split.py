@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dgprecond import assembly
+from dgprecond import assembly, basis_split
 from dgprecond.mesh import assign_coefficient, build_hierarchy, edge_weights
 from dgprecond.assembly import (IP0, IP1, MethodParams, apply_dg, assemble_dg, assemble_rhs,
                                 edge_traces)
@@ -418,6 +418,67 @@ def test_closed_form_memory_stays_near_its_result(level4):
     # time; summing whole-mesh COO terms took 4.05, and concatenating them
     # with the penalty, on int64 indices, 5.80
     assert peak <= 4.5 * _nbytes(blocks.A_zz, blocks.A_vz, blocks.A_vv)
+
+
+def test_split_matrix_memory_stays_near_its_result(level4):
+    # 1.77 times at level 4 with P = D^t W D formed first, D freed and the
+    # blocks summed into P's own arrays; 2.87 with S, D, P, S + fix and
+    # their sum alive at once
+    mesh, coeff, weights = level4
+    params = MethodParams(-1, 8.0, IP1)
+    T = build_transform(mesh, weights)
+    S, peak = _traced_peak(split_matrix, mesh, coeff, weights, params, T)
+    assert peak <= 2.0 * _nbytes(S)
+
+
+def _summed_split_matrix(mesh, coeff, weights, params, T):
+    """The IP1 split matrix as the sum S + (own - p) + P of three scipy
+    matrices, the oracle that split_matrix's in-place sum must equal byte
+    for byte."""
+    S = extract_blocks(mesh, coeff, weights, params).matrix()
+    D = assembly.edge_jumps(mesh) @ T
+    P = D.T.tocsr() @ (sp.diags_array(params.alpha * weights.kappa_e / 12) @ D)
+    P.sort_indices()
+    kappa = np.take(weights.kappa_e, mesh.tri_edges)
+    ratio = (np.roll(kappa, 1, axis=1) + np.roll(kappa, -1, axis=1)) / coeff[:, None]
+    ratio[mesh.tri_minus] *= -1
+    interior = mesh.interior_edges
+    own = np.bincount(mesh.tri_edges.ravel(), ratio.ravel())[interior] * weights.kappa_e[interior]
+    rows = np.concatenate([interior, mesh.n_edges + np.arange(len(interior))])
+    cols = np.roll(rows, len(interior))
+    fix = np.tile(params.alpha / 6 * own, 2) - np.asarray(P[rows, cols]).ravel()
+    F = sp.csr_matrix((fix, (rows, cols)), shape=S.shape)
+    F.eliminate_zeros()
+    return S + F + P
+
+
+def _csr_bytes(A):
+    return [(a.dtype, a.tobytes()) for a in (A.indptr, A.indices, A.data)]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 8.0])
+@pytest.mark.parametrize("eps", [1e-14, 1e-5, 1.0, 1e5, 1e14])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_split_matrix_equals_the_scipy_sum(level, eps, alpha):
+    mesh = _hierarchy(level).finest
+    coeff = assign_coefficient(mesh, eps)
+    weights = edge_weights(mesh, coeff)
+    params = MethodParams(-1, alpha, IP1)
+    T = build_transform(mesh, weights)
+    got = split_matrix(mesh, coeff, weights, params, T)
+    assert got.has_canonical_format
+    assert _csr_bytes(got) == _csr_bytes(_summed_split_matrix(mesh, coeff, weights, params, T))
+
+
+def test_add_into_merges_entries_outside_the_pattern():
+    # B has one entry, (1, 0), where P stores nothing, and one sum, at
+    # (0, 0), that cancels to 0; the result is scipy's B + P byte for byte
+    P = sp.csr_matrix(np.array([[2.0, 0.0, 0.1], [0.0, 3.0, 0.0], [0.3, 0.0, 5.0]]))
+    B = sp.csr_matrix(np.array([[-2.0, 0.0, 0.7], [0.6, 1.0, 0.0], [0.0, 0.0, 1e-17]]))
+    expected = B + P
+    got = basis_split._add_into(P.copy(), B)
+    assert got.has_canonical_format and got.nnz == 5 and got[1, 0] == 0.6
+    assert _csr_bytes(got) == _csr_bytes(expected)
 
 
 def _solve_kernels(mesh, coeff, weights):

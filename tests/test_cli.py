@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -132,6 +133,34 @@ def test_solve_gathers_the_transform_from_the_mesh(capsys, monkeypatch):
     assert json.loads(out)["rel_residual"] < 1e-6
     with pytest.raises(_Transformed):
         main(["solve", "--level", "1", "--variant", "IP1"])
+
+
+def test_solve_factors_without_the_load_vector(capsys, monkeypatch):
+    # the IP0 solve holds neither b nor T^t b when SuperLU factors A_vv:
+    # b lives inside split_rhs alone, and forward_substitution_solve drops
+    # f_z and f_v with the complement blocks; the residual assembles b again
+    made, alive = {"assemble_rhs": [], "split_rhs": []}, []
+
+    def spy(name, fn):
+        def call(*args):
+            result = fn(*args)
+            made[name].append(weakref.ref(result))
+            return result
+        return call
+
+    for name in made:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    factor = precond.DirectSolve.__init__
+
+    def init(self, A):
+        alive.append({name: [r() is not None for r in refs] for name, refs in made.items()})
+        factor(self, A)
+
+    monkeypatch.setattr(precond.DirectSolve, "__init__", init)
+    code, out = run(capsys, "solve", "--level", "2", "--eps", "1e-5")
+    assert code == 0 and json.loads(out)["rel_residual"] < 1e-6
+    assert alive == [{"assemble_rhs": [False], "split_rhs": [False]}]
+    assert len(made["assemble_rhs"]) == 2 and len(made["split_rhs"]) == 1
 
 
 def test_solve_breakdown_is_one_error_line():

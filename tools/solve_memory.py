@@ -15,8 +15,11 @@ PCG on the split system (block_jacobi_system's calls, then the PCG).  With
 its traced peak and the bytes of the arrays it returns, in MiB; SuperLU
 allocates outside tracemalloc, so the LU's own memory shows only in
 ``--mode rss``, which reports ru_maxrss in MB after every call instead,
-untraced.  Run each mode in a fresh process: ru_maxrss never falls.  The
-last line of standard output is one JSON object.
+untraced.  Run each mode in a fresh process: ru_maxrss never falls.  A
+wrapped call holds its arguments until it returns, so here (as under
+perfbench's timed passes) f_z and f_v stay alive across the LU of
+forward_substitution_solve, which a plain solve frees before it.  The last
+line of standard output is one JSON object.
 """
 
 import argparse
@@ -32,16 +35,19 @@ import numpy as np
 from dgprecond import cli, experiments
 
 # the stages of an IP0 and of an IP1 theta = -1 solve, in the order it
-# calls them
-_SET_UP = ((cli, "build_hierarchy"), (cli, "build_problem"), (cli, "assemble_rhs"))
+# calls them; assemble_rhs is called twice, for T^t b just before split_rhs
+# and again for the residual, just before apply_dg, so the IP0 solve
+# records 9 stages and the IP1 one 13
+_SET_UP = ((cli, "build_hierarchy"), (cli, "build_problem"))
 STAGES = {
-    "IP0": _SET_UP + ((experiments, "extract_blocks"), (cli, "split_rhs"),
-                      (cli, "forward_substitution_solve"), (cli, "from_split"),
-                      (cli, "apply_dg")),
+    "IP0": _SET_UP + ((experiments, "extract_blocks"), (cli, "assemble_rhs"),
+                      (cli, "split_rhs"), (cli, "forward_substitution_solve"),
+                      (cli, "from_split"), (cli, "apply_dg")),
     "IP1": _SET_UP + ((experiments, "build_transform"), (experiments, "split_matrix"),
                       (experiments, "cr_prolongation"), (experiments, "two_level"),
-                      (experiments, "block_jacobi_dg"), (cli, "split_rhs"), (cli, "pcg"),
-                      (cli, "from_split"), (cli, "apply_dg")),
+                      (experiments, "block_jacobi_dg"), (cli, "assemble_rhs"),
+                      (cli, "split_rhs"), (cli, "pcg"), (cli, "from_split"),
+                      (cli, "apply_dg")),
 }
 
 
